@@ -154,8 +154,25 @@ def sinr(h: np.ndarray, w, sigma2: float) -> np.ndarray:
     return gamma
 
 
+# slogdet's sign for a Hermitian PD matrix differs from +1 by rounding only:
+# below 1e-15 on the desk and full-scale scenarios.
+_SIGN_TOL = 1e-6
+
+
 def _logdet_hermitian(a: np.ndarray) -> float:
+    """log det of a Hermitian positive-definite matrix.
+
+    The determinant of a Hermitian matrix is real, so slogdet's sign is +1,
+    -1 or 0 up to rounding; anything but +1 means the matrix is not PD and
+    its log-determinant would be a wrong rate, so it raises LinAlgError.
+    """
     sign, logabs = np.linalg.slogdet(a)
+    # A singular matrix comes back with sign 0 (log-determinant -inf); the
+    # negated test also rejects a NaN sign.
+    if not abs(sign - 1.0) <= _SIGN_TOL:
+        raise np.linalg.LinAlgError(
+            f"log-determinant of a matrix that is not positive definite (sign {sign})"
+        )
     return float(logabs)
 
 

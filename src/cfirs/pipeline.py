@@ -86,7 +86,8 @@ def _phase_step(scheme, theta, data, config, rng):
     magnitude, so the stopping rule keeps the same meaning across power and
     array-size regimes.
     """
-    eps2 = config.eps2 * max(1.0, abs(irs_opt.eval_f7(theta, data)))
+    f_old = irs_opt.eval_f7(theta, data)
+    eps2 = config.eps2 * max(1.0, abs(f_old))
     if scheme.solver == "aso":
         new, trace = irs_opt.aso_solve(theta, data, eps2=eps2, max_sweeps=config.max_aso)
         return new, len(trace) - 1
@@ -102,7 +103,7 @@ def _phase_step(scheme, theta, data, config, rng):
         sweeps = 1
     else:
         return theta, 0
-    if irs_opt.eval_f7(new, data) >= irs_opt.eval_f7(theta, data):
+    if irs_opt.eval_f7(new, data) >= f_old:
         return new, sweeps
     return theta, 0
 

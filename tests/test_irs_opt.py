@@ -239,6 +239,65 @@ def test_qcr_projected_point_is_feasible(make_cmcqp):
     np.testing.assert_allclose(np.abs(theta), 0.6, atol=1e-12)
 
 
+def _rank_deficient_cmcqp(seed, nn=48, r=6):
+    """Zcal = Z o Q^T with Z, Q rank-r Gram matrices, as build_cmcqp forms it.
+
+    rank(Zcal) <= r^2 < nn, so f7 has flat directions and small curvatures
+    that make plain projected gradient crawl (full scale: rank 64 of 180).
+    """
+    rng = np.random.default_rng(seed)
+    m1 = crandn(rng, (nn, r))
+    m2 = crandn(rng, (nn, r))
+    z = m1 @ m1.conj().T
+    q = m2 @ m2.conj().T
+    zcal = z * q.T
+    zcal = 0.5 * (zcal + zcal.conj().T)
+    data = CmcQpData(zcal=zcal, omega=crandn(rng, nn), z=z, q=q, a=None, e=None)
+    theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, nn))
+    return data, theta0
+
+
+def _plain_projected_gradient(theta, data, tol=1e-10, max_iter=5000):
+    """Reference: unaccelerated projected gradient at the same step and stop rule."""
+    theta = np.array(theta, copy=True)
+    alpha = abs(theta[0])
+    step = 1.0 / (2.0 * np.linalg.eigvalsh(data.zcal).max())
+    trace = [irs_opt.eval_f7(theta, data)]
+    for _ in range(max_iter):
+        theta = theta + step * (data.omega - data.zcal @ theta)
+        mags = np.abs(theta)
+        over = mags > alpha
+        theta[over] *= alpha / mags[over]
+        trace.append(irs_opt.eval_f7(theta, data))
+        if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
+            break
+    return theta, trace
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qcr_rank_deficient_stops_on_tolerance(seed):
+    data, theta0 = _rank_deficient_cmcqp(seed)
+    assert np.linalg.matrix_rank(data.zcal) <= 36
+    max_iter = 5000
+    relaxed, trace = irs_opt.qcr_relax(theta0, data, max_iter=max_iter)
+    assert len(trace) - 1 < max_iter
+    diffs = np.diff(trace)
+    assert (diffs >= -1e-11 * np.maximum(1.0, np.abs(trace[1:]))).all()
+    assert np.abs(relaxed).max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qcr_rank_deficient_beats_plain_projected_gradient(seed):
+    data, theta0 = _rank_deficient_cmcqp(seed)
+    relaxed, trace = irs_opt.qcr_relax(theta0, data, max_iter=5000)
+    reference, _ = _plain_projected_gradient(theta0, data, max_iter=5000)
+    f_ref = irs_opt.eval_f7(reference, data)
+    f_new = irs_opt.eval_f7(relaxed, data)
+    assert f_new >= f_ref - 1e-9 * abs(f_ref)
+    # The objective read off the kept product Zcal theta is f7 itself.
+    assert trace[-1] == pytest.approx(f_new, rel=1e-10)
+
+
 # ---- semidefinite relaxation ----
 
 def test_sdr_single_element_analytic():

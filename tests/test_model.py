@@ -211,3 +211,19 @@ def test_phase_vector_validation():
         bad = theta.copy()
         bad[1] *= np.exp(1j * 0.3)
         model.PhaseVector(theta=bad, alpha=0.8).validate(discrete_levels=4)
+
+
+# ---- log-determinant guard ----
+
+def test_logdet_rejects_indefinite_matrix():
+    # det = -3: slogdet returns sign -1 and log 3, which would read as a rate.
+    a = np.array([[2.0, 1j], [-1j, -1.0]])
+    assert np.linalg.eigvalsh(a).min() < 0
+    with pytest.raises(np.linalg.LinAlgError):
+        model._logdet_hermitian(a)
+
+
+def test_logdet_rejects_singular_matrix():
+    v = np.array([1.0, 1j, 0.5])
+    with pytest.raises(np.linalg.LinAlgError):
+        model._logdet_hermitian(np.outer(v, v.conj()))
