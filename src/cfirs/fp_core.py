@@ -72,10 +72,10 @@ def aux_constant(aux: AuxState) -> float:
     """sum_k log|I + U_k| - Tr(U_k), the part of f3 that ignores (W, theta, Y)."""
     total = 0.0
     for k in range(aux.u.shape[0]):
-        sign, logabs = np.linalg.slogdet(aux.ubar[k])
-        if sign == 0 or logabs < np.log(1e-12):
+        logdet = model._logdet_hermitian(aux.ubar[k])
+        if logdet < np.log(1e-12):
             raise np.linalg.LinAlgError("I + U_k is numerically singular")
-        total += logabs - np.trace(aux.u[k]).real
+        total += logdet - np.trace(aux.u[k]).real
     return total
 
 

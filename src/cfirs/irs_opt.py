@@ -8,7 +8,7 @@ For fixed precoders and auxiliaries, the phase subproblem reduces to
 with Zcal = Z o Q^T (Hadamard product of two PSD matrices, hence Hermitian
 PSD) and omega the diagonal of E - A. Four solvers are provided:
 
-* coordinate descent with the closed-form per-element phase update
+* cyclic coordinate ascent with the closed-form per-element phase update
   theta_i = alpha * exp(j * arg(mu_i)) (exact per-coordinate maximizer),
 * accelerated projected gradient with function-value restart (monotone
   FISTA; Beck & Teboulle 2009, O'Donoghue & Candes 2015) on the disc
@@ -16,6 +16,9 @@ PSD) and omega the diagonal of E - A. Four solvers are provided:
   circle,
 * semidefinite relaxation solved by ADMM plus Gaussian randomization,
 * exhaustive per-coordinate search over a discrete phase grid.
+
+The first and the last share one coordinate-ascent loop and differ only in
+the per-coordinate rule (best point of the circle or of the grid).
 """
 
 from __future__ import annotations
@@ -31,18 +34,14 @@ from .model import StackedChannels
 
 @dataclass(frozen=True)
 class CmcQpData:
-    """Quadratic form of the phase subproblem plus build intermediates.
+    """Quadratic form of the phase subproblem.
 
-    zcal is Hermitian PSD; omega holds the diagonal of E - A. The z, q, a, e
-    intermediates are retained so tests can rebuild the trace forms.
+    zcal is Hermitian PSD; omega holds the diagonal of E - A (see
+    ``build_cmcqp``).
     """
 
     zcal: np.ndarray   # (RN, RN)
     omega: np.ndarray  # (RN,)
-    z: np.ndarray
-    q: np.ndarray
-    a: np.ndarray
-    e: np.ndarray
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -56,6 +55,10 @@ def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
     Q  = S Wcov S^H with Wcov = sum_i Ws_i Ws_i^H
     A  = sum_k G_k Y_k Ubar_k Y_k^H D_k^H Wcov S^H
     E  = sum_k G_k Y_k Ubar_k Ws_k^H S^H
+
+    Zcal = Z o Q^T and omega = diag(E - A); A and E are never formed, as
+    E_k - A_k = GYU_k M_k S^H with GYU_k = G_k Y_k Ubar_k, M_k = Ws_k^H -
+    Y_k^H D_k^H Wcov.
     """
     warr = model._w_array(w)
     L, K, Mb, Mu = warr.shape
@@ -69,20 +72,17 @@ def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
     wcov = _hermitize(wcov)
 
     z = np.zeros((nn, nn), complex)
-    a = np.zeros((nn, nn), complex)
-    e = np.zeros((nn, nn), complex)
+    omega = np.zeros(nn, complex)
     s_herm = stacked.s.conj().T  # (L*Mb, RN)
     for k in range(K):
+        yk_herm = aux.y[k].conj().T
         gyu = stacked.g_k[k] @ aux.y[k] @ ubar[k]          # (RN, Mu)
-        gyuy = gyu @ aux.y[k].conj().T                     # (RN, Mu)
-        z += gyuy @ stacked.g_k[k].conj().T
-        a += gyuy @ stacked.d_k[k].conj().T @ wcov @ s_herm
-        e += gyu @ ws[k].conj().T @ s_herm
+        z += gyu @ yk_herm @ stacked.g_k[k].conj().T
+        m_k = ws[k].conj().T - yk_herm @ stacked.d_k[k].conj().T @ wcov  # (Mu, L*Mb)
+        omega += np.sum(gyu * (m_k @ s_herm).T, axis=1)
     z = _hermitize(z)
-    q = _hermitize(stacked.s @ wcov @ stacked.s.conj().T)
-    omega = np.diag(e - a).copy()
-    zcal = _hermitize(z * q.T)
-    return CmcQpData(zcal=zcal, omega=omega, z=z, q=q, a=a, e=e)
+    q = _hermitize(stacked.s @ wcov @ s_herm)
+    return CmcQpData(zcal=_hermitize(z * q.T), omega=omega)
 
 
 def eval_f7(theta, data: CmcQpData) -> float:
@@ -103,6 +103,52 @@ def _alpha_of(theta: np.ndarray) -> float:
     return alpha
 
 
+def _circle_rule(alpha: float):
+    """Per-coordinate maximizer on |theta_i| = alpha; keeps theta_i at mu_i = 0."""
+
+    def best(mu, current):
+        return alpha * np.exp(1j * np.angle(mu)) if mu != 0 else current
+
+    return best
+
+
+def _grid_rule(alpha: float, levels: int):
+    """Per-coordinate maximizer over the ``levels``-point phase grid; near
+    ties (1e-12 relative) go to the lower grid index."""
+    grid = alpha * np.exp(2j * np.pi * np.arange(levels) / levels)
+
+    def best(mu, current):
+        scores = np.real(grid.conj() * mu)
+        top = scores.max()
+        return grid[np.flatnonzero(scores >= top - 1e-12 * max(1.0, abs(top)))[0]]
+
+    return best
+
+
+def _ascend(theta0, data: CmcQpData, best, eps2: float, max_sweeps: int):
+    """Cyclic coordinate ascent: each visit sets theta_i <- best(mu_i, theta_i)
+    with mu_i = omega_i - sum_{n != i} Zcal[i, n] theta_n, keeping Zcal theta
+    up to date. Stops after a sweep whose f7 change is at most eps2.
+    Returns (theta, trace), trace[u] being f7 after sweep u.
+    """
+    theta = np.array(model._theta_array(theta0), copy=True)
+    trace = [eval_f7(theta, data)]
+    if theta.size == 0:
+        return theta, trace
+    zth = data.zcal @ theta
+    for _ in range(max_sweeps):
+        for i in range(theta.size):
+            mu = data.omega[i] - zth[i] + data.zcal[i, i] * theta[i]
+            new = best(mu, theta[i])
+            if new != theta[i]:
+                zth += data.zcal[:, i] * (new - theta[i])
+                theta[i] = new
+        trace.append(eval_f7(theta, data))
+        if abs(trace[-1] - trace[-2]) <= eps2:
+            break
+    return theta, trace
+
+
 def aso_coordinate(theta: np.ndarray, i: int, data: CmcQpData) -> np.ndarray:
     """Replace coordinate i by its exact closed-form maximizer.
 
@@ -111,10 +157,8 @@ def aso_coordinate(theta: np.ndarray, i: int, data: CmcQpData) -> np.ndarray:
     then optimal).
     """
     out = np.array(theta, copy=True)
-    alpha = abs(theta[i])
     mu = data.omega[i] - data.zcal[i] @ theta + data.zcal[i, i] * theta[i]
-    if mu != 0:
-        out[i] = alpha * np.exp(1j * np.angle(mu))
+    out[i] = _circle_rule(abs(theta[i]))(mu, theta[i])
     return out
 
 
@@ -124,27 +168,8 @@ def aso_solve(theta0, data: CmcQpData, eps2: float = 1e-8, max_sweeps: int = 200
     Returns (theta, trace) where trace[u] is the objective after sweep u
     (trace[0] is the starting value); the sequence is non-decreasing.
     """
-    theta = np.array(model._theta_array(theta0), copy=True)
-    nn = theta.size
-    trace = [eval_f7(theta, data)]
-    if nn == 0:
-        return theta, trace
-    alpha = _alpha_of(theta)
-    zth = data.zcal @ theta
-    for _ in range(max_sweeps):
-        for i in range(nn):
-            mu = data.omega[i] - zth[i] + data.zcal[i, i] * theta[i]
-            if mu == 0:
-                continue
-            new = alpha * np.exp(1j * np.angle(mu))
-            delta = new - theta[i]
-            if delta != 0:
-                zth += data.zcal[:, i] * delta
-                theta[i] = new
-        trace.append(eval_f7(theta, data))
-        if abs(trace[-1] - trace[-2]) <= eps2:
-            break
-    return theta, trace
+    alpha = _alpha_of(model._theta_array(theta0))
+    return _ascend(theta0, data, _circle_rule(alpha), eps2, max_sweeps)
 
 
 def _clip_to_discs(theta: np.ndarray, alpha: float) -> np.ndarray:
@@ -339,29 +364,11 @@ def discrete_sweep(theta0, data: CmcQpData, levels: int, max_sweeps: int = 200):
 
     Each visit evaluates all ``levels`` grid phases of cos(eta_i - phi) and
     keeps the best, breaking exact ties toward the lower grid index. Sweeps
-    repeat until no coordinate changes. Returns (theta, sweeps_used).
+    repeat until one leaves f7 unchanged; a sweep that changes no coordinate
+    does so exactly. Returns (theta, sweeps_used).
     """
     if levels < 2:
         raise ValueError("discrete phase set needs at least 2 levels")
-    theta = np.array(model._theta_array(theta0), copy=True)
-    nn = theta.size
-    if nn == 0:
-        return theta, 0
-    alpha = _alpha_of(theta)
-    grid = alpha * np.exp(2j * np.pi * np.arange(levels) / levels)
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        changed = False
-        zth = data.zcal @ theta
-        for i in range(nn):
-            mu = data.omega[i] - zth[i] + data.zcal[i, i] * theta[i]
-            scores = np.real(grid.conj() * mu)
-            best = np.flatnonzero(scores >= scores.max() - 1e-12 * max(1.0, abs(scores.max())))[0]
-            new = grid[best]
-            if new != theta[i]:
-                zth += data.zcal[:, i] * (new - theta[i])
-                theta[i] = new
-                changed = True
-        if not changed:
-            break
-    return theta, sweeps
+    alpha = _alpha_of(model._theta_array(theta0))
+    theta, trace = _ascend(theta0, data, _grid_rule(alpha, levels), 0.0, max_sweeps)
+    return theta, len(trace) - 1

@@ -92,9 +92,7 @@ def _phase_step(scheme, theta, data, config, rng):
         new, trace = irs_opt.aso_solve(theta, data, eps2=eps2, max_sweeps=config.max_aso)
         return new, len(trace) - 1
     if scheme.solver == "discrete":
-        levels = scheme.levels if scheme.levels >= 2 else config.discrete_levels
-        new, sweeps = irs_opt.discrete_sweep(theta, data, levels, max_sweeps=config.max_aso)
-        return new, sweeps
+        return irs_opt.discrete_sweep(theta, data, scheme.levels, max_sweeps=config.max_aso)
     if scheme.solver == "qcr":
         new, _, trace = irs_opt.qcr_solve(theta, data)
         sweeps = len(trace) - 1

@@ -156,7 +156,6 @@ def optimize_w(
     config: SystemConfig,
     dual: DualState = None,
     w_prev=None,
-    strategy: str = "subgradient",
 ):
     """Solve the precoder subproblem.
 
@@ -165,10 +164,8 @@ def optimize_w(
     zero) or ``config.max_dual`` iterations. Step sizes adapt geometrically
     (halved on a sign flip of the violation, grown while it persists) and
     each multiplier moves at most one decade per iteration; if the loop still
-    fails to settle, a bisection pass finishes the job.
-
-    strategy="bisection" instead drives each multiplier to complementary
-    slackness by bisection on the (monotone) per-BS power curve.
+    fails to settle, a bisection pass on each BS's (monotone) power curve
+    finishes the job.
 
     Returns (BeamformerSet, DualState, info) where info carries iteration
     count, convergence flag, f5 value, and slackness residuals. The returned
@@ -185,66 +182,61 @@ def optimize_w(
     if dual is None:
         dual = DualState(lam=lam_scale.copy(), tau=np.asarray(config.tau, float))
 
-    if strategy == "bisection":
-        lam, w, iters, converged = _bisection_duals(form, dual.lam, p_max, config)
-        dual = DualState(lam=lam, tau=dual.tau, iteration=dual.iteration + iters)
-    elif strategy == "subgradient":
-        lam = dual.lam.copy()
-        tau = dual.tau.copy()
-        # Multipliers below the floor count as zero (the power curve is flat
-        # there); the floor keeps the multiplicative trust region usable.
-        lam_floor = 1e-14 * lam_scale
-        tau_cap = 1e9 * np.asarray(config.tau, float)
-        prev_sign = np.zeros(config.l)
-        converged = False
-        iters = 0
-        for iters in range(1, config.max_dual + 1):
-            lam_eff = np.where(lam > lam_floor, lam, 0.0)
-            w = form.solve(lam_eff)
-            power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
-            f_l = power - p_max
-            sign = np.sign(f_l)
-            # Halve the step whenever a violation changes sign, grow it while
-            # the sign persists: a geometric bracket on the monotone f_l that
-            # keeps the sub-gradient rule from creeping after an overshoot.
-            flip = (sign * prev_sign) < 0
-            same = (sign * prev_sign) > 0
-            tau[flip] *= 0.5
-            tau[same] = np.minimum(tau[same] * 2.0, tau_cap[same])
-            prev_sign = sign
-            anchor = np.maximum(lam, lam_floor)
-            raw = anchor + tau * f_l
-            # The violation is heavily asymmetric around the optimum (bounded
-            # by -p_max above it, arbitrarily large below), so each additive
-            # step is confined to one decade around the current multiplier. A
-            # sleeping multiplier facing a violation restarts at its scale.
-            lam_new = np.clip(raw, anchor / 10.0, anchor * 10.0)
-            wake = (lam <= lam_floor) & (f_l > 0)
-            lam_new[wake] = np.maximum(lam_new[wake], lam_scale[wake])
-            lam_new = np.maximum(lam_new, lam_floor)
-            if _converged(np.where(lam_new > lam_floor, lam_new, 0.0), lam_eff, config.eps1):
-                lam = lam_new
-                converged = True
-                break
+    lam = dual.lam.copy()
+    tau = dual.tau.copy()
+    # Multipliers below the floor count as zero (the power curve is flat
+    # there); the floor keeps the multiplicative trust region usable.
+    lam_floor = 1e-14 * lam_scale
+    tau_cap = 1e9 * np.asarray(config.tau, float)
+    prev_sign = np.zeros(config.l)
+    converged = False
+    iters = 0
+    for iters in range(1, config.max_dual + 1):
+        lam_eff = np.where(lam > lam_floor, lam, 0.0)
+        w = form.solve(lam_eff)
+        power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
+        f_l = power - p_max
+        sign = np.sign(f_l)
+        # Halve the step whenever a violation changes sign, grow it while
+        # the sign persists: a geometric bracket on the monotone f_l that
+        # keeps the sub-gradient rule from creeping after an overshoot.
+        flip = (sign * prev_sign) < 0
+        same = (sign * prev_sign) > 0
+        tau[flip] *= 0.5
+        tau[same] = np.minimum(tau[same] * 2.0, tau_cap[same])
+        prev_sign = sign
+        anchor = np.maximum(lam, lam_floor)
+        raw = anchor + tau * f_l
+        # The violation is heavily asymmetric around the optimum (bounded
+        # by -p_max above it, arbitrarily large below), so each additive
+        # step is confined to one decade around the current multiplier. A
+        # sleeping multiplier facing a violation restarts at its scale.
+        lam_new = np.clip(raw, anchor / 10.0, anchor * 10.0)
+        wake = (lam <= lam_floor) & (f_l > 0)
+        lam_new[wake] = np.maximum(lam_new[wake], lam_scale[wake])
+        lam_new = np.maximum(lam_new, lam_floor)
+        if _converged(np.where(lam_new > lam_floor, lam_new, 0.0), lam_eff, config.eps1):
             lam = lam_new
-        lam = np.where(lam > lam_floor, lam, 0.0)
-        if not converged:
-            lam, w, extra, converged = _bisection_duals(form, lam, p_max, config)
-            iters += extra
-        # Exact complementary slackness for constraints that converged to a
-        # negligible multiplier: zero them outright when feasibility allows.
-        # (The multiplier decay stops once its steps drop below eps1.)
-        cutoff = np.maximum(1e-2 * lam_scale, 10.0 * config.eps1)
-        small = (lam > 0.0) & (lam < cutoff)
-        if small.any():
-            trial = np.where(small, 0.0, lam)
-            trial_power = np.sum(np.abs(form.solve(trial)) ** 2, axis=(1, 2, 3))
-            if (trial_power <= p_max * (1.0 + 1e-9)).all():
-                lam = trial
-        w = form.solve(lam)
-        dual = DualState(lam=lam, tau=tau, iteration=dual.iteration + iters)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+            converged = True
+            break
+        lam = lam_new
+    lam = np.where(lam > lam_floor, lam, 0.0)
+    if not converged:
+        lam, extra = _bisection_duals(form, lam, p_max)
+        iters += extra
+        converged = True
+    # Exact complementary slackness for constraints that converged to a
+    # negligible multiplier: zero them outright when feasibility allows.
+    # (The multiplier decay stops once its steps drop below eps1.)
+    cutoff = np.maximum(1e-2 * lam_scale, 10.0 * config.eps1)
+    small = (lam > 0.0) & (lam < cutoff)
+    if small.any():
+        trial = np.where(small, 0.0, lam)
+        trial_power = np.sum(np.abs(form.solve(trial)) ** 2, axis=(1, 2, 3))
+        if (trial_power <= p_max * (1.0 + 1e-9)).all():
+            lam = trial
+    w = form.solve(lam)
+    dual = DualState(lam=lam, tau=tau, iteration=dual.iteration + iters)
 
     w = _enforce_power(w, p_max)
     if w_prev is not None:
@@ -262,10 +254,10 @@ def optimize_w(
     return BeamformerSet(w=w), dual, info
 
 
-def _bisection_duals(form, lam0, p_max, config, rounds: int = 12, tol: float = 1e-11):
+def _bisection_duals(form, lam0, p_max, rounds: int = 12, tol: float = 1e-11):
     """Gauss-Seidel bisection: per BS, drive lambda_l to the root of the
     (monotone, non-increasing) power violation, or to zero when the
-    constraint is slack there."""
+    constraint is slack there. Returns (lam, power evaluations)."""
     L = p_max.size
     lam = lam0.copy()
     iters = 0
@@ -300,4 +292,4 @@ def _bisection_duals(form, lam0, p_max, config, rounds: int = 12, tol: float = 1
             moved = max(moved, abs(lam[l] - old))
         if moved <= tol * max(1.0, float(np.max(lam))):
             break
-    return lam, form.solve(lam), iters, True
+    return lam, iters

@@ -44,8 +44,7 @@ def synthetic_cmcqp(seed, nn=8, omega_scale=1.0):
     omega = omega_scale * crandn(rng, nn)
     zcal = z * q.T
     zcal = 0.5 * (zcal + zcal.conj().T)
-    return CmcQpData(zcal=zcal, omega=omega, z=z, q=q,
-                     a=np.zeros((nn, nn), complex), e=np.zeros((nn, nn), complex))
+    return CmcQpData(zcal=zcal, omega=omega)
 
 
 @pytest.fixture

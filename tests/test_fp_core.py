@@ -187,3 +187,10 @@ def test_aux_constant_rejects_singular():
     u = -np.eye(2, dtype=complex)[None]
     with pytest.raises(np.linalg.LinAlgError):
         fp_core.aux_constant(AuxState(u=u, y=np.zeros((1, 2, 2), complex)))
+
+
+def test_aux_constant_rejects_indefinite():
+    # det(I + U) = -2: no log-determinant exists, so no value may come back.
+    u = np.diag([-3.0, 0.0]).astype(complex)[None]
+    with pytest.raises(np.linalg.LinAlgError):
+        fp_core.aux_constant(AuxState(u=u, y=np.zeros((1, 2, 2), complex)))

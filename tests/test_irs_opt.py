@@ -18,6 +18,23 @@ def _system_cmcqp(seed, **over):
     return cfg, ch, theta, w, aux, data
 
 
+def _dense_forms(ch, w, aux):
+    """Z, Q, A and E of the build_cmcqp docstring, each formed as an RN x RN
+    matrix straight from its definition."""
+    st = model.stack(ch)
+    warr = model._w_array(w)
+    K = warr.shape[1]
+    ws = [np.vstack(warr[:, i]) for i in range(K)]  # W[:, i] stacked over BSs
+    wcov = sum(wi @ wi.conj().T for wi in ws)
+    s_h = st.s.conj().T
+    gyu = [st.g_k[k] @ aux.y[k] @ aux.ubar[k] for k in range(K)]
+    z = sum(gyu[k] @ aux.y[k].conj().T @ st.g_k[k].conj().T for k in range(K))
+    q = st.s @ wcov @ s_h
+    a = sum(gyu[k] @ aux.y[k].conj().T @ st.d_k[k].conj().T @ wcov @ s_h for k in range(K))
+    e = sum(gyu[k] @ ws[k].conj().T @ s_h for k in range(K))
+    return z, q, a, e
+
+
 # ---- construction ----
 
 def test_hadamard_trace_identity():
@@ -68,19 +85,29 @@ def test_phase_objective_tracks_surrogate_differences():
 
 def test_f7_trace_form_oracle():
     cfg, ch, theta, w, aux, data = _system_cmcqp(1, r=2, n=4, n_h=2, n_v=2)
+    z, q, a, e = _dense_forms(ch, w, aux)
     th = np.diag(theta)
-    om = data.e - data.a
+    om = e - a
     expected = (
         np.trace(th.conj().T @ om) + np.trace(om.conj().T @ th)
-        - np.trace(th.conj().T @ data.z @ th @ data.q)
+        - np.trace(th.conj().T @ z @ th @ q)
     ).real
     assert irs_opt.eval_f7(theta, data) == pytest.approx(expected, rel=1e-9)
 
 
+def test_build_matches_dense_definition():
+    for seed in range(4):
+        cfg, ch, theta, w, aux, data = _system_cmcqp(seed, r=2, n=4, n_h=2, n_v=2)
+        z, q, a, e = _dense_forms(ch, w, aux)
+        dense_omega = np.diag(e - a)
+        assert np.linalg.norm(data.omega - dense_omega) <= 1e-12 * np.linalg.norm(dense_omega)
+        dense_zcal = z * q.T
+        assert np.linalg.norm(data.zcal - dense_zcal) <= 1e-12 * np.linalg.norm(dense_zcal)
+
+
 def test_f7_nonpositive_without_linear_term(make_cmcqp):
     data = make_cmcqp(3)
-    stripped = CmcQpData(zcal=data.zcal, omega=np.zeros_like(data.omega),
-                         z=data.z, q=data.q, a=data.a, e=data.e)
+    stripped = CmcQpData(zcal=data.zcal, omega=np.zeros_like(data.omega))
     rng = np.random.default_rng(0)
     for _ in range(10):
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, data.omega.size))
@@ -90,10 +117,7 @@ def test_f7_nonpositive_without_linear_term(make_cmcqp):
 # ---- coordinate updates ----
 
 def test_coordinate_update_real_target():
-    data = CmcQpData(
-        zcal=np.array([[0.7]], complex), omega=np.array([1.0 + 0j]),
-        z=None, q=None, a=None, e=None,
-    )
+    data = CmcQpData(zcal=np.array([[0.7]], complex), omega=np.array([1.0 + 0j]))
     theta = np.array([np.exp(1j * 2.2)])
     out = irs_opt.aso_coordinate(theta, 0, data)
     assert out[0] == pytest.approx(1.0)
@@ -103,7 +127,7 @@ def test_coordinate_update_imaginary_target():
     nn = 3
     zcal = np.diag([0.5, 0.4, 0.3]).astype(complex)
     omega = np.array([0.0 + 2j, 1.0, 1.0])
-    data = CmcQpData(zcal=zcal, omega=omega, z=None, q=None, a=None, e=None)
+    data = CmcQpData(zcal=zcal, omega=omega)
     theta = 0.9 * np.exp(1j * np.array([0.4, 0.8, 1.2]))
     out = irs_opt.aso_coordinate(theta, 0, data)
     assert out[0] == pytest.approx(0.9 * np.exp(1j * np.pi / 2))
@@ -111,10 +135,7 @@ def test_coordinate_update_imaginary_target():
 
 
 def test_coordinate_update_zero_target_keeps_phase():
-    data = CmcQpData(
-        zcal=np.zeros((1, 1), complex), omega=np.zeros(1, complex),
-        z=None, q=None, a=None, e=None,
-    )
+    data = CmcQpData(zcal=np.zeros((1, 1), complex), omega=np.zeros(1, complex))
     theta = np.array([np.exp(1j * 0.3)])
     out = irs_opt.aso_coordinate(theta, 0, data)
     assert out[0] == theta[0]
@@ -157,7 +178,7 @@ def test_sweep_decoupled_converges_in_one_pass():
     rng = np.random.default_rng(2)
     zcal = np.diag(rng.uniform(0.5, 1.5, nn)).astype(complex)
     omega = crandn(rng, nn)
-    data = CmcQpData(zcal=zcal, omega=omega, z=None, q=None, a=None, e=None)
+    data = CmcQpData(zcal=zcal, omega=omega)
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, nn))
     theta, trace = irs_opt.aso_solve(theta0, data, eps2=1e-12)
     # diagonal coupling: the first sweep already lands on the optimum
@@ -204,8 +225,7 @@ def test_qcr_linear_objective():
     nn = 4
     rng = np.random.default_rng(4)
     omega = crandn(rng, nn)
-    data = CmcQpData(zcal=np.zeros((nn, nn), complex), omega=omega,
-                     z=None, q=None, a=None, e=None)
+    data = CmcQpData(zcal=np.zeros((nn, nn), complex), omega=omega)
     theta0 = 0.7 * np.exp(1j * rng.uniform(0, 2 * np.pi, nn))
     theta, relaxed, _ = irs_opt.qcr_solve(theta0, data)
     np.testing.assert_allclose(theta, 0.7 * np.exp(1j * np.angle(omega)), rtol=1e-10)
@@ -214,8 +234,7 @@ def test_qcr_linear_objective():
 def test_qcr_boundary_when_linear_term_dominates(make_cmcqp):
     data = make_cmcqp(70, nn=6)
     lam_max = float(np.linalg.eigvalsh(data.zcal).max())
-    strong = CmcQpData(zcal=data.zcal, omega=data.omega * (20 * 6 * lam_max / np.abs(data.omega).min()),
-                       z=data.z, q=data.q, a=data.a, e=data.e)
+    strong = CmcQpData(zcal=data.zcal, omega=data.omega * (20 * 6 * lam_max / np.abs(data.omega).min()))
     rng = np.random.default_rng(5)
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
     theta, relaxed, _ = irs_opt.qcr_solve(theta0, strong, max_iter=20000)
@@ -252,7 +271,7 @@ def _rank_deficient_cmcqp(seed, nn=48, r=6):
     q = m2 @ m2.conj().T
     zcal = z * q.T
     zcal = 0.5 * (zcal + zcal.conj().T)
-    data = CmcQpData(zcal=zcal, omega=crandn(rng, nn), z=z, q=q, a=None, e=None)
+    data = CmcQpData(zcal=zcal, omega=crandn(rng, nn))
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, nn))
     return data, theta0
 
@@ -306,8 +325,7 @@ def test_sdr_single_element_analytic():
     for seed in range(5):
         z = rng.uniform(0.1, 2.0)
         omega = crandn(rng, 1)
-        data = CmcQpData(zcal=np.array([[z]], complex), omega=omega,
-                         z=None, q=None, a=None, e=None)
+        data = CmcQpData(zcal=np.array([[z]], complex), omega=omega)
         theta, sdp_value, converged = irs_opt.sdr_solve(
             data, alpha=1.0, n_randomizations=50, rng=np.random.default_rng(seed)
         )
@@ -386,13 +404,31 @@ def test_discrete_fixed_point_of_joint_optimum(make_cmcqp):
         assert irs_opt.eval_f7(out, data) == pytest.approx(best_val)
 
 
+@pytest.mark.parametrize("levels", [2, 4, 8])
+def test_discrete_random_start_ascends_to_grid_fixed_point(levels):
+    grid = np.exp(2j * np.pi * np.arange(levels) / levels)
+    for seed in range(5):
+        data = synthetic_cmcqp(seed + 160, nn=8)
+        rng = np.random.default_rng(seed)
+        theta0 = grid[rng.integers(levels, size=8)]
+        out, _ = irs_opt.discrete_sweep(theta0, data, levels)
+        f_out = irs_opt.eval_f7(out, data)
+        assert f_out >= irs_opt.eval_f7(theta0, data)
+        # No single-coordinate move on the grid improves the result.
+        tol = 1e-12 * max(1.0, abs(f_out))
+        for i in range(8):
+            trial = out.copy()
+            for g in grid:
+                trial[i] = g
+                assert irs_opt.eval_f7(trial, data) <= f_out + tol
+
+
 def test_discrete_midpoint_tie_breaks_low():
     # target phase exactly between grid points 0 and 1 -> keep index 0
     levels = 4
     data = CmcQpData(
         zcal=np.zeros((1, 1), complex),
         omega=np.array([np.exp(1j * np.pi / levels)]),
-        z=None, q=None, a=None, e=None,
     )
     theta0 = np.array([np.exp(1j * 2.0)])
     out, _ = irs_opt.discrete_sweep(theta0, data, levels)

@@ -222,15 +222,13 @@ def test_optimize_w_matches_projected_gradient():
         assert info["f5"] == pytest.approx(ref_value, rel=1e-4, abs=1e-9)
 
 
-def test_bisection_strategy_agrees():
-    cfg, ch, theta, w, h, aux = _instance_with_aux(10)
-    got_s, _, info_s = tx_opt.optimize_w(h, aux, cfg)
-    got_b, dual_b, info_b = tx_opt.optimize_w(h, aux, cfg, strategy="bisection")
-    assert info_s["f5"] == pytest.approx(info_b["f5"], rel=1e-4)
-    assert np.max(np.abs(info_b["slackness"])) < 1e-6
-
-
-def test_optimize_w_rejects_unknown_strategy():
-    cfg, ch, theta, w, h, aux = _instance_with_aux(11)
-    with pytest.raises(ValueError):
-        tx_opt.optimize_w(h, aux, cfg, strategy="newton")
+def test_bisection_fallback_agrees():
+    # One sub-gradient step cannot settle the multipliers, so the bisection
+    # fallback finishes the solve; it must land on the same optimum.
+    for seed in range(10, 14):
+        cfg, ch, theta, w, h, aux = _instance_with_aux(seed)
+        _, _, info_s = tx_opt.optimize_w(h, aux, cfg)
+        _, _, info_b = tx_opt.optimize_w(h, aux, cfg.with_(max_dual=1))
+        assert info_b["iterations"] > 1
+        assert info_s["f5"] == pytest.approx(info_b["f5"], rel=1e-4)
+        assert np.max(np.abs(info_b["slackness"])) < 1e-6
