@@ -22,8 +22,8 @@ class SystemConfig:
     linear power gain at 1 m, ``sigma2`` the noise power in watts, ``beta_g``
     / ``beta_s`` the linear Rician factors of the reflector-related channels,
     ``alpha`` the reflecting efficiency (modulus of every reflection
-    coefficient), and ``discrete_levels`` the size of the discrete phase set
-    (0 means continuous phases).
+    coefficient). The size of a discrete phase set belongs to the scheme
+    (``SchemeSpec.levels``).
     """
 
     l: int
@@ -42,7 +42,6 @@ class SystemConfig:
     c0: float = 1e-3
     pathloss_direct: float = 3.75
     pathloss_irs: float = 2.2
-    discrete_levels: int = 0
     eps1: float = 1e-5
     eps2: float = 1e-8
     eps3: float = 1e-4
@@ -64,8 +63,6 @@ class SystemConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.sigma2 <= 0.0:
             raise ValueError("sigma2 must be positive")
-        if self.discrete_levels < 0:
-            raise ValueError("discrete_levels must be >= 0")
         p = self.p_max
         if isinstance(p, (int, float)):
             p = (float(p),) * self.l

@@ -161,12 +161,11 @@ def _sweep_config(spec: ExperimentSpec, value):
         return base, geometry, swept
     if spec.sweep == "discrete_levels":
         m = int(value)
-        cfg = base.with_(discrete_levels=m)
         swept = [
             dataclasses.replace(s, levels=m) if s.solver == "discrete" else s
             for s in schemes
         ]
-        return cfg, geometry, swept
+        return base, geometry, swept
     return base, geometry, schemes  # iterations sweep: handled by the caller
 
 

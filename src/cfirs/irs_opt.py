@@ -6,7 +6,10 @@ For fixed precoders and auxiliaries, the phase subproblem reduces to
     s.t.       |theta_i| = alpha  for every reflection coefficient,
 
 with Zcal = Z o Q^T (Hadamard product of two PSD matrices, hence Hermitian
-PSD) and omega the diagonal of E - A. Four solvers are provided:
+PSD) and omega the diagonal of E - A. Z = P P^H and Q^T = conj(B) B^T have
+thin factors of K * m_u columns, so Zcal = F F^H with the Khatri-Rao
+factor F of (K * m_u)^2 columns: rank at most 64 of RN = 180 at full
+scale. Four solvers are provided:
 
 * cyclic coordinate ascent with the closed-form per-element phase update
   theta_i = alpha * exp(j * arg(mu_i)) (exact per-coordinate maximizer),
@@ -23,6 +26,7 @@ the per-coordinate rule (best point of the circle or of the grid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +40,15 @@ from .model import StackedChannels
 class CmcQpData:
     """Quadratic form of the phase subproblem.
 
-    zcal is Hermitian PSD; omega holds the diagonal of E - A (see
-    ``build_cmcqp``).
+    zcal is Hermitian PSD; omega holds the diagonal of E - A; factor is a
+    thin F with zcal = F F^H, whose Gram F^H F shares the nonzero spectrum
+    of zcal and gives the relaxation its lambda_max cheaply when F has fewer
+    columns than rows (see ``build_cmcqp``).
     """
 
-    zcal: np.ndarray   # (RN, RN)
-    omega: np.ndarray  # (RN,)
+    zcal: np.ndarray    # (RN, RN)
+    omega: np.ndarray   # (RN,)
+    factor: np.ndarray  # (RN, (K * m_u)^2)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -59,6 +66,10 @@ def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
     Zcal = Z o Q^T and omega = diag(E - A); A and E are never formed, as
     E_k - A_k = GYU_k M_k S^H with GYU_k = G_k Y_k Ubar_k, M_k = Ws_k^H -
     Y_k^H D_k^H Wcov.
+
+    The factor F of Zcal = F F^H has the columns P_a o conj(B_b) for every
+    column pair of P = [G_k Y_k chol(Ubar_k)]_k (Z = P P^H) and B = S [Ws_1
+    ... Ws_K] (Q = B B^H).
     """
     warr = model._w_array(w)
     L, K, Mb, Mu = warr.shape
@@ -82,7 +93,12 @@ def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
         omega += np.sum(gyu * (m_k @ s_herm).T, axis=1)
     z = _hermitize(z)
     q = _hermitize(stacked.s @ wcov @ s_herm)
-    return CmcQpData(zcal=_hermitize(z * q.T), omega=omega)
+
+    p = stacked.g_k @ (aux.y @ np.linalg.cholesky(ubar))   # (K, RN, Mu)
+    p = p.transpose(1, 0, 2).reshape(nn, K * Mu)
+    b = stacked.s @ ws.transpose(1, 0, 2).reshape(L * Mb, K * Mu)
+    factor = (p[:, :, None] * b.conj()[:, None, :]).reshape(nn, -1)
+    return CmcQpData(zcal=_hermitize(z * q.T), omega=omega, factor=factor)
 
 
 def eval_f7(theta, data: CmcQpData) -> float:
@@ -172,11 +188,12 @@ def aso_solve(theta0, data: CmcQpData, eps2: float = 1e-8, max_sweeps: int = 200
     return _ascend(theta0, data, _circle_rule(alpha), eps2, max_sweeps)
 
 
-def _clip_to_discs(theta: np.ndarray, alpha: float) -> np.ndarray:
-    mags = np.abs(theta)
-    over = mags > alpha
-    theta[over] *= alpha / mags[over]
-    return theta
+def _lambda_max(data: CmcQpData) -> float:
+    """Largest eigenvalue of zcal, from the smaller of F^H F and zcal."""
+    f = data.factor
+    if f.shape[1] < f.shape[0]:
+        return float(np.linalg.eigvalsh(f.conj().T @ f).max())
+    return float(np.linalg.eigvalsh(data.zcal).max())
 
 
 def qcr_relax(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000):
@@ -193,15 +210,19 @@ def qcr_relax(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000)
 
     Zcal theta is kept for the current iterate and yields both the gradient
     and f7(theta) = Re theta^H (2 omega - Zcal theta); Zcal y follows by
-    linearity, so a step costs one Zcal mat-vec (two on a restart). Stops
-    when the objective changes by at most tol relative. Returns
-    (theta_relaxed, objective_trace).
+    linearity, so a step costs one Zcal mat-vec (two on a restart). Each
+    iterate and its image Zcal theta are the two rows of one array, and the
+    step updates preallocated arrays in place. The clip multiplies by
+    alpha / max(|v_i|, alpha), which is exactly 1 inside a disc.
+    lambda_max comes from the Gram F^H F of the factor when that is the
+    smaller matrix. Stops when the objective changes by at most tol
+    relative. Returns (theta_relaxed, objective_trace).
     """
     theta = np.array(model._theta_array(theta0), copy=True)
     if theta.size == 0:
         return theta, [0.0]
     alpha = _alpha_of(theta)
-    lam_max = float(np.linalg.eigvalsh(data.zcal).max()) if theta.size else 0.0
+    lam_max = _lambda_max(data)
     scale = float(np.abs(data.omega).max(initial=0.0)) + abs(lam_max)
     if lam_max <= 1e-14 * max(scale, 1.0):
         # Purely linear objective: boundary point in the direction of omega.
@@ -212,35 +233,55 @@ def qcr_relax(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000)
     step = 1.0 / (2.0 * lam_max)
     omega, zcal = data.omega, data.zcal
     two_omega = 2.0 * omega
+    nn = theta.size
 
-    def objective(th, zth):
-        return float(np.real(np.vdot(th, two_omega - zth)))
+    # Each buffer is (rows, rows[0], rows[1]) with rows = [iterate; Zcal
+    # iterate]; the row views are taken once. cur holds theta_k, prv
+    # theta_{k-1}, ext the extrapolated point y, nxt the candidate.
+    cur, prv, ext, nxt = [(b, b[0], b[1]) for b in np.empty((4, 2, nn), complex)]
+    cur[1][...] = theta
+    np.matmul(zcal, cur[1], out=cur[2])
+    prv[0][...] = cur[0]
+    resid = np.empty(nn, complex)
+    gain = np.empty(nn)
 
-    zth = zcal @ theta
-    f = objective(theta, zth)
-    prev, zprev = theta, zth
+    def step_from(src, dst):
+        # dst = clip(y + step (omega - Zcal y)) and its image, with y, Zcal y
+        # the rows of src; returns f7 of the new point.
+        _, th, zth = dst
+        np.subtract(omega, src[2], out=th)
+        th *= step
+        th += src[1]
+        np.abs(th, out=gain)
+        np.maximum(gain, alpha, out=gain)
+        np.divide(alpha, gain, out=gain)
+        th *= gain
+        np.matmul(zcal, th, out=zth)
+        np.subtract(two_omega, zth, out=resid)
+        return float(np.vdot(th, resid).real)
+
+    np.subtract(two_omega, cur[2], out=resid)
+    f = float(np.vdot(cur[1], resid).real)
     t = 1.0
     trace = [f]
     for _ in range(max_iter):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        y = theta + beta * (theta - prev)
-        zy = zth + beta * (zth - zprev)
-        cand = _clip_to_discs(y + step * (omega - zy), alpha)
-        zcand = zcal @ cand
-        f_cand = objective(cand, zcand)
+        rows = ext[0]
+        np.subtract(cur[0], prv[0], out=rows)
+        rows *= beta
+        rows += cur[0]
+        f_cand = step_from(ext, nxt)
         if f_cand < f and beta > 0.0:
             # Momentum overshot: restart from the plain projected step.
             t_next = 1.0
-            cand = _clip_to_discs(theta + step * (omega - zth), alpha)
-            zcand = zcal @ cand
-            f_cand = objective(cand, zcand)
-        prev, zprev = theta, zth
-        theta, zth, f, t = cand, zcand, f_cand, t_next
+            f_cand = step_from(cur, nxt)
+        prv, cur, nxt = cur, nxt, prv
+        f, t = f_cand, t_next
         trace.append(f)
         if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
             break
-    return theta, trace
+    return cur[1].copy(), trace
 
 
 def qcr_solve(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000):

@@ -191,14 +191,6 @@ def sum_rate(channels: ChannelSet, w, theta, sigma2: float) -> float:
     return float(total)
 
 
-def sum_rate_from_sinr(gamma: np.ndarray) -> float:
-    """sum_k log det(I + Gamma_k); explicit-SINR path kept for cross-checks."""
-    total = 0.0
-    for g in gamma:
-        total += _logdet_hermitian(np.eye(g.shape[0]) + g)
-    return float(total)
-
-
 def matched_filter_init(h: np.ndarray, p_max) -> BeamformerSet:
     """Matched-filter start: W[l,k] = c_l H[l,k], each BS at full power,
     split evenly across users."""

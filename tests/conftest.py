@@ -34,6 +34,15 @@ def build_aux(cfg, h, w):
     return fp_core.optimal_aux(h, w, cfg.sigma2)
 
 
+def cmcqp(zcal, omega, factor=None):
+    """CmcQpData for a hand-built Hermitian PSD zcal. Without a given factor,
+    F = V sqrt(max(Lambda, 0)) from the eigendecomposition zcal = V Lambda V^H."""
+    if factor is None:
+        vals, vecs = np.linalg.eigh(zcal)
+        factor = vecs * np.sqrt(np.maximum(vals, 0.0))
+    return CmcQpData(zcal=zcal, omega=omega, factor=factor)
+
+
 def synthetic_cmcqp(seed, nn=8, omega_scale=1.0):
     """Random well-scaled quadratic phase problem (PSD Zcal by construction)."""
     rng = np.random.default_rng(seed)
@@ -44,7 +53,7 @@ def synthetic_cmcqp(seed, nn=8, omega_scale=1.0):
     omega = omega_scale * crandn(rng, nn)
     zcal = z * q.T
     zcal = 0.5 * (zcal + zcal.conj().T)
-    return CmcQpData(zcal=zcal, omega=omega)
+    return cmcqp(zcal, omega)
 
 
 @pytest.fixture

@@ -87,6 +87,24 @@ def test_unknown_sweep_rejected(tmp_path):
         expcli.run(spec)
 
 
+def test_base_discrete_levels_rejected(tmp_path):
+    # The phase-grid size is a scheme field (levels), not a scenario field.
+    base = json.loads(minimal_spec(tmp_path).read_text())["base"]
+    spec = minimal_spec(tmp_path, base=dict(base, discrete_levels=4))
+    with pytest.raises(expcli.SpecError, match="discrete_levels"):
+        expcli.run(spec)
+
+
+def test_discrete_levels_sweep_sets_scheme_levels(tmp_path):
+    spec = expcli.ExperimentSpec.from_dict(json.loads(minimal_spec(
+        tmp_path, sweep="discrete_levels", sweep_values=[2, 8],
+        schemes=[{"solver": "discrete", "levels": 4}, {"solver": "aso"}],
+    ).read_text()))
+    cfg, _, schemes = expcli._sweep_config(spec, 8)
+    assert cfg == spec.base
+    assert [s.levels for s in schemes] == [8, 0]
+
+
 def test_duplicate_scheme_labels_rejected(tmp_path):
     spec = minimal_spec(tmp_path, schemes=[{"solver": "aso"}, {"solver": "aso"}])
     with pytest.raises(expcli.SpecError):

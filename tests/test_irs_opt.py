@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfirs import fp_core, irs_opt, model
-from cfirs.irs_opt import CmcQpData
-
-from conftest import build_instance, crandn, synthetic_cmcqp
+from conftest import build_instance, cmcqp, crandn, synthetic_cmcqp
 
 
 def _system_cmcqp(seed, **over):
@@ -107,7 +105,7 @@ def test_build_matches_dense_definition():
 
 def test_f7_nonpositive_without_linear_term(make_cmcqp):
     data = make_cmcqp(3)
-    stripped = CmcQpData(zcal=data.zcal, omega=np.zeros_like(data.omega))
+    stripped = cmcqp(data.zcal, np.zeros_like(data.omega))
     rng = np.random.default_rng(0)
     for _ in range(10):
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, data.omega.size))
@@ -117,7 +115,7 @@ def test_f7_nonpositive_without_linear_term(make_cmcqp):
 # ---- coordinate updates ----
 
 def test_coordinate_update_real_target():
-    data = CmcQpData(zcal=np.array([[0.7]], complex), omega=np.array([1.0 + 0j]))
+    data = cmcqp(np.array([[0.7]], complex), np.array([1.0 + 0j]))
     theta = np.array([np.exp(1j * 2.2)])
     out = irs_opt.aso_coordinate(theta, 0, data)
     assert out[0] == pytest.approx(1.0)
@@ -127,7 +125,7 @@ def test_coordinate_update_imaginary_target():
     nn = 3
     zcal = np.diag([0.5, 0.4, 0.3]).astype(complex)
     omega = np.array([0.0 + 2j, 1.0, 1.0])
-    data = CmcQpData(zcal=zcal, omega=omega)
+    data = cmcqp(zcal, omega)
     theta = 0.9 * np.exp(1j * np.array([0.4, 0.8, 1.2]))
     out = irs_opt.aso_coordinate(theta, 0, data)
     assert out[0] == pytest.approx(0.9 * np.exp(1j * np.pi / 2))
@@ -135,7 +133,7 @@ def test_coordinate_update_imaginary_target():
 
 
 def test_coordinate_update_zero_target_keeps_phase():
-    data = CmcQpData(zcal=np.zeros((1, 1), complex), omega=np.zeros(1, complex))
+    data = cmcqp(np.zeros((1, 1), complex), np.zeros(1, complex))
     theta = np.array([np.exp(1j * 0.3)])
     out = irs_opt.aso_coordinate(theta, 0, data)
     assert out[0] == theta[0]
@@ -178,7 +176,7 @@ def test_sweep_decoupled_converges_in_one_pass():
     rng = np.random.default_rng(2)
     zcal = np.diag(rng.uniform(0.5, 1.5, nn)).astype(complex)
     omega = crandn(rng, nn)
-    data = CmcQpData(zcal=zcal, omega=omega)
+    data = cmcqp(zcal, omega)
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, nn))
     theta, trace = irs_opt.aso_solve(theta0, data, eps2=1e-12)
     # diagonal coupling: the first sweep already lands on the optimum
@@ -225,7 +223,7 @@ def test_qcr_linear_objective():
     nn = 4
     rng = np.random.default_rng(4)
     omega = crandn(rng, nn)
-    data = CmcQpData(zcal=np.zeros((nn, nn), complex), omega=omega)
+    data = cmcqp(np.zeros((nn, nn), complex), omega)
     theta0 = 0.7 * np.exp(1j * rng.uniform(0, 2 * np.pi, nn))
     theta, relaxed, _ = irs_opt.qcr_solve(theta0, data)
     np.testing.assert_allclose(theta, 0.7 * np.exp(1j * np.angle(omega)), rtol=1e-10)
@@ -234,7 +232,7 @@ def test_qcr_linear_objective():
 def test_qcr_boundary_when_linear_term_dominates(make_cmcqp):
     data = make_cmcqp(70, nn=6)
     lam_max = float(np.linalg.eigvalsh(data.zcal).max())
-    strong = CmcQpData(zcal=data.zcal, omega=data.omega * (20 * 6 * lam_max / np.abs(data.omega).min()))
+    strong = cmcqp(data.zcal, data.omega * (20 * 6 * lam_max / np.abs(data.omega).min()))
     rng = np.random.default_rng(5)
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
     theta, relaxed, _ = irs_opt.qcr_solve(theta0, strong, max_iter=20000)
@@ -271,7 +269,8 @@ def _rank_deficient_cmcqp(seed, nn=48, r=6):
     q = m2 @ m2.conj().T
     zcal = z * q.T
     zcal = 0.5 * (zcal + zcal.conj().T)
-    data = CmcQpData(zcal=zcal, omega=crandn(rng, nn))
+    factor = (m1[:, :, None] * m2.conj()[:, None, :]).reshape(nn, r * r)
+    data = cmcqp(zcal, crandn(rng, nn), factor)
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, nn))
     return data, theta0
 
@@ -317,6 +316,100 @@ def test_qcr_rank_deficient_beats_plain_projected_gradient(seed):
     assert trace[-1] == pytest.approx(f_new, rel=1e-10)
 
 
+def _reference_fista(theta, data, lam_max, tol=1e-10, max_iter=5000):
+    """The qcr_relax docstring step by step, on fresh arrays with a
+    boolean-mask clip onto the discs."""
+    theta = np.array(theta, copy=True)
+    alpha = np.abs(theta)[0]
+    step = 1.0 / (2.0 * lam_max)
+    omega, zcal = data.omega, data.zcal
+
+    def clip(v):
+        mags = np.abs(v)
+        over = mags > alpha
+        v[over] *= alpha / mags[over]
+        return v
+
+    def f7(th, zth):
+        return float(np.real(np.vdot(th, 2.0 * omega - zth)))
+
+    zth = zcal @ theta
+    prev, zprev, t = theta, zth, 1.0
+    trace = [f7(theta, zth)]
+    for _ in range(max_iter):
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = theta + beta * (theta - prev)
+        zy = zth + beta * (zth - zprev)
+        cand = clip(y + step * (omega - zy))
+        zcand = zcal @ cand
+        if f7(cand, zcand) < trace[-1] and beta > 0.0:
+            t_next = 1.0
+            cand = clip(theta + step * (omega - zth))
+            zcand = zcal @ cand
+        prev, zprev = theta, zth
+        theta, zth, t = cand, zcand, t_next
+        trace.append(f7(theta, zth))
+        if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
+            break
+    return theta, trace
+
+
+def _step_instances():
+    for seed in range(4):
+        yield _rank_deficient_cmcqp(seed)
+    for seed, (nn, scale, alpha) in enumerate([(8, 1.0, 1.0), (12, 3.0, 0.7),
+                                               (16, 0.3, 0.5), (24, 10.0, 1.0)]):
+        rng = np.random.default_rng(seed + 300)
+        yield synthetic_cmcqp(seed + 300, nn=nn, omega_scale=scale), \
+            alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, nn))
+
+
+def test_qcr_step_matches_reference_loop():
+    # Same iterates and trace, bit for bit: the in-place step reuses and
+    # rotates its buffers, so an aliasing slip shows up as a difference.
+    count = 0
+    for data, theta0 in _step_instances():
+        lam_max = irs_opt._lambda_max(data)
+        relaxed, trace = irs_opt.qcr_relax(theta0, data, max_iter=3000)
+        ref_theta, ref_trace = _reference_fista(theta0, data, lam_max, max_iter=3000)
+        assert trace == ref_trace
+        assert np.array_equal(relaxed, ref_theta)
+        count += 1
+    assert count == 8
+
+
+@pytest.mark.parametrize("over", [
+    {},                                                        # RN = 4 <= (K m_u)^2 = 16
+    dict(l=3, r=2, m_b=4, n=16, n_h=4, n_v=4),                 # desk scale, RN = 32
+    dict(l=3, r=2, m_b=4, n=16, n_h=4, n_v=4, alpha=0.5),
+])
+def test_factor_reproduces_zcal_and_lambda_max(over):
+    for seed in range(3):
+        cfg, ch, theta, w, aux, data = _system_cmcqp(seed, **over)
+        f = data.factor
+        assert f.shape == (cfg.n_irs_total, (cfg.k * cfg.m_u) ** 2)
+        zcal_norm = np.linalg.norm(data.zcal)
+        assert np.linalg.norm(data.zcal - f @ f.conj().T) <= 1e-12 * zcal_norm
+        exact = np.linalg.eigvalsh(data.zcal).max()
+        assert abs(irs_opt._lambda_max(data) - exact) <= 1e-12 * exact
+
+
+def test_qcr_eigvalsh_skips_zcal_when_factor_is_thin(monkeypatch):
+    cfg, ch, theta, w, aux, data = _system_cmcqp(0, l=3, r=2, m_b=4, n=16, n_h=4, n_v=4)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(m, *args, **kwargs):
+        sizes.append(m.shape[0])
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    irs_opt.qcr_relax(theta, data, max_iter=50)
+    assert sizes == [(cfg.k * cfg.m_u) ** 2]
+    assert sizes[0] < cfg.n_irs_total
+
+
 # ---- semidefinite relaxation ----
 
 def test_sdr_single_element_analytic():
@@ -325,7 +418,7 @@ def test_sdr_single_element_analytic():
     for seed in range(5):
         z = rng.uniform(0.1, 2.0)
         omega = crandn(rng, 1)
-        data = CmcQpData(zcal=np.array([[z]], complex), omega=omega)
+        data = cmcqp(np.array([[z]], complex), omega)
         theta, sdp_value, converged = irs_opt.sdr_solve(
             data, alpha=1.0, n_randomizations=50, rng=np.random.default_rng(seed)
         )
@@ -426,9 +519,9 @@ def test_discrete_random_start_ascends_to_grid_fixed_point(levels):
 def test_discrete_midpoint_tie_breaks_low():
     # target phase exactly between grid points 0 and 1 -> keep index 0
     levels = 4
-    data = CmcQpData(
-        zcal=np.zeros((1, 1), complex),
-        omega=np.array([np.exp(1j * np.pi / levels)]),
+    data = cmcqp(
+        np.zeros((1, 1), complex),
+        np.array([np.exp(1j * np.pi / levels)]),
     )
     theta0 = np.array([np.exp(1j * 2.0)])
     out, _ = irs_opt.discrete_sweep(theta0, data, levels)
