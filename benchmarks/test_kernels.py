@@ -1,10 +1,13 @@
-"""Microbenchmarks of the phase-subproblem kernels at full scale.
+"""Microbenchmarks of the inner kernels of one outer iteration.
 
-One fixed channel draw of the full-scale scenario (6 BSs x 4 antennas, 4 UEs
-x 2 antennas, 3 x 60-element IRSs) gives RN = 180 reflection coefficients
-and a Zcal of rank at most (K * m_u)^2 = 64. Times ``build_cmcqp`` and
-``qcr_relax`` on it. This directory is outside the test paths; run with
-BLAS pinned to one thread for stable numbers:
+Full scale is one fixed channel draw of the full-scale scenario (6 BSs x 4
+antennas, 4 UEs x 2 antennas, 3 x 60-element IRSs): RN = 180 reflection
+coefficients and a Zcal of rank at most (K * m_u)^2 = 64. Desk scale is
+``desk_config`` with 32-element IRSs (3 BSs x 4 antennas, RN = 64). Times
+``build_cmcqp`` and ``qcr_relax`` at full scale, ``optimize_w`` at both
+scales, and ``aso_solve`` and ``discrete_sweep`` at desk scale. This
+directory is outside the test paths; run with BLAS pinned to one thread for
+stable numbers:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
         PYTHONPATH=src python -m pytest benchmarks -q
@@ -14,14 +17,14 @@ import numpy as np
 import pytest
 
 from cfirs import channel as chan
-from cfirs import fp_core, irs_opt, model
-from cfirs.config import SystemConfig
+from cfirs import fp_core, irs_opt, model, tx_opt
+from cfirs.config import SystemConfig, desk_config
 
 
-@pytest.fixture(scope="module")
-def full_scale():
-    cfg = SystemConfig(l=6, k=4, r=3, m_b=4, m_u=2, n=60, n_h=10, n_v=6)
-    rng = np.random.default_rng(2024)
+def _draw(cfg, seed):
+    """(cfg, h, w, aux, theta, data, stacked) at random phases and
+    matched-filter precoders, the state of a first outer iteration."""
+    rng = np.random.default_rng(seed)
     geo = chan.sample_ue_positions(chan.default_geometry(cfg), rng)
     ch = chan.sample_channels(cfg, geo, chan.sample_angles(cfg, rng), rng)
     theta = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
@@ -29,18 +32,52 @@ def full_scale():
     w = model.matched_filter_init(h, cfg.p_max)
     aux = fp_core.optimal_aux(h, w, cfg.sigma2)
     stacked = model.stack(ch)
-    data = irs_opt.build_cmcqp(stacked, w, aux)
+    return cfg, h, w, aux, theta, irs_opt.build_cmcqp(stacked, w, aux), stacked
+
+
+@pytest.fixture(scope="module")
+def full_scale():
+    cfg = SystemConfig(l=6, k=4, r=3, m_b=4, m_u=2, n=60, n_h=10, n_v=6)
+    draw = _draw(cfg, 2024)
+    data = draw[5]
     assert data.zcal.shape == (180, 180)
     assert np.linalg.matrix_rank(data.zcal) <= 64
-    return stacked, w, aux, theta, data
+    return draw
+
+
+@pytest.fixture(scope="module")
+def desk_scale():
+    draw = _draw(desk_config(n=32, n_h=8, n_v=4), 2024)
+    assert draw[5].zcal.shape == (64, 64)
+    return draw
 
 
 def test_build_cmcqp(benchmark, full_scale):
-    stacked, w, aux, _, _ = full_scale
+    _, _, w, aux, _, _, stacked = full_scale
     benchmark(irs_opt.build_cmcqp, stacked, w, aux)
 
 
 def test_qcr_relax(benchmark, full_scale):
-    _, _, _, theta, data = full_scale
+    _, _, _, _, theta, data, _ = full_scale
     _, trace = benchmark(irs_opt.qcr_relax, theta, data)
     benchmark.extra_info["iterations"] = len(trace) - 1
+
+
+@pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
+def test_optimize_w(benchmark, scale, request):
+    cfg, h, w, aux, _, _, _ = request.getfixturevalue(scale)
+    _, _, info = benchmark(tx_opt.optimize_w, h, aux, cfg, w_prev=w)
+    benchmark.extra_info["dual_iterations"] = info["iterations"]
+
+
+def test_aso_solve(benchmark, desk_scale):
+    cfg, _, _, _, theta, data, _ = desk_scale
+    eps2 = cfg.eps2 * max(1.0, abs(irs_opt.eval_f7(theta, data)))
+    _, trace = benchmark(irs_opt.aso_solve, theta, data, eps2=eps2, max_sweeps=cfg.max_aso)
+    benchmark.extra_info["sweeps"] = len(trace) - 1
+
+
+def test_discrete_sweep(benchmark, desk_scale):
+    cfg, _, _, _, theta, data, _ = desk_scale
+    _, sweeps = benchmark(irs_opt.discrete_sweep, theta, data, 4, max_sweeps=cfg.max_aso)
+    benchmark.extra_info["sweeps"] = sweeps

@@ -21,11 +21,15 @@ scale. Four solvers are provided:
 * exhaustive per-coordinate search over a discrete phase grid.
 
 The first and the last share one coordinate-ascent loop and differ only in
-the per-coordinate rule (best point of the circle or of the grid).
+the per-coordinate rule (best point of the circle or of the grid). The loop
+keeps theta, omega and diag(Zcal) as Python complex numbers and only Zcal
+theta as a numpy vector; the circle rule is cmath.rect(alpha, arg mu_i),
+within one ulp of alpha * exp(j arg mu_i).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -120,23 +124,34 @@ def _alpha_of(theta: np.ndarray) -> float:
 
 
 def _circle_rule(alpha: float):
-    """Per-coordinate maximizer on |theta_i| = alpha; keeps theta_i at mu_i = 0."""
+    """Per-coordinate maximizer on |theta_i| = alpha; keeps theta_i at mu_i = 0.
+
+    cmath.rect(alpha, arg mu) agrees with alpha * exp(j arg mu) to within one
+    ulp (numpy's complex exp rounds differently on a few percent of phases).
+    """
 
     def best(mu, current):
-        return alpha * np.exp(1j * np.angle(mu)) if mu != 0 else current
+        return cmath.rect(alpha, cmath.phase(mu)) if mu != 0 else current
 
     return best
 
 
 def _grid_rule(alpha: float, levels: int):
     """Per-coordinate maximizer over the ``levels``-point phase grid; near
-    ties (1e-12 relative) go to the lower grid index."""
-    grid = alpha * np.exp(2j * np.pi * np.arange(levels) / levels)
+    ties (1e-12 relative) go to the lower grid index.
+
+    The score of grid point g is Re(conj(g) mu) = Re g Re mu + Im g Im mu,
+    taken in Python floats.
+    """
+    grid = (alpha * np.exp(2j * np.pi * np.arange(levels) / levels)).tolist()
+    parts = [(g.real, g.imag) for g in grid]
 
     def best(mu, current):
-        scores = np.real(grid.conj() * mu)
-        top = scores.max()
-        return grid[np.flatnonzero(scores >= top - 1e-12 * max(1.0, abs(top)))[0]]
+        mr, mi = mu.real, mu.imag
+        scores = [gr * mr + gi * mi for gr, gi in parts]
+        top = max(scores)
+        cut = top - 1e-12 * max(1.0, abs(top))
+        return next(g for g, score in zip(grid, scores) if score >= cut)
 
     return best
 
@@ -146,19 +161,30 @@ def _ascend(theta0, data: CmcQpData, best, eps2: float, max_sweeps: int):
     with mu_i = omega_i - sum_{n != i} Zcal[i, n] theta_n, keeping Zcal theta
     up to date. Stops after a sweep whose f7 change is at most eps2.
     Returns (theta, trace), trace[u] being f7 after sweep u.
+
+    theta, omega and diag(Zcal) are Python complex lists during a sweep, so a
+    visit is scalar arithmetic plus, when theta_i moves, one update of the
+    numpy vector Zcal theta by a contiguous copy of Zcal's column i; the theta
+    array is rebuilt once per sweep for f7.
     """
     theta = np.array(model._theta_array(theta0), copy=True)
     trace = [eval_f7(theta, data)]
     if theta.size == 0:
         return theta, trace
+    cols = np.ascontiguousarray(data.zcal.T)
     zth = data.zcal @ theta
+    th = theta.tolist()
+    omega = data.omega.tolist()
+    diag = data.zcal.diagonal().tolist()
+    zth_at = zth.item
     for _ in range(max_sweeps):
-        for i in range(theta.size):
-            mu = data.omega[i] - zth[i] + data.zcal[i, i] * theta[i]
-            new = best(mu, theta[i])
-            if new != theta[i]:
-                zth += data.zcal[:, i] * (new - theta[i])
-                theta[i] = new
+        for i, cur in enumerate(th):
+            mu = omega[i] - zth_at(i) + diag[i] * cur
+            new = best(mu, cur)
+            if new != cur:
+                zth += cols[i] * (new - cur)
+                th[i] = new
+        theta = np.array(th)
         trace.append(eval_f7(theta, data))
         if abs(trace[-1] - trace[-2]) <= eps2:
             break

@@ -165,8 +165,11 @@ def _optimize_once(channels, opt_channels, config, scheme, rng):
         t3 = time.perf_counter()
         sweeps = 0
         if has_phase_step:
-            data = irs_opt.build_cmcqp(stacked, w, aux)
-            theta, sweeps = _phase_step(scheme, theta, data, config, rng)
+            # Built inside the call so the previous iteration's subproblem is
+            # already released while this one is assembled.
+            theta, sweeps = _phase_step(
+                scheme, theta, irs_opt.build_cmcqp(stacked, w, aux), config, rng
+            )
             h = model.effective_channel(opt_channels, theta)
         t4 = time.perf_counter()
 

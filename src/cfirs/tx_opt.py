@@ -15,6 +15,11 @@ with the closed-form primal
 converges to the optimum. The quadratic matrix A couples base stations, so
 the primal solve is joint; a per-BS block inverse is not a stationary point
 of the Lagrangian.
+
+Each dual iteration is one L*m_b x L*m_b solve, against a right-hand side
+and a matrix buffer the ``QuadraticForm`` keeps, plus one reduction for the
+per-BS powers; the L multipliers, step sizes and violation signs are Python
+floats between solves.
 """
 
 from __future__ import annotations
@@ -51,12 +56,26 @@ class DualState:
 
 @dataclass
 class QuadraticForm:
-    """Cached pieces of f5 for a fixed (theta, U, Y)."""
+    """Cached pieces of f5 for a fixed (theta, U, Y).
+
+    Besides its four fields, a form keeps the stacked right-hand side
+    [C_1 ... C_K] (L*m_b x K*m_u, contiguous), diag(A) and one L*m_b x L*m_b
+    buffer holding A off the diagonal, so ``solve`` only writes
+    a_ii + lambda_l into the buffer's diagonal before each solve.
+    """
 
     a: np.ndarray        # (L*m_b, L*m_b) Hermitian PSD
     c: np.ndarray        # (K, L*m_b, m_u)
     l: int
     m_b: int
+
+    def __post_init__(self):
+        dim = self.l * self.m_b
+        self._rhs = np.ascontiguousarray(self.c.transpose(1, 0, 2).reshape(dim, -1))
+        self._diag = self.a.diagonal().reshape(self.l, self.m_b).copy()
+        self._m = self.a.copy()
+        # Writable view of the buffer's diagonal, one row of m_b per BS.
+        self._m_diag = self._m.reshape(-1)[:: dim + 1].reshape(self.l, self.m_b)
 
     @classmethod
     def build(cls, h: np.ndarray, aux: AuxState) -> "QuadraticForm":
@@ -85,20 +104,22 @@ class QuadraticForm:
         L, K, Mb, Mu = w.shape
         return w.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu)
 
-    def solve(self, lam: np.ndarray) -> np.ndarray:
-        """Stationary precoders (L, K, m_b, m_u) at the given multipliers."""
-        dim = self.l * self.m_b
-        reg = np.repeat(np.asarray(lam, float), self.m_b)
-        m = self.a + np.diag(reg)
-        K, Mu = self.c.shape[0], self.c.shape[2]
-        rhs = self.c.transpose(1, 0, 2).reshape(dim, K * Mu)
+    def solve(self, lam) -> np.ndarray:
+        """Stationary precoders (L, K, m_b, m_u) at the given multipliers.
+
+        The result is a view of the (L*m_b, K*m_u) solution, so
+        ``w.transpose(0, 2, 1, 3).reshape(L, -1)`` is a view too.
+        """
+        m, rhs = self._m, self._rhs
+        np.add(self._diag, np.asarray(lam, float)[:, None], out=self._m_diag)
         try:
             sol = np.linalg.solve(m, rhs)
         except np.linalg.LinAlgError:
             sol = _floored_solve(m, rhs)
         if not np.isfinite(sol).all():
             sol = _floored_solve(m, rhs)
-        ws = sol.reshape(dim, K, Mu).transpose(1, 0, 2)
+        K, Mu = self.c.shape[0], self.c.shape[2]
+        ws = sol.reshape(self.l * self.m_b, K, Mu).transpose(1, 0, 2)
         return ws.reshape(K, self.l, self.m_b, Mu).transpose(1, 0, 2, 3)
 
 
@@ -140,14 +161,11 @@ def _enforce_power(w: np.ndarray, p_max) -> np.ndarray:
     return out
 
 
-def _converged(lam_new: np.ndarray, lam_old: np.ndarray, eps1: float) -> bool:
-    ok = True
-    for new, old in zip(lam_new, lam_old):
-        if new > eps1:
-            ok &= abs(new - old) / new < eps1
-        else:
-            ok &= abs(new - old) < eps1
-    return ok
+def _bs_power(w: np.ndarray) -> np.ndarray:
+    """Per-BS transmit power of a ``QuadraticForm.solve`` result, summed over
+    the solution's (L, m_b * K * m_u) rows."""
+    L = w.shape[0]
+    return (np.abs(w.transpose(0, 2, 1, 3).reshape(L, -1)) ** 2).sum(axis=1)
 
 
 def optimize_w(
@@ -167,6 +185,10 @@ def optimize_w(
     fails to settle, a bisection pass on each BS's (monotone) power curve
     finishes the job.
 
+    Each iteration costs one ``QuadraticForm.solve`` and one reduction for
+    the per-BS powers; the multipliers, step sizes and violation signs are
+    Python floats updated one BS at a time and become arrays after the loop.
+
     Returns (BeamformerSet, DualState, info) where info carries iteration
     count, convergence flag, f5 value, and slackness residuals. The returned
     precoders are always power-feasible; if the new solution is no better
@@ -182,45 +204,54 @@ def optimize_w(
     if dual is None:
         dual = DualState(lam=lam_scale.copy(), tau=np.asarray(config.tau, float))
 
-    lam = dual.lam.copy()
-    tau = dual.tau.copy()
     # Multipliers below the floor count as zero (the power curve is flat
     # there); the floor keeps the multiplicative trust region usable.
     lam_floor = 1e-14 * lam_scale
     tau_cap = 1e9 * np.asarray(config.tau, float)
-    prev_sign = np.zeros(config.l)
+    lam, tau = dual.lam.tolist(), dual.tau.tolist()
+    budget, scale = p_max.tolist(), lam_scale.tolist()
+    floor, cap = lam_floor.tolist(), tau_cap.tolist()
+    eps1 = config.eps1
+    prev_sign = [0] * config.l
     converged = False
     iters = 0
     for iters in range(1, config.max_dual + 1):
-        lam_eff = np.where(lam > lam_floor, lam, 0.0)
-        w = form.solve(lam_eff)
-        power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
-        f_l = power - p_max
-        sign = np.sign(f_l)
-        # Halve the step whenever a violation changes sign, grow it while
-        # the sign persists: a geometric bracket on the monotone f_l that
-        # keeps the sub-gradient rule from creeping after an overshoot.
-        flip = (sign * prev_sign) < 0
-        same = (sign * prev_sign) > 0
-        tau[flip] *= 0.5
-        tau[same] = np.minimum(tau[same] * 2.0, tau_cap[same])
-        prev_sign = sign
-        anchor = np.maximum(lam, lam_floor)
-        raw = anchor + tau * f_l
-        # The violation is heavily asymmetric around the optimum (bounded
-        # by -p_max above it, arbitrarily large below), so each additive
-        # step is confined to one decade around the current multiplier. A
-        # sleeping multiplier facing a violation restarts at its scale.
-        lam_new = np.clip(raw, anchor / 10.0, anchor * 10.0)
-        wake = (lam <= lam_floor) & (f_l > 0)
-        lam_new[wake] = np.maximum(lam_new[wake], lam_scale[wake])
-        lam_new = np.maximum(lam_new, lam_floor)
-        if _converged(np.where(lam_new > lam_floor, lam_new, 0.0), lam_eff, config.eps1):
-            lam = lam_new
+        lam_eff = [x if x > fl else 0.0 for x, fl in zip(lam, floor)]
+        power = _bs_power(form.solve(lam_eff)).tolist()
+        settled = True
+        for l, fl in enumerate(floor):
+            f_l = power[l] - budget[l]
+            sign = (f_l > 0.0) - (f_l < 0.0)
+            # Halve the step whenever a violation changes sign, grow it while
+            # the sign persists: a geometric bracket on the monotone f_l that
+            # keeps the sub-gradient rule from creeping after an overshoot.
+            turn = sign * prev_sign[l]
+            if turn < 0:
+                tau[l] *= 0.5
+            elif turn > 0:
+                tau[l] = min(tau[l] * 2.0, cap[l])
+            prev_sign[l] = sign
+            # The violation is heavily asymmetric around the optimum (bounded
+            # by -p_max above it, arbitrarily large below), so each additive
+            # step is confined to one decade around the current multiplier. A
+            # sleeping multiplier facing a violation restarts at its scale.
+            anchor = max(lam[l], fl)
+            new = min(max(anchor + tau[l] * f_l, anchor / 10.0), anchor * 10.0)
+            if lam[l] <= fl and f_l > 0.0:
+                new = max(new, scale[l])
+            new = max(new, fl)
+            # Relative test on a live multiplier, absolute at zero.
+            new_eff, old_eff = (new if new > fl else 0.0), lam_eff[l]
+            if new_eff > eps1:
+                settled &= abs(new_eff - old_eff) / new_eff < eps1
+            else:
+                settled &= abs(new_eff - old_eff) < eps1
+            lam[l] = new
+        if settled:
             converged = True
             break
-        lam = lam_new
-    lam = np.where(lam > lam_floor, lam, 0.0)
+    lam = np.where(np.array(lam) > lam_floor, lam, 0.0)
+    tau = np.array(tau)
     if not converged:
         lam, extra = _bisection_duals(form, lam, p_max)
         iters += extra
@@ -232,22 +263,23 @@ def optimize_w(
     small = (lam > 0.0) & (lam < cutoff)
     if small.any():
         trial = np.where(small, 0.0, lam)
-        trial_power = np.sum(np.abs(form.solve(trial)) ** 2, axis=(1, 2, 3))
-        if (trial_power <= p_max * (1.0 + 1e-9)).all():
+        if (_bs_power(form.solve(trial)) <= p_max * (1.0 + 1e-9)).all():
             lam = trial
     w = form.solve(lam)
     dual = DualState(lam=lam, tau=tau, iteration=dual.iteration + iters)
 
     w = _enforce_power(w, p_max)
+    f5 = form.value(w)
     if w_prev is not None:
         w_prev_arr = model._w_array(w_prev)
-        if form.value(w_prev_arr) < form.value(w):
-            w = w_prev_arr.copy()
+        f5_prev = form.value(w_prev_arr)
+        if f5_prev < f5:
+            w, f5 = w_prev_arr.copy(), f5_prev
     power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
     info = {
         "iterations": int(dual.iteration),
         "converged": bool(converged),
-        "f5": form.value(w),
+        "f5": f5,
         "slackness": dual.lam * (power - p_max),
         "power": power,
     }

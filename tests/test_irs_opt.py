@@ -516,6 +516,95 @@ def test_discrete_random_start_ascends_to_grid_fixed_point(levels):
                 assert irs_opt.eval_f7(trial, data) <= f_out + tol
 
 
+def _reference_ascend(theta0, data, best, eps2, max_sweeps):
+    """Coordinate ascent with theta, omega and Zcal read as numpy scalars."""
+    theta = np.array(theta0, dtype=complex, copy=True)
+    trace = [irs_opt.eval_f7(theta, data)]
+    zth = data.zcal @ theta
+    for _ in range(max_sweeps):
+        for i in range(theta.size):
+            mu = data.omega[i] - zth[i] + data.zcal[i, i] * theta[i]
+            new = best(mu, theta[i])
+            if new != theta[i]:
+                zth += data.zcal[:, i] * (new - theta[i])
+                theta[i] = new
+        trace.append(irs_opt.eval_f7(theta, data))
+        if abs(trace[-1] - trace[-2]) <= eps2:
+            break
+    return theta, trace
+
+
+def _reference_circle(alpha):
+    return lambda mu, current: alpha * np.exp(1j * np.angle(mu)) if mu != 0 else current
+
+
+def _reference_grid(alpha, levels):
+    grid = alpha * np.exp(2j * np.pi * np.arange(levels) / levels)
+
+    def best(mu, current):
+        scores = np.real(grid.conj() * mu)
+        top = scores.max()
+        return grid[np.flatnonzero(scores >= top - 1e-12 * max(1.0, abs(top)))[0]]
+
+    return best
+
+
+def _ascent_instances():
+    """(theta0, data): synthetic problems at two moduli, desk-scale
+    subproblems (RN = 32) and one with a zero row, where mu_i = 0."""
+    out = []
+    for seed, alpha in ((0, 1.0), (1, 0.7), (2, 1.0)):
+        rng = np.random.default_rng(seed)
+        out.append((alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, 8)),
+                    synthetic_cmcqp(seed + 300, nn=8)))
+    for seed in (3, 4, 5):
+        _, _, theta, _, _, data = _system_cmcqp(
+            seed, l=3, k=2, r=2, m_b=4, m_u=2, n=16, n_h=4, n_v=4)
+        out.append((theta, data))
+    theta, data = out[0]
+    zcal, omega = data.zcal.copy(), data.omega.copy()
+    zcal[2, :] = zcal[:, 2] = 0.0
+    omega[2] = 0.0
+    out.append((theta, cmcqp(zcal, omega)))
+    return out
+
+
+@pytest.mark.parametrize("levels", [2, 4, 8])
+def test_discrete_sweep_matches_reference_loop(levels):
+    for theta0, data in _ascent_instances():
+        # The solvers read the modulus off |theta0[0]|, as the reference does.
+        alpha = irs_opt._alpha_of(theta0)
+        out, sweeps = irs_opt.discrete_sweep(theta0, data, levels)
+        ref, trace = _reference_ascend(theta0, data, _reference_grid(alpha, levels), 0.0, 200)
+        np.testing.assert_array_equal(out, ref)
+        assert sweeps == len(trace) - 1
+
+
+def test_aso_matches_reference_loop():
+    for theta0, data in _ascent_instances():
+        alpha = irs_opt._alpha_of(theta0)
+        eps2 = 1e-8 * max(1.0, abs(irs_opt.eval_f7(theta0, data)))
+        theta, trace = irs_opt.aso_solve(theta0, data, eps2=eps2)
+        ref, ref_trace = _reference_ascend(theta0, data, _reference_circle(alpha), eps2, 200)
+        assert len(trace) == len(ref_trace)
+        assert np.max(np.abs(theta - ref)) <= 1e-12 * alpha
+        scale = max(1.0, np.max(np.abs(ref_trace)))
+        assert np.max(np.abs(np.subtract(trace, ref_trace))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.8, 2.0])
+def test_circle_rule_within_one_ulp_of_complex_exp(alpha):
+    rng = np.random.default_rng(7)
+    axes = [1.0, -1.0, 1j, -1j, -1.0 - 0.0j, complex(-1.0, -0.0)]
+    mus = [m * d for m in 10.0 ** np.arange(-8, 9) for d in axes]
+    mus += list(10.0 ** rng.uniform(-8, 8, 2000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000)))
+    rule = irs_opt._circle_rule(alpha)
+    for mu in mus:
+        got = rule(complex(mu), None)
+        assert abs(got - alpha * np.exp(1j * np.angle(mu))) <= 2e-16 * alpha
+    assert rule(0j, 0.3 + 0.4j) == 0.3 + 0.4j
+
+
 def test_discrete_midpoint_tie_breaks_low():
     # target phase exactly between grid points 0 and 1 -> keep index 0
     levels = 4
