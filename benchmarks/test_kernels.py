@@ -5,24 +5,31 @@ antennas, 4 UEs x 2 antennas, 3 x 60-element IRSs): RN = 180 reflection
 coefficients and a Zcal of rank at most (K * m_u)^2 = 64. Desk scale is
 ``desk_config`` with 32-element IRSs (3 BSs x 4 antennas, RN = 64). Times
 ``build_cmcqp`` and ``qcr_relax`` at full scale, ``optimize_w`` at both
-scales, and ``aso_solve`` and ``discrete_sweep`` at desk scale. This
-directory is outside the test paths; run with BLAS pinned to one thread for
-stable numbers:
+scales, and ``aso_solve`` and ``discrete_sweep`` at desk scale.
+``qcr_relax`` runs twice: from the draw's random phases (a cold start) and
+on the subproblem that the QCR scheme meets after a few outer iterations of
+the same draw (a warm start, the regime most full-scale QCR calls are in).
+This directory is outside the test paths; run with BLAS pinned to one
+thread for stable numbers:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
         PYTHONPATH=src python -m pytest benchmarks -q
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cfirs import channel as chan
-from cfirs import fp_core, irs_opt, model, tx_opt
+from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
 from cfirs.config import SystemConfig, desk_config
+
+WARM_OUTER = 5
 
 
 def _draw(cfg, seed):
-    """(cfg, h, w, aux, theta, data, stacked) at random phases and
+    """(cfg, h, w, aux, theta, data, stacked, channels) at random phases and
     matched-filter precoders, the state of a first outer iteration."""
     rng = np.random.default_rng(seed)
     geo = chan.sample_ue_positions(chan.default_geometry(cfg), rng)
@@ -32,7 +39,7 @@ def _draw(cfg, seed):
     w = model.matched_filter_init(h, cfg.p_max)
     aux = fp_core.optimal_aux(h, w, cfg.sigma2)
     stacked = model.stack(ch)
-    return cfg, h, w, aux, theta, irs_opt.build_cmcqp(stacked, w, aux), stacked
+    return cfg, h, w, aux, theta, irs_opt.build_cmcqp(stacked, w, aux), stacked, ch
 
 
 @pytest.fixture(scope="module")
@@ -53,31 +60,48 @@ def desk_scale():
 
 
 def test_build_cmcqp(benchmark, full_scale):
-    _, _, w, aux, _, _, stacked = full_scale
+    _, _, w, aux, _, _, stacked, _ = full_scale
     benchmark(irs_opt.build_cmcqp, stacked, w, aux)
 
 
-def test_qcr_relax(benchmark, full_scale):
-    _, _, _, _, theta, data, _ = full_scale
+@pytest.fixture(scope="module")
+def full_scale_warm(full_scale):
+    """(theta, data) of the phase subproblem in outer iteration WARM_OUTER + 1
+    of the QCR scheme on the full-scale draw: U, Y and W updated at the
+    phases and precoders that WARM_OUTER outer iterations left."""
+    cfg, ch = full_scale[0], full_scale[-1]
+    config = dataclasses.replace(cfg, max_outer=WARM_OUTER, eps3=0.0)
+    w, phases, trace = pipeline.joint_optimize(
+        ch, config, pipeline.SchemeSpec(solver="qcr"), np.random.default_rng(2024))
+    assert trace.iterations == WARM_OUTER
+    h = model.effective_channel(ch, phases.theta)
+    aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+    w, _, _ = tx_opt.optimize_w(h, aux, cfg, w_prev=w)
+    return phases.theta, irs_opt.build_cmcqp(model.stack(ch), w, aux)
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_qcr_relax(benchmark, start, full_scale, full_scale_warm):
+    theta, data = full_scale[4:6] if start == "cold" else full_scale_warm
     _, trace = benchmark(irs_opt.qcr_relax, theta, data)
     benchmark.extra_info["iterations"] = len(trace) - 1
 
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_optimize_w(benchmark, scale, request):
-    cfg, h, w, aux, _, _, _ = request.getfixturevalue(scale)
+    cfg, h, w, aux, _, _, _, _ = request.getfixturevalue(scale)
     _, _, info = benchmark(tx_opt.optimize_w, h, aux, cfg, w_prev=w)
     benchmark.extra_info["dual_iterations"] = info["iterations"]
 
 
 def test_aso_solve(benchmark, desk_scale):
-    cfg, _, _, _, theta, data, _ = desk_scale
+    cfg, _, _, _, theta, data, _, _ = desk_scale
     eps2 = cfg.eps2 * max(1.0, abs(irs_opt.eval_f7(theta, data)))
     _, trace = benchmark(irs_opt.aso_solve, theta, data, eps2=eps2, max_sweeps=cfg.max_aso)
     benchmark.extra_info["sweeps"] = len(trace) - 1
 
 
 def test_discrete_sweep(benchmark, desk_scale):
-    cfg, _, _, _, theta, data, _ = desk_scale
+    cfg, _, _, _, theta, data, _, _ = desk_scale
     _, sweeps = benchmark(irs_opt.discrete_sweep, theta, data, 4, max_sweeps=cfg.max_aso)
     benchmark.extra_info["sweeps"] = sweeps

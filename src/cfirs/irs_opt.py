@@ -6,16 +6,15 @@ For fixed precoders and auxiliaries, the phase subproblem reduces to
     s.t.       |theta_i| = alpha  for every reflection coefficient,
 
 with Zcal = Z o Q^T (Hadamard product of two PSD matrices, hence Hermitian
-PSD) and omega the diagonal of E - A. Z = P P^H and Q^T = conj(B) B^T have
-thin factors of K * m_u columns, so Zcal = F F^H with the Khatri-Rao
-factor F of (K * m_u)^2 columns: rank at most 64 of RN = 180 at full
-scale. Four solvers are provided:
+PSD, of rank at most (K * m_u)^2: 64 of RN = 180 at full scale) and omega
+the diagonal of E - A. Four solvers are provided:
 
 * cyclic coordinate ascent with the closed-form per-element phase update
   theta_i = alpha * exp(j * arg(mu_i)) (exact per-coordinate maximizer),
 * accelerated projected gradient with function-value restart (monotone
   FISTA; Beck & Teboulle 2009, O'Donoghue & Candes 2015) on the disc
-  relaxation |theta_i| <= alpha, followed by a projection onto the modulus
+  relaxation |theta_i| <= alpha under the diagonal majorizer
+  diag(sum_j |Zcal_ij|) of Zcal, followed by a projection onto the modulus
   circle,
 * semidefinite relaxation solved by ADMM plus Gaussian randomization,
 * exhaustive per-coordinate search over a discrete phase grid.
@@ -42,17 +41,11 @@ from .model import StackedChannels
 
 @dataclass(frozen=True)
 class CmcQpData:
-    """Quadratic form of the phase subproblem.
-
-    zcal is Hermitian PSD; omega holds the diagonal of E - A; factor is a
-    thin F with zcal = F F^H, whose Gram F^H F shares the nonzero spectrum
-    of zcal and gives the relaxation its lambda_max cheaply when F has fewer
-    columns than rows (see ``build_cmcqp``).
-    """
+    """Quadratic form of the phase subproblem: zcal is Hermitian PSD and
+    omega holds the diagonal of E - A."""
 
     zcal: np.ndarray    # (RN, RN)
     omega: np.ndarray   # (RN,)
-    factor: np.ndarray  # (RN, (K * m_u)^2)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -70,10 +63,6 @@ def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
     Zcal = Z o Q^T and omega = diag(E - A); A and E are never formed, as
     E_k - A_k = GYU_k M_k S^H with GYU_k = G_k Y_k Ubar_k, M_k = Ws_k^H -
     Y_k^H D_k^H Wcov.
-
-    The factor F of Zcal = F F^H has the columns P_a o conj(B_b) for every
-    column pair of P = [G_k Y_k chol(Ubar_k)]_k (Z = P P^H) and B = S [Ws_1
-    ... Ws_K] (Q = B B^H).
     """
     warr = model._w_array(w)
     L, K, Mb, Mu = warr.shape
@@ -97,12 +86,7 @@ def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
         omega += np.sum(gyu * (m_k @ s_herm).T, axis=1)
     z = _hermitize(z)
     q = _hermitize(stacked.s @ wcov @ s_herm)
-
-    p = stacked.g_k @ (aux.y @ np.linalg.cholesky(ubar))   # (K, RN, Mu)
-    p = p.transpose(1, 0, 2).reshape(nn, K * Mu)
-    b = stacked.s @ ws.transpose(1, 0, 2).reshape(L * Mb, K * Mu)
-    factor = (p[:, :, None] * b.conj()[:, None, :]).reshape(nn, -1)
-    return CmcQpData(zcal=_hermitize(z * q.T), omega=omega, factor=factor)
+    return CmcQpData(zcal=_hermitize(z * q.T), omega=omega)
 
 
 def eval_f7(theta, data: CmcQpData) -> float:
@@ -214,49 +198,48 @@ def aso_solve(theta0, data: CmcQpData, eps2: float = 1e-8, max_sweeps: int = 200
     return _ascend(theta0, data, _circle_rule(alpha), eps2, max_sweeps)
 
 
-def _lambda_max(data: CmcQpData) -> float:
-    """Largest eigenvalue of zcal, from the smaller of F^H F and zcal."""
-    f = data.factor
-    if f.shape[1] < f.shape[0]:
-        return float(np.linalg.eigvalsh(f.conj().T @ f).max())
-    return float(np.linalg.eigvalsh(data.zcal).max())
-
-
 def qcr_relax(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000):
     """Accelerated projected gradient ascent on the disc relaxation |theta_i| <= alpha.
 
     Monotone FISTA (Beck & Teboulle, SIAM J. Imaging Sci. 2009) with
-    function-value restart (O'Donoghue & Candes, Found. Comput. Math. 2015):
-    each step extrapolates y = theta_k + beta_k (theta_k - theta_{k-1}), takes
-    a gradient step of size 1 / (2 lambda_max(Zcal)) from y and clips every
-    element back into its disc. A candidate whose objective falls below
+    function-value restart (O'Donoghue & Candes, Found. Comput. Math. 2015)
+    in the metric of the diagonal majorizer D = diag(d), d_i = sum_j
+    |Zcal_ij| (Jacobi bound: D - Zcal is Hermitian and diagonally dominant
+    with a nonnegative diagonal, so D >= Zcal). Each step extrapolates
+    y = theta_k + beta_k (theta_k - theta_{k-1}), moves every element by its
+    own step s_i = 1 / (2 d_i) along omega - Zcal y and clips it back into
+    its disc (the D-weighted projection onto a product of discs is the
+    per-element radial clip). A candidate whose objective falls below
     f7(theta_k) is discarded: the momentum restarts and the plain projected
-    step from theta_k, which never decreases f7 at this step size, is taken
-    instead, so the trace is non-decreasing.
+    step from theta_k, which maximizes a minorizer of f7 and so never
+    decreases it, is taken instead; the trace is non-decreasing. d_i is
+    floored at 1e-12 max_i d_i, which keeps a larger d_i a majorizer and the
+    step of an element with a zero row of Zcal finite: it lands on
+    alpha omega_i / |omega_i|, or keeps theta_i when omega_i = 0.
 
     Zcal theta is kept for the current iterate and yields both the gradient
     and f7(theta) = Re theta^H (2 omega - Zcal theta); Zcal y follows by
     linearity, so a step costs one Zcal mat-vec (two on a restart). Each
     iterate and its image Zcal theta are the two rows of one array, and the
     step updates preallocated arrays in place. The clip multiplies by
-    alpha / max(|v_i|, alpha), which is exactly 1 inside a disc.
-    lambda_max comes from the Gram F^H F of the factor when that is the
-    smaller matrix. Stops when the objective changes by at most tol
-    relative. Returns (theta_relaxed, objective_trace).
+    alpha / max(|v_i|, alpha), which is exactly 1 inside a disc. Stops when
+    the objective changes by at most tol relative. Returns (theta_relaxed,
+    objective_trace).
     """
     theta = np.array(model._theta_array(theta0), copy=True)
     if theta.size == 0:
         return theta, [0.0]
     alpha = _alpha_of(theta)
-    lam_max = _lambda_max(data)
-    scale = float(np.abs(data.omega).max(initial=0.0)) + abs(lam_max)
-    if lam_max <= 1e-14 * max(scale, 1.0):
+    d = np.abs(data.zcal).sum(axis=1)
+    d_max = float(d.max())
+    scale = float(np.abs(data.omega).max(initial=0.0)) + d_max
+    if d_max <= 1e-14 * max(scale, 1.0):
         # Purely linear objective: boundary point in the direction of omega.
         out = theta.copy()
         nz = data.omega != 0
         out[nz] = alpha * np.exp(1j * np.angle(data.omega[nz]))
         return out, [eval_f7(theta, data), eval_f7(out, data)]
-    step = 1.0 / (2.0 * lam_max)
+    step = 0.5 / np.maximum(d, 1e-12 * d_max)
     omega, zcal = data.omega, data.zcal
     two_omega = 2.0 * omega
     nn = theta.size

@@ -34,13 +34,9 @@ def build_aux(cfg, h, w):
     return fp_core.optimal_aux(h, w, cfg.sigma2)
 
 
-def cmcqp(zcal, omega, factor=None):
-    """CmcQpData for a hand-built Hermitian PSD zcal. Without a given factor,
-    F = V sqrt(max(Lambda, 0)) from the eigendecomposition zcal = V Lambda V^H."""
-    if factor is None:
-        vals, vecs = np.linalg.eigh(zcal)
-        factor = vecs * np.sqrt(np.maximum(vals, 0.0))
-    return CmcQpData(zcal=zcal, omega=omega, factor=factor)
+def cmcqp(zcal, omega):
+    """CmcQpData for a hand-built Hermitian PSD zcal."""
+    return CmcQpData(zcal=zcal, omega=omega)
 
 
 def synthetic_cmcqp(seed, nn=8, omega_scale=1.0):
