@@ -4,8 +4,10 @@ Full scale is one fixed channel draw of the full-scale scenario (6 BSs x 4
 antennas, 4 UEs x 2 antennas, 3 x 60-element IRSs): RN = 180 reflection
 coefficients and a Zcal of rank at most (K * m_u)^2 = 64. Desk scale is
 ``desk_config`` with 32-element IRSs (3 BSs x 4 antennas, RN = 64). Times
-``build_cmcqp`` and ``qcr_relax`` at full scale, ``optimize_w`` at both
-scales, and ``aso_solve`` and ``discrete_sweep`` at desk scale.
+``build_cmcqp`` and ``qcr_relax`` at full scale; ``optimize_w``,
+``effective_channel``, ``link_state`` (the link matrices and both
+covariances at one (H, W) point) and ``sum_rate`` at both scales; and
+``aso_solve`` and ``discrete_sweep`` at desk scale.
 ``qcr_relax`` runs twice: from the draw's random phases (a cold start) and
 on the subproblem that the QCR scheme meets after a few outer iterations of
 the same draw (a warm start, the regime most full-scale QCR calls are in).
@@ -92,6 +94,24 @@ def test_optimize_w(benchmark, scale, request):
     cfg, h, w, aux, _, _, _, _ = request.getfixturevalue(scale)
     _, _, info = benchmark(tx_opt.optimize_w, h, aux, cfg, w_prev=w)
     benchmark.extra_info["dual_iterations"] = info["iterations"]
+
+
+@pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
+def test_effective_channel(benchmark, scale, request):
+    _, _, _, _, theta, _, _, ch = request.getfixturevalue(scale)
+    benchmark(model.effective_channel, ch, theta)
+
+
+@pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
+def test_link_state(benchmark, scale, request):
+    cfg, h, w, _, _, _, _, _ = request.getfixturevalue(scale)
+    benchmark(model.link_state, h, w, cfg.sigma2)
+
+
+@pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
+def test_sum_rate(benchmark, scale, request):
+    cfg, _, w, _, theta, _, _, ch = request.getfixturevalue(scale)
+    benchmark(model.sum_rate, ch, w, theta, cfg.sigma2)
 
 
 def test_aso_solve(benchmark, desk_scale):

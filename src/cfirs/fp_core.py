@@ -10,6 +10,11 @@ back in recovers the exact sum rate:
 
 U_k and Y_k are stored as full m_u x m_u complex matrices: the closed-form
 optimizers (the SINR matrix and the MMSE filter) are dense in general.
+
+Every quantity that depends on (W, theta) is read off one
+``model.LinkState``: ``mmse_filters`` gives Y, ``quad_terms`` and
+``surrogate`` give f4 and f3. ``update_y``, ``eval_f4`` and ``eval_f3`` take
+(W, theta) instead and compose those readings with ``model.link_state``.
 """
 
 from __future__ import annotations
@@ -39,26 +44,27 @@ def update_u(gamma: np.ndarray) -> np.ndarray:
     return np.array(gamma, copy=True)
 
 
+def mmse_filters(link: model.LinkState) -> np.ndarray:
+    """The MMSE receive filters Y_k = Vbar_k^{-1} B_k of one link state."""
+    y = np.empty_like(link.vbar)
+    for k in range(link.vbar.shape[0]):
+        y[k] = np.linalg.solve(link.vbar[k], link.b[k, k])
+    return y
+
+
 def update_y(h: np.ndarray, w, sigma2: float) -> np.ndarray:
     """Optimal Y given (W, theta): the MMSE receive filter Y_k = Vbar_k^{-1} B_k.
 
     This is the stationary point of the surrogate in Y; it does not depend
     on U.
     """
-    b = model.link_matrices(h, w)
-    _, vbar = model.noise_plus_interference(b, sigma2)
-    K = b.shape[0]
-    y = np.empty_like(vbar)
-    for k in range(K):
-        y[k] = np.linalg.solve(vbar[k], b[k, k])
-    return y
+    return mmse_filters(model.link_state(h, w, sigma2))
 
 
-def _quad_terms(h: np.ndarray, w, aux: AuxState, sigma2: float) -> float:
+def quad_terms(link: model.LinkState, aux: AuxState) -> float:
     """The Y-dependent part shared by f3 and f4 (real by construction for
     Hermitian U)."""
-    b = model.link_matrices(h, w)
-    _, vbar = model.noise_plus_interference(b, sigma2)
+    b, vbar = link.b, link.vbar
     ubar = aux.ubar
     total = 0.0
     for k in range(b.shape[0]):
@@ -79,18 +85,26 @@ def aux_constant(aux: AuxState) -> float:
     return total
 
 
+def surrogate(link: model.LinkState, aux: AuxState) -> float:
+    """f3 at one link state; equals the sum rate at U = SINR, Y = MMSE."""
+    return aux_constant(aux) + quad_terms(link, aux)
+
+
+def _link_at(w, theta, channels: ChannelSet, sigma2: float) -> model.LinkState:
+    return model.link_state(model.effective_channel(channels, theta), w, sigma2)
+
+
 def eval_f4(w, theta, aux: AuxState, channels: ChannelSet, sigma2: float) -> float:
     """Quadratic surrogate without the U-only constant."""
-    h = model.effective_channel(channels, theta)
-    return _quad_terms(h, w, aux, sigma2)
+    return quad_terms(_link_at(w, theta, channels, sigma2), aux)
 
 
 def eval_f3(w, theta, aux: AuxState, channels: ChannelSet, sigma2: float) -> float:
     """Full surrogate; equals the sum rate at U = SINR, Y = MMSE."""
-    return aux_constant(aux) + eval_f4(w, theta, aux, channels, sigma2)
+    return surrogate(_link_at(w, theta, channels, sigma2), aux)
 
 
 def optimal_aux(h: np.ndarray, w, sigma2: float) -> AuxState:
     """Convenience: both closed-form updates at the current (W, theta)."""
-    gamma = model.sinr(h, w, sigma2)
-    return AuxState(u=update_u(gamma), y=update_y(h, w, sigma2))
+    link = model.link_state(h, w, sigma2)
+    return AuxState(u=update_u(model.link_sinr(link)), y=mmse_filters(link))

@@ -60,33 +60,34 @@ def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
     A  = sum_k G_k Y_k Ubar_k Y_k^H D_k^H Wcov S^H
     E  = sum_k G_k Y_k Ubar_k Ws_k^H S^H
 
-    Zcal = Z o Q^T and omega = diag(E - A); A and E are never formed, as
-    E_k - A_k = GYU_k M_k S^H with GYU_k = G_k Y_k Ubar_k, M_k = Ws_k^H -
-    Y_k^H D_k^H Wcov.
+    Zcal = Z o Q^T and omega = diag(E - A). Only thin factors are formed:
+    with P = [G_k Y_k Ubar_k]_k and C = [G_k Y_k]_k (both RN x K*m_u) and
+    Wst = [Ws_1 ... Ws_K] (L*m_b x K*m_u), Z = P C^H, Q = B B^H with
+    B = S Wst, and Wcov = Wst Wst^H; A and E are never formed, as
+    omega = diag(P M S^H) with M the rows M_k = Ws_k^H - Y_k^H D_k^H Wcov
+    stacked over k. Zcal is made exactly Hermitian once, in place.
     """
     warr = model._w_array(w)
     L, K, Mb, Mu = warr.shape
-    ws = warr.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu)
     nn = stacked.s.shape[0]
-    ubar = aux.ubar
+    ws = warr.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu)
+    wst = ws.transpose(1, 0, 2).reshape(L * Mb, K * Mu)
+    wcov = wst @ wst.conj().T
 
-    wcov = np.zeros((L * Mb, L * Mb), complex)
-    for i in range(K):
-        wcov += ws[i] @ ws[i].conj().T
-    wcov = _hermitize(wcov)
+    gy = stacked.g_k @ aux.y                                   # (K, RN, Mu)
+    p = (gy @ aux.ubar).transpose(1, 0, 2).reshape(nn, K * Mu)
+    c = gy.transpose(1, 0, 2).reshape(nn, K * Mu)
+    y_herm = aux.y.conj().transpose(0, 2, 1)
+    m = ws.conj().transpose(0, 2, 1) - y_herm @ stacked.d_k.conj().transpose(0, 2, 1) @ wcov
+    s_herm = stacked.s.conj().T
+    omega = np.sum(p * (m.reshape(K * Mu, L * Mb) @ s_herm).T, axis=1)
 
-    z = np.zeros((nn, nn), complex)
-    omega = np.zeros(nn, complex)
-    s_herm = stacked.s.conj().T  # (L*Mb, RN)
-    for k in range(K):
-        yk_herm = aux.y[k].conj().T
-        gyu = stacked.g_k[k] @ aux.y[k] @ ubar[k]          # (RN, Mu)
-        z += gyu @ yk_herm @ stacked.g_k[k].conj().T
-        m_k = ws[k].conj().T - yk_herm @ stacked.d_k[k].conj().T @ wcov  # (Mu, L*Mb)
-        omega += np.sum(gyu * (m_k @ s_herm).T, axis=1)
-    z = _hermitize(z)
-    q = _hermitize(stacked.s @ wcov @ s_herm)
-    return CmcQpData(zcal=_hermitize(z * q.T), omega=omega)
+    b = stacked.s @ wst
+    zcal = p @ c.conj().T
+    zcal *= (b @ b.conj().T).T
+    zcal += zcal.conj().T
+    zcal *= 0.5
+    return CmcQpData(zcal=zcal, omega=omega)
 
 
 def eval_f7(theta, data: CmcQpData) -> float:

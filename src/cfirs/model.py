@@ -11,11 +11,17 @@ Ws_i (L*m_b x m_u), the per-user link matrices are B[k, i] = Hs_k^H Ws_i and
 The SINR matrix is kept in the Hermitian PSD orientation
 Gamma_k = B[k,k]^H V_k^{-1} B[k,k]; log det(I + Gamma_k) is unchanged by the
 orientation and the Hermitian form keeps every downstream quadratic form PSD.
+
+(B, V, Vbar) at one (H, W, sigma2) point is a ``LinkState``: ``link_state``
+forms it once, and the rate, the SINR matrices (here) and the MMSE filters
+and surrogate terms (``fp_core``) are read off it. ``sum_rate`` and ``sinr``
+are those readings composed with ``link_state``, so each formula exists once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,13 +141,26 @@ def noise_plus_interference(b: np.ndarray, sigma2: float):
     return v, vbar
 
 
-def sinr(h: np.ndarray, w, sigma2: float) -> np.ndarray:
-    """Per-user SINR matrices Gamma_k = B_k^H V_k^{-1} B_k (Hermitian PSD)."""
+class LinkState(NamedTuple):
+    """Link matrices and the two covariances of every user at one (H, W)."""
+
+    b: np.ndarray     # (K, K, m_u, m_u), B[k, i]
+    v: np.ndarray     # (K, m_u, m_u), interference plus noise
+    vbar: np.ndarray  # (K, m_u, m_u), full receive covariance
+
+
+def link_state(h: np.ndarray, w, sigma2: float) -> LinkState:
+    """(B, V, Vbar) at one (H, W, sigma2) point."""
     b = link_matrices(h, w)
-    v, _ = noise_plus_interference(b, sigma2)
-    K = b.shape[0]
+    v, vbar = noise_plus_interference(b, sigma2)
+    return LinkState(b=b, v=v, vbar=vbar)
+
+
+def link_sinr(link: LinkState) -> np.ndarray:
+    """Per-user SINR matrices Gamma_k = B_k^H V_k^{-1} B_k (Hermitian PSD)."""
+    b, v = link.b, link.v
     gamma = np.empty_like(v)
-    for k in range(K):
+    for k in range(v.shape[0]):
         try:
             np.linalg.cholesky(v[k])
         except np.linalg.LinAlgError as exc:
@@ -152,6 +171,11 @@ def sinr(h: np.ndarray, w, sigma2: float) -> np.ndarray:
         gk = bk.conj().T @ np.linalg.solve(v[k], bk)
         gamma[k] = 0.5 * (gk + gk.conj().T)
     return gamma
+
+
+def sinr(h: np.ndarray, w, sigma2: float) -> np.ndarray:
+    """Per-user SINR matrices at (H, W): ``link_sinr`` of ``link_state``."""
+    return link_sinr(link_state(h, w, sigma2))
 
 
 # slogdet's sign for a Hermitian PD matrix differs from +1 by rounding only:
@@ -176,19 +200,21 @@ def _logdet_hermitian(a: np.ndarray) -> float:
     return float(logabs)
 
 
-def sum_rate(channels: ChannelSet, w, theta, sigma2: float) -> float:
+def link_rate(link: LinkState) -> float:
     """Achievable sum rate in nats, sum_k [log det Vbar_k - log det V_k].
 
     Evaluated through the determinant identity rather than an explicit SINR
     inverse; base-2 conversion happens only at reporting boundaries.
     """
-    h = effective_channel(channels, theta)
-    b = link_matrices(h, w)
-    v, vbar = noise_plus_interference(b, sigma2)
     total = 0.0
-    for k in range(v.shape[0]):
-        total += _logdet_hermitian(vbar[k]) - _logdet_hermitian(v[k])
+    for k in range(link.v.shape[0]):
+        total += _logdet_hermitian(link.vbar[k]) - _logdet_hermitian(link.v[k])
     return float(total)
+
+
+def sum_rate(channels: ChannelSet, w, theta, sigma2: float) -> float:
+    """Sum rate in nats at (W, theta): ``link_rate`` at the effective channel."""
+    return link_rate(link_state(effective_channel(channels, theta), w, sigma2))
 
 
 def matched_filter_init(h: np.ndarray, p_max) -> BeamformerSet:

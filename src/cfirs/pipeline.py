@@ -2,7 +2,10 @@
 
 One outer iteration updates, in order: the auxiliary matrices U (SINR) and Y
 (MMSE filters), the transmit precoders (dual sub-gradient), and the
-reflection phases (per the scheme's solver). With exact phase solvers the
+reflection phases (per the scheme's solver). Each quantity is evaluated once
+per iteration: the effective channel once after the phase step, and one
+``model.LinkState`` at the new (W, theta) that gives the surrogate f3, the
+new rate and the next iteration's U and Y. With exact phase solvers the
 achieved sum rate is monotonically non-decreasing across iterations; rounded
 solvers (QCR, SDR) are safeguarded by accepting a phase step only when it
 does not decrease the quadratic phase objective.
@@ -146,15 +149,15 @@ def _optimize_once(channels, opt_channels, config, scheme, rng):
     stacked = model.stack(opt_channels) if has_phase_step else None
 
     trace = RunTrace()
-    rate = model.sum_rate(opt_channels, w, theta, config.sigma2)
+    link = model.link_state(h, w, config.sigma2)
+    rate = model.link_rate(link)
     trace.sum_rate.append(rate)
     dual = None
     for it in range(1, config.max_outer + 1):
         t0 = time.perf_counter()
-        gamma = model.sinr(h, w, config.sigma2)
-        u = fp_core.update_u(gamma)
+        u = fp_core.update_u(model.link_sinr(link))
         t1 = time.perf_counter()
-        y = fp_core.update_y(h, w, config.sigma2)
+        y = fp_core.mmse_filters(link)
         aux = fp_core.AuxState(u=u, y=y)
         t2 = time.perf_counter()
         if dual is not None:
@@ -179,9 +182,12 @@ def _optimize_once(channels, opt_channels, config, scheme, rng):
         trace.stage_seconds["theta"] += t4 - t3
         trace.dual_iterations.append(winfo["iterations"])
         trace.phase_sweeps.append(sweeps)
-        trace.f3.append(fp_core.eval_f3(w, theta, aux, opt_channels, config.sigma2))
+        # One link state at the new (W, theta) gives f3, the new rate and the
+        # next iteration's U and Y.
+        link = model.link_state(h, w, config.sigma2)
+        trace.f3.append(fp_core.surrogate(link, aux))
 
-        new_rate = model.sum_rate(opt_channels, w, theta, config.sigma2)
+        new_rate = model.link_rate(link)
         trace.sum_rate.append(new_rate)
         trace.iterations = it
         if new_rate != 0 and abs(new_rate - rate) / abs(new_rate) < config.eps3:

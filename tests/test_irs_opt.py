@@ -93,14 +93,22 @@ def test_f7_trace_form_oracle():
     assert irs_opt.eval_f7(theta, data) == pytest.approx(expected, rel=1e-9)
 
 
+# The full-scale scenario: 6 BSs x 4 antennas, 4 UEs x 2 antennas, 3 x 60
+# elements (RN = 180).
+FULL_SCALE = dict(l=6, k=4, r=3, m_b=4, m_u=2, n=60, n_h=10, n_v=6)
+
+
 def test_build_matches_dense_definition():
-    for seed in range(4):
-        cfg, ch, theta, w, aux, data = _system_cmcqp(seed, r=2, n=4, n_h=2, n_v=2)
+    cases = [(seed, dict(r=2, n=4, n_h=2, n_v=2)) for seed in range(4)]
+    cases += [(0, FULL_SCALE), (1, dict(l=3, r=2, m_b=4, n=16, n_h=4, n_v=4, alpha=0.5))]
+    for seed, over in cases:
+        cfg, ch, theta, w, aux, data = _system_cmcqp(seed, **over)
         z, q, a, e = _dense_forms(ch, w, aux)
         dense_omega = np.diag(e - a)
         assert np.linalg.norm(data.omega - dense_omega) <= 1e-12 * np.linalg.norm(dense_omega)
         dense_zcal = z * q.T
         assert np.linalg.norm(data.zcal - dense_zcal) <= 1e-12 * np.linalg.norm(dense_zcal)
+        assert np.array_equal(data.zcal, data.zcal.conj().T)
 
 
 def test_f7_nonpositive_without_linear_term(make_cmcqp):

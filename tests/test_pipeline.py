@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfirs import channel as chan
-from cfirs import model, pipeline
+from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
 from cfirs.pipeline import SchemeSpec
 
 from conftest import build_instance, small_config
@@ -168,3 +168,135 @@ def test_aggregate_mean_and_stderr():
     assert agg["A"]["stderr"] == pytest.approx(np.std([1, 3], ddof=1) / np.sqrt(2))
     assert agg["B"]["count"] == 1
     assert agg["B"]["stderr"] == 0.0
+
+
+# ---- one evaluation of each quantity per outer iteration ----
+
+def _reference_once(channels, opt_channels, config, scheme, rng):
+    """The outer loop as a sequence of per-quantity calls, each of which
+    recomputes the link matrices (and the effective channel) from (W, theta)
+    on its own: sinr, update_y, optimize_w, build_cmcqp and the phase step,
+    effective_channel, eval_f3, sum_rate."""
+    use_irs = scheme.solver != "none" and config.r > 0
+    theta = pipeline._init_theta(config, rng) if use_irs else None
+    has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
+    h = model.effective_channel(opt_channels, theta)
+    w = model.matched_filter_init(h, config.p_max)
+    stacked = model.stack(opt_channels) if has_phase_step else None
+    trace = pipeline.RunTrace()
+    rate = model.sum_rate(opt_channels, w, theta, config.sigma2)
+    trace.sum_rate.append(rate)
+    dual = None
+    for it in range(1, config.max_outer + 1):
+        u = fp_core.update_u(model.sinr(h, w, config.sigma2))
+        aux = fp_core.AuxState(u=u, y=fp_core.update_y(h, w, config.sigma2))
+        if dual is not None:
+            dual = tx_opt.DualState(lam=dual.lam, tau=np.asarray(config.tau, float))
+        w, dual, winfo = tx_opt.optimize_w(h, aux, config, dual=dual, w_prev=w)
+        sweeps = 0
+        if has_phase_step:
+            data = irs_opt.build_cmcqp(stacked, w, aux)
+            theta, sweeps = pipeline._phase_step(scheme, theta, data, config, rng)
+            h = model.effective_channel(opt_channels, theta)
+        trace.dual_iterations.append(winfo["iterations"])
+        trace.phase_sweeps.append(sweeps)
+        trace.f3.append(fp_core.eval_f3(w, theta, aux, opt_channels, config.sigma2))
+        new_rate = model.sum_rate(opt_channels, w, theta, config.sigma2)
+        trace.sum_rate.append(new_rate)
+        trace.iterations = it
+        if new_rate != 0 and abs(new_rate - rate) / abs(new_rate) < config.eps3:
+            trace.converged = True
+            break
+        rate = new_rate
+    trace.final_sum_rate_true = model.sum_rate(channels, w, theta, config.sigma2)
+    return w, theta, trace
+
+
+def _reference_joint(channels, config, scheme, rng, n_starts=1):
+    opt_channels = chan.apply_csi_error(channels, scheme.csi_error_rho, rng)
+    best = None
+    for _ in range(n_starts):
+        w, theta, trace = _reference_once(channels, opt_channels, config, scheme, rng)
+        if best is None or trace.sum_rate[-1] > best[2].sum_rate[-1]:
+            best = (w, theta, trace)
+    return best
+
+
+_SMALL = dict(r=2, n=4, n_h=2, n_v=2)
+_LOOP_CASES = {
+    "aso": (SchemeSpec(solver="aso"), _SMALL, 1),
+    "discrete": (SchemeSpec(solver="discrete", levels=4), _SMALL, 1),
+    "qcr": (SchemeSpec(solver="qcr"), _SMALL, 1),
+    "random": (SchemeSpec(solver="random"), _SMALL, 1),
+    "none": (SchemeSpec(solver="none"), _SMALL, 1),
+    "sdr-tiny": (SchemeSpec(solver="sdr"), dict(n=2, n_h=2, n_v=1, max_outer=4), 1),
+    "aso-csi-error": (SchemeSpec(solver="aso", csi_error_rho=0.2), _SMALL, 1),
+    "qcr-two-starts": (SchemeSpec(solver="qcr"), _SMALL, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+def test_loop_matches_per_quantity_reference(case):
+    scheme, over, n_starts = _LOOP_CASES[case]
+    cfg, ch, _, _, _ = build_instance(8, **over)
+    w, theta, trace = pipeline.joint_optimize(
+        ch, cfg, scheme, np.random.default_rng(8), n_starts=n_starts)
+    ref_w, ref_theta, ref = _reference_joint(
+        ch, cfg, scheme, np.random.default_rng(8), n_starts=n_starts)
+    assert trace.iterations > 1
+    for name in ("sum_rate", "f3", "dual_iterations", "phase_sweeps", "iterations",
+                 "converged", "final_sum_rate_true"):
+        assert getattr(trace, name) == getattr(ref, name), name
+    np.testing.assert_array_equal(w.w, ref_w.w)
+    ref_theta = ref_theta if ref_theta is not None else np.zeros(0, complex)
+    np.testing.assert_array_equal(theta.theta, ref_theta)
+
+
+@pytest.mark.parametrize("solver", ["aso", "qcr", "discrete", "random", "none"])
+def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
+    # Per start: the effective channel at the initial phases, after every
+    # phase step and on the true channels at the end; the link state at the
+    # start, after every iteration and for the final rate.
+    events, starts = [], []
+    real_channel, real_links = model.effective_channel, model.link_matrices
+    real_step, real_once = pipeline._phase_step, pipeline._optimize_once
+
+    def channel_spy(channels, theta):
+        events.append(("channel", None if theta is None else np.array(theta)))
+        return real_channel(channels, theta)
+
+    def links_spy(h, w):
+        events.append(("links", None))
+        return real_links(h, w)
+
+    def step_spy(scheme, theta, data, config, rng):
+        events.append(("step", np.array(theta)))
+        return real_step(scheme, theta, data, config, rng)
+
+    def once_spy(*args):
+        first = len(events)
+        out = real_once(*args)
+        starts.append((events[first:], out[2].iterations))
+        return out
+
+    monkeypatch.setattr(model, "effective_channel", channel_spy)
+    monkeypatch.setattr(model, "link_matrices", links_spy)
+    monkeypatch.setattr(pipeline, "_phase_step", step_spy)
+    monkeypatch.setattr(pipeline, "_optimize_once", once_spy)
+    cfg, ch, _, _, _ = build_instance(9, **_SMALL)
+    scheme = SchemeSpec(solver=solver, levels=4 if solver == "discrete" else 0)
+    pipeline.joint_optimize(ch, cfg, scheme, np.random.default_rng(9), n_starts=2)
+
+    assert len(starts) == 2
+    for calls, iterations in starts:
+        kinds = [kind for kind, _ in calls]
+        steps = kinds.count("step")
+        assert steps == (iterations if solver in ("aso", "qcr", "discrete") else 0)
+        assert kinds.count("channel") == steps + 2
+        assert kinds.count("links") == iterations + 2
+        last_theta = None
+        for kind, theta in calls:
+            if kind == "channel":
+                last_theta = theta
+            elif kind == "step":
+                np.testing.assert_array_equal(last_theta, theta)
