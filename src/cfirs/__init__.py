@@ -20,7 +20,6 @@ from .config import SystemConfig, desk_config
 from .fp_core import AuxState, eval_f3, eval_f4, optimal_aux, update_u, update_y
 from .irs_opt import (
     CmcQpData,
-    aso_coordinate,
     aso_solve,
     build_cmcqp,
     discrete_sweep,
@@ -38,4 +37,4 @@ from .model import (
     sum_rate,
 )
 from .pipeline import RunTrace, SchemeSpec, aggregate, joint_optimize, monte_carlo
-from .tx_opt import DualState, dual_step, eval_f5, optimize_w, primal_w
+from .tx_opt import DualState, optimize_w

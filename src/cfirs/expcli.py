@@ -7,7 +7,10 @@ Subcommands::
 
 The spec file is a single JSON document (see ``ExperimentSpec.from_dict``)
 describing the base scenario, one sweep parameter with its values, the
-schemes to compare, and the seed count. Results land in ``results.csv`` (one
+schemes to compare, and the seed count; every sweep value is mapped to its
+(config, geometry, schemes) at parse time, so a bad value fails before any
+solve. ``pipeline.solve_realization`` runs each (value, realization) unit;
+this module shapes its traces into rows. Results land in ``results.csv`` (one
 row per (sweep value, scheme, seed)) next to a ``manifest.json`` echoing the
 configuration. Exit codes: 0 success, 2 spec/input error, 3 runtime failure.
 """
@@ -21,7 +24,6 @@ import dataclasses
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +45,7 @@ SWEEPS = (
     "csi_error_rho",
     "discrete_levels",
 )
+INTEGER_SWEEPS = ("iterations", "n_phase_shifts", "discrete_levels")
 
 RESULT_COLUMNS = (
     "sweep_param", "value", "scheme", "seed",
@@ -52,6 +55,12 @@ RESULT_COLUMNS = (
 
 class SpecError(ValueError):
     """Raised for anything wrong with an experiment spec or input file."""
+
+
+def _is_number(x, integral: bool = False) -> bool:
+    """Whether x is a JSON number, and a whole one if ``integral``."""
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return number and (not integral or float(x).is_integer())
 
 
 @dataclass
@@ -84,6 +93,8 @@ class ExperimentSpec:
         values = doc["sweep_values"]
         if not isinstance(values, list) or not values:
             raise SpecError("spec.sweep_values: must be a non-empty list")
+        if not isinstance(doc["schemes"], list) or not doc["schemes"]:
+            raise SpecError("spec.schemes: must be a non-empty list")
         schemes = []
         for idx, item in enumerate(doc["schemes"]):
             if not isinstance(item, dict):
@@ -95,23 +106,32 @@ class ExperimentSpec:
         labels = [s.label for s in schemes]
         if len(set(labels)) != len(labels):
             raise SpecError("spec.schemes: labels must be unique")
-        n_seeds = int(doc.get("n_seeds", 1))
-        if n_seeds < 1:
-            raise SpecError("spec.n_seeds: must be >= 1")
-        master_seed = int(doc.get("master_seed", 0))
+        n_seeds, master_seed = doc.get("n_seeds", 1), doc.get("master_seed", 0)
+        if not _is_number(n_seeds, integral=True) or n_seeds < 1:
+            raise SpecError("spec.n_seeds: must be an integer >= 1")
+        if not _is_number(master_seed, integral=True) or master_seed < 0:
+            raise SpecError("spec.master_seed: must be an integer >= 0")
         geometry, fixed_ue = _parse_geometry(doc.get("geometry"), base)
-        return cls(
+        spec = cls(
             base=base,
             geometry=geometry,
             fixed_ue=fixed_ue,
             sweep=sweep,
             sweep_values=list(values),
             schemes=schemes,
-            n_seeds=n_seeds,
-            master_seed=master_seed,
+            n_seeds=int(n_seeds),
+            master_seed=int(master_seed),
             output_dir=doc.get("output_dir", "results"),
             raw=doc,
         )
+        for value in spec.sweep_values:
+            try:
+                _sweep_config(spec, value)
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"spec.sweep_values: {value!r}: {exc}") from exc
+        if len(set(spec.sweep_values)) != len(spec.sweep_values):
+            raise SpecError("spec.sweep_values: values must be distinct")
+        return spec
 
 
 def _parse_geometry(doc, base: SystemConfig):
@@ -136,13 +156,25 @@ def _parse_geometry(doc, base: SystemConfig):
 
 
 def _sweep_config(spec: ExperimentSpec, value):
-    """(config, geometry, schemes) for one sweep value."""
+    """(config, geometry, schemes) for one sweep value; ValueError if invalid."""
+    if not _is_number(value, integral=spec.sweep in INTEGER_SWEEPS):
+        kind = "an integer" if spec.sweep in INTEGER_SWEEPS else "a number"
+        raise ValueError(f"{spec.sweep} values must be {kind}")
     base, geometry, schemes = spec.base, spec.geometry, spec.schemes
+    if spec.sweep == "iterations":
+        if value < 1:
+            raise ValueError("iteration caps must be >= 1")
+        # One run to the largest cap with the stop rule off; the rows read
+        # the rate trace at every cap.
+        horizon = max(int(v) for v in spec.sweep_values)
+        return base.with_(max_outer=horizon, eps3=0.0), geometry, schemes
     if spec.sweep == "n_phase_shifts":
         n = int(value)
         n_h = base.n_h if base.n_h >= 1 and n % base.n_h == 0 else 1
         return base.with_(n=n, n_h=n_h, n_v=n // n_h), geometry, schemes
     if spec.sweep == "ue_center_x":
+        if spec.fixed_ue:
+            raise ValueError("cannot move UEs fixed by geometry.ue_positions")
         geo = chan.default_geometry(base, ue_center_x=float(value), ue_radius=geometry.ue_radius)
         geo = Geometry(
             bs_positions=geometry.bs_positions,
@@ -159,73 +191,36 @@ def _sweep_config(spec: ExperimentSpec, value):
     if spec.sweep == "csi_error_rho":
         swept = [dataclasses.replace(s, csi_error_rho=float(value)) for s in schemes]
         return base, geometry, swept
-    if spec.sweep == "discrete_levels":
-        m = int(value)
-        swept = [
-            dataclasses.replace(s, levels=m) if s.solver == "discrete" else s
-            for s in schemes
-        ]
-        return base, geometry, swept
-    return base, geometry, schemes  # iterations sweep: handled by the caller
-
-
-def _realize(config, geometry, fixed_ue, master_seed, seed_index):
-    rng = np.random.default_rng(pipeline.channel_seed_key(master_seed, seed_index))
-    geo = geometry if fixed_ue else chan.sample_ue_positions(geometry, rng)
-    angles = chan.sample_angles(config, rng)
-    return chan.sample_channels(config, geo, angles, rng)
+    # discrete_levels
+    swept = [
+        dataclasses.replace(s, levels=int(value)) if s.solver == "discrete" else s
+        for s in schemes
+    ]
+    return base, geometry, swept
 
 
 def _run_unit(spec: ExperimentSpec, value, seed_index: int):
     """All schemes on one (sweep value, realization) pair -> list of rows."""
-    rows = []
-    if spec.sweep == "iterations":
-        caps = [int(v) for v in spec.sweep_values]
-        horizon = max(caps)
-        config = spec.base.with_(max_outer=horizon, eps3=0.0)
-        channels = _realize(config, spec.geometry, spec.fixed_ue, spec.master_seed, seed_index)
-        for scheme in spec.schemes:
-            rng = np.random.default_rng(
-                pipeline.scheme_seed_key(spec.master_seed, seed_index, scheme.label)
-            )
-            start = time.perf_counter()
-            _, _, trace = pipeline.joint_optimize(channels, config, scheme, rng)
-            wall_ms = (time.perf_counter() - start) * 1e3
-            rates = trace.sum_rate
-            for cap in caps:
-                idx = min(cap, len(rates) - 1)
-                rate_nats = rates[idx]
-                rel = abs(rates[idx] - rates[idx - 1]) / abs(rates[idx]) if idx >= 1 and rates[idx] else 0.0
-                rows.append({
-                    "sweep_param": "iterations",
-                    "value": cap,
-                    "scheme": scheme.label,
-                    "seed": seed_index,
-                    "sum_rate_bits": rate_nats / math.log(2.0),
-                    "iterations": idx,
-                    "wall_ms": wall_ms,
-                    "converged": rel < spec.base.eps3,
-                })
-        return rows
     config, geometry, schemes = _sweep_config(spec, value)
-    channels = _realize(config, geometry, spec.fixed_ue, spec.master_seed, seed_index)
-    for scheme in schemes:
-        rng = np.random.default_rng(
-            pipeline.scheme_seed_key(spec.master_seed, seed_index, scheme.label)
-        )
-        start = time.perf_counter()
-        _, _, trace = pipeline.joint_optimize(channels, config, scheme, rng)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        rows.append({
-            "sweep_param": spec.sweep,
-            "value": value,
-            "scheme": scheme.label,
-            "seed": seed_index,
-            "sum_rate_bits": trace.final_sum_rate_true / math.log(2.0),
-            "iterations": trace.iterations,
-            "wall_ms": wall_ms,
-            "converged": trace.converged,
-        })
+    rows = []
+    for scheme, trace, wall_ms in pipeline.solve_realization(
+        config, geometry, schemes, spec.master_seed, seed_index, fixed_ue=spec.fixed_ue
+    ):
+        if spec.sweep == "iterations":
+            # One row per cap: the rate after that many outer iterations, and
+            # whether the base config's stop rule would have fired there.
+            rates = trace.sum_rate
+            points = []
+            for cap in map(int, spec.sweep_values):
+                rel = abs(rates[cap] - rates[cap - 1]) / abs(rates[cap]) if rates[cap] else 0.0
+                points.append((cap, rates[cap], cap, rel < spec.base.eps3))
+        else:
+            points = [(value, trace.final_sum_rate_true, trace.iterations, trace.converged)]
+        rows += [
+            dict(zip(RESULT_COLUMNS, (spec.sweep, label, scheme.label, seed_index,
+                                      rate_nats / math.log(2.0), iterations, wall_ms, converged)))
+            for label, rate_nats, iterations, converged in points
+        ]
     return rows
 
 
@@ -245,10 +240,9 @@ def _fmt(x) -> str:
 
 def run_spec(spec: ExperimentSpec, out_dir: Path, threads: int = 1) -> Path:
     """Execute the sweep and write results.csv + manifest.json into out_dir."""
-    if spec.sweep == "iterations":
-        units = [(None, s) for s in range(spec.n_seeds)]
-    else:
-        units = [(v, s) for v in spec.sweep_values for s in range(spec.n_seeds)]
+    # The iterations sweep solves each realization once, to its largest cap.
+    values = spec.sweep_values[:1] if spec.sweep == "iterations" else spec.sweep_values
+    units = [(v, s) for v in values for s in range(spec.n_seeds)]
     if threads > 1:
         payloads = [(spec.raw, value, seed) for value, seed in units]
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
@@ -288,7 +282,7 @@ def run_spec(spec: ExperimentSpec, out_dir: Path, threads: int = 1) -> Path:
 
 def summarize(results_csv: Path, out_path: Path = None) -> Path:
     """Per (sweep value, scheme) mean / standard error -> summary CSV."""
-    groups = {}
+    by_value = {}
     sweep_param = ""
     try:
         fh = open(results_csv, newline="")
@@ -300,12 +294,25 @@ def summarize(results_csv: Path, out_path: Path = None) -> Path:
             raise SpecError(f"{results_csv}: missing header with sum_rate_bits column")
         for lineno, row in enumerate(reader, start=2):
             try:
-                key = (row["value"], row["scheme"])
+                value, scheme = row["value"], row["scheme"]
                 rate = float(row["sum_rate_bits"])
                 sweep_param = row["sweep_param"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise SpecError(f"{results_csv}: row {lineno}: {exc}") from exc
-            groups.setdefault(key, []).append(rate)
+            by_value.setdefault(value, []).append({"scheme": scheme, "sum_rate_bits": rate})
+    groups = [
+        (value, scheme, stats)
+        for value, rows in by_value.items()
+        for scheme, stats in pipeline.aggregate(rows).items()
+    ]
+
+    def sort_key(group):
+        value, scheme, _ = group
+        try:
+            return (0, float(value), scheme)
+        except ValueError:
+            return (1, 0.0, scheme)
+
     if out_path is None:
         out_path = Path(results_csv).with_name("summary.csv")
     with open(out_path, "w", newline="") as fh:
@@ -313,20 +320,10 @@ def summarize(results_csv: Path, out_path: Path = None) -> Path:
         writer.writerow(
             ["sweep_param", "value", "scheme", "n_seeds", "mean_sum_rate_bits", "stderr_sum_rate_bits"]
         )
-
-        def sort_key(item):
-            value, scheme = item[0]
-            try:
-                return (0, float(value), scheme)
-            except ValueError:
-                return (1, 0.0, scheme)
-
-        for (value, scheme), rates in sorted(groups.items(), key=sort_key):
-            arr = np.asarray(rates, float)
-            stderr = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
+        for value, scheme, stats in sorted(groups, key=sort_key):
             writer.writerow([
-                sweep_param, value, scheme, arr.size,
-                _fmt(float(arr.mean())), _fmt(float(stderr)),
+                sweep_param, value, scheme, stats["count"],
+                _fmt(stats["mean"]), _fmt(stats["stderr"]),
             ])
     return out_path
 

@@ -176,19 +176,6 @@ def _ascend(theta0, data: CmcQpData, best, eps2: float, max_sweeps: int):
     return theta, trace
 
 
-def aso_coordinate(theta: np.ndarray, i: int, data: CmcQpData) -> np.ndarray:
-    """Replace coordinate i by its exact closed-form maximizer.
-
-    mu_i = omega_i - sum_{n != i} Zcal[i, n] theta_n; the optimal phase is
-    arg(mu_i). A vanishing mu_i leaves the coordinate untouched (any phase is
-    then optimal).
-    """
-    out = np.array(theta, copy=True)
-    mu = data.omega[i] - data.zcal[i] @ theta + data.zcal[i, i] * theta[i]
-    out[i] = _circle_rule(abs(theta[i]))(mu, theta[i])
-    return out
-
-
 def aso_solve(theta0, data: CmcQpData, eps2: float = 1e-8, max_sweeps: int = 200):
     """Cyclic coordinate ascent until the objective stalls.
 

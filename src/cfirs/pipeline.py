@@ -9,6 +9,10 @@ new rate and the next iteration's U and Y. With exact phase solvers the
 achieved sum rate is monotonically non-decreasing across iterations; rounded
 solvers (QCR, SDR) are safeguarded by accepting a phase step only when it
 does not decrease the quadratic phase objective.
+
+``solve_realization`` is the one experiment runner (draw, solve, time);
+``monte_carlo`` and the experiment CLI build their rows from it, and
+``aggregate`` is the one mean / standard-error reduction.
 """
 
 from __future__ import annotations
@@ -220,13 +224,32 @@ def channel_seed_key(master_seed: int, seed_index: int) -> np.random.SeedSequenc
 
 
 def realize_channels(
-    config: SystemConfig, geometry: Geometry, master_seed: int, seed_index: int
+    config: SystemConfig, geometry: Geometry, master_seed: int, seed_index: int, fixed_ue: bool = False
 ) -> ChannelSet:
-    """Sample the shared (UE positions, angles, fading) realization."""
+    """Sample the shared (UE positions, angles, fading) realization; with
+    ``fixed_ue`` the geometry's UE positions are used as given."""
     rng = np.random.default_rng(channel_seed_key(master_seed, seed_index))
-    geo = chan.sample_ue_positions(geometry, rng)
+    geo = geometry if fixed_ue else chan.sample_ue_positions(geometry, rng)
     angles = chan.sample_angles(config, rng)
     return chan.sample_channels(config, geo, angles, rng)
+
+
+def solve_realization(
+    config: SystemConfig, geometry: Geometry, schemes, master_seed: int, seed_index: int,
+    fixed_ue: bool = False, n_starts: int = 1,
+):
+    """Run every scheme, each with its own ``scheme_seed_key`` generator, on
+    one shared channel draw; returns [(scheme, RunTrace, wall_ms)] in order."""
+    channels = realize_channels(config, geometry, master_seed, seed_index, fixed_ue)
+    out = []
+    for scheme in schemes:
+        rng = np.random.default_rng(scheme_seed_key(master_seed, seed_index, scheme.label))
+        start = time.perf_counter()
+        # Looked up on this module per call, so a wrapper set as
+        # pipeline.joint_optimize (instrumentation, tests) sees every solve.
+        _, _, trace = joint_optimize(channels, config, scheme, rng, n_starts=n_starts)
+        out.append((scheme, trace, (time.perf_counter() - start) * 1e3))
+    return out
 
 
 def monte_carlo(
@@ -246,28 +269,21 @@ def monte_carlo(
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    rows = []
-    for seed_index in range(n_seeds):
-        channels = realize_channels(config, geometry, master_seed, seed_index)
-        for scheme in schemes:
-            rng = np.random.default_rng(
-                scheme_seed_key(master_seed, seed_index, scheme.label)
-            )
-            start = time.perf_counter()
-            _, _, trace = joint_optimize(channels, config, scheme, rng, n_starts=n_starts)
-            wall_ms = (time.perf_counter() - start) * 1e3
-            rows.append(
-                {
-                    "scheme": scheme.label,
-                    "seed": seed_index,
-                    "sum_rate_nats": trace.final_sum_rate_true,
-                    "sum_rate_bits": trace.final_sum_rate_true / np.log(2.0),
-                    "iterations": trace.iterations,
-                    "converged": trace.converged,
-                    "wall_ms": wall_ms,
-                }
-            )
-    return rows
+    return [
+        {
+            "scheme": scheme.label,
+            "seed": seed_index,
+            "sum_rate_nats": trace.final_sum_rate_true,
+            "sum_rate_bits": trace.final_sum_rate_true / np.log(2.0),
+            "iterations": trace.iterations,
+            "converged": trace.converged,
+            "wall_ms": wall_ms,
+        }
+        for seed_index in range(n_seeds)
+        for scheme, trace, wall_ms in solve_realization(
+            config, geometry, schemes, master_seed, seed_index, n_starts=n_starts
+        )
+    ]
 
 
 def aggregate(rows, key: str = "sum_rate_bits"):

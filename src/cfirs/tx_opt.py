@@ -132,25 +132,6 @@ def _floored_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return vecs @ ((vecs.conj().T @ rhs) / vals[:, None])
 
 
-def eval_f5(h: np.ndarray, w, aux: AuxState) -> float:
-    """Convex quadratic objective of the precoder subproblem (lower is better)."""
-    return QuadraticForm.build(h, aux).value(w)
-
-
-def primal_w(dual: DualState, h: np.ndarray, aux: AuxState) -> BeamformerSet:
-    """Closed-form minimizer of the Lagrangian at fixed multipliers."""
-    form = QuadraticForm.build(h, aux)
-    return BeamformerSet(w=form.solve(dual.lam))
-
-
-def dual_step(state: DualState, w, p_max) -> DualState:
-    """Projected sub-gradient ascent step on the power multipliers."""
-    power = BeamformerSet(w=model._w_array(w)).per_bs_power()
-    violation = power - np.asarray(p_max, float)
-    lam = np.maximum(0.0, state.lam + state.tau * violation)
-    return DualState(lam=lam, tau=state.tau, iteration=state.iteration + 1)
-
-
 def _enforce_power(w: np.ndarray, p_max) -> np.ndarray:
     """Scale down any BS block that exceeds its budget (no-op when feasible)."""
     power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))

@@ -39,6 +39,20 @@ def cmcqp(zcal, omega):
     return CmcQpData(zcal=zcal, omega=omega)
 
 
+def aso_coordinate(theta, i, data):
+    """Reference closed-form update of coordinate i on |theta_i| = const.
+
+    mu_i = omega_i - sum_{n != i} Zcal[i, n] theta_n; the optimal phase is
+    arg(mu_i). A vanishing mu_i leaves the coordinate untouched (any phase is
+    then optimal).
+    """
+    out = np.array(theta, copy=True)
+    mu = data.omega[i] - data.zcal[i] @ theta + data.zcal[i, i] * theta[i]
+    if mu != 0:
+        out[i] = abs(theta[i]) * np.exp(1j * np.angle(mu))
+    return out
+
+
 def synthetic_cmcqp(seed, nn=8, omega_scale=1.0):
     """Random well-scaled quadratic phase problem (PSD Zcal by construction)."""
     rng = np.random.default_rng(seed)

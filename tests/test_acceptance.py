@@ -18,7 +18,7 @@ from cfirs.channel import Geometry
 from cfirs.config import desk_config
 from cfirs.pipeline import SchemeSpec
 
-from conftest import build_instance, synthetic_cmcqp
+from conftest import aso_coordinate, build_instance, synthetic_cmcqp
 from test_tx_opt import pgd_reference
 
 
@@ -98,7 +98,7 @@ def test_criterion_3_per_coordinate_optimality():
         rng = np.random.default_rng(seed)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
         for i in range(8):
-            closed = irs_opt.eval_f7(irs_opt.aso_coordinate(theta, i, data), data)
+            closed = irs_opt.eval_f7(aso_coordinate(theta, i, data), data)
             trial = theta.copy()
             best = -np.inf
             for g in grid:

@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from cfirs import expcli
+from cfirs import expcli, pipeline
 
 
 def minimal_spec(tmp_path, **over):
@@ -79,6 +80,80 @@ def test_run_via_cli_exit_codes(tmp_path, capsys):
     missing_field = tmp_path / "missing.json"
     missing_field.write_text(json.dumps({"base": {"l": 1}}))
     assert expcli.main(["run", str(missing_field)]) == 2
+
+
+@pytest.mark.parametrize("over", [
+    {"sweep": "iterations", "sweep_values": [-1, 0, 2]},
+    {"sweep": "iterations", "sweep_values": [0, 2]},
+    {"sweep": "iterations", "sweep_values": ["3"]},
+    {"sweep": "n_phase_shifts", "sweep_values": [2, 0]},
+    {"sweep": "n_phase_shifts", "sweep_values": [2.7]},
+    {"sweep": "reflecting_efficiency", "sweep_values": [1.0, 1.5]},
+    {"sweep": "reflecting_efficiency", "sweep_values": [1.0, 0.5, 1]},
+    {"sweep": "ue_center_x", "sweep_values": [100.0], "geometry": {"ue_positions": [[95.0, 4.0, 1.5]]}},
+    {"n_seeds": "abc"},
+    {"master_seed": "x"},
+    {"master_seed": -1},
+    {"schemes": []},
+], ids=[
+    "iterations_negative", "iterations_zero", "iterations_string", "n_phase_shifts_zero",
+    "n_phase_shifts_fractional", "efficiency_above_one", "values_repeated",
+    "center_of_fixed_ues", "n_seeds_string", "master_seed_string", "master_seed_negative",
+    "schemes_empty",
+])
+def test_bad_spec_exits_2_before_any_solve(tmp_path, monkeypatch, over):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran for a spec that should be rejected")
+
+    monkeypatch.setattr(pipeline, "joint_optimize", no_solve)
+    spec = minimal_spec(tmp_path, **over)
+    assert expcli.main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_fixed_ue_rows_come_from_the_shared_runner(tmp_path):
+    doc = json.loads(minimal_spec(
+        tmp_path, sweep_values=[0.5, 1.0], n_seeds=2,
+        schemes=[{"solver": "aso"}, {"solver": "random"}],
+        geometry={"ue_positions": [[95.0, 4.0, 1.5]]},
+    ).read_text())
+    spec = expcli.ExperimentSpec.from_dict(doc)
+    assert spec.fixed_ue
+    rows = read_rows(expcli.run_spec(spec, tmp_path / "fixed"))
+
+    def runner_rates(fixed_ue):
+        rates = []
+        for value in spec.sweep_values:
+            config, geometry, schemes = expcli._sweep_config(spec, value)
+            for seed in range(spec.n_seeds):
+                for scheme, trace, _ in pipeline.solve_realization(
+                    config, geometry, schemes, spec.master_seed, seed, fixed_ue=fixed_ue
+                ):
+                    rates.append((value, scheme.label, seed,
+                                  expcli._fmt(trace.final_sum_rate_true / math.log(2.0))))
+        return sorted(rates)
+
+    written = sorted((float(r["value"]), r["scheme"], int(r["seed"]), r["sum_rate_bits"]) for r in rows)
+    assert written == runner_rates(True)
+    assert written != runner_rates(False)
+
+
+def test_run_spec_solves_through_the_pipeline_attribute(tmp_path, monkeypatch):
+    # Instrumentation swaps pipeline.joint_optimize; every solve must see it.
+    calls = []
+    original = pipeline.joint_optimize
+
+    def spy(*args, **kwargs):
+        calls.append(args[2].label)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "joint_optimize", spy)
+    doc = json.loads(minimal_spec(
+        tmp_path, sweep_values=[0.5, 0.8, 1.0], n_seeds=2,
+        schemes=[{"solver": "aso"}, {"solver": "none"}],
+    ).read_text())
+    rows = read_rows(expcli.run_spec(expcli.ExperimentSpec.from_dict(doc), tmp_path / "spy"))
+    assert len(calls) == len(rows) == 3 * 2 * 2
 
 
 def test_unknown_sweep_rejected(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfirs import fp_core, irs_opt, model
-from conftest import build_instance, cmcqp, crandn, synthetic_cmcqp
+from conftest import aso_coordinate, build_instance, cmcqp, crandn, synthetic_cmcqp
 
 
 def _system_cmcqp(seed, **over):
@@ -125,7 +125,7 @@ def test_f7_nonpositive_without_linear_term(make_cmcqp):
 def test_coordinate_update_real_target():
     data = cmcqp(np.array([[0.7]], complex), np.array([1.0 + 0j]))
     theta = np.array([np.exp(1j * 2.2)])
-    out = irs_opt.aso_coordinate(theta, 0, data)
+    out = aso_coordinate(theta, 0, data)
     assert out[0] == pytest.approx(1.0)
 
 
@@ -135,7 +135,7 @@ def test_coordinate_update_imaginary_target():
     omega = np.array([0.0 + 2j, 1.0, 1.0])
     data = cmcqp(zcal, omega)
     theta = 0.9 * np.exp(1j * np.array([0.4, 0.8, 1.2]))
-    out = irs_opt.aso_coordinate(theta, 0, data)
+    out = aso_coordinate(theta, 0, data)
     assert out[0] == pytest.approx(0.9 * np.exp(1j * np.pi / 2))
     np.testing.assert_array_equal(out[1:], theta[1:])
 
@@ -143,7 +143,7 @@ def test_coordinate_update_imaginary_target():
 def test_coordinate_update_zero_target_keeps_phase():
     data = cmcqp(np.zeros((1, 1), complex), np.zeros(1, complex))
     theta = np.array([np.exp(1j * 0.3)])
-    out = irs_opt.aso_coordinate(theta, 0, data)
+    out = aso_coordinate(theta, 0, data)
     assert out[0] == theta[0]
 
 
@@ -154,7 +154,7 @@ def test_coordinate_update_beats_fine_grid(make_cmcqp):
         rng = np.random.default_rng(seed)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
         for i in range(4):
-            updated = irs_opt.aso_coordinate(theta, i, data)
+            updated = aso_coordinate(theta, i, data)
             best_closed = irs_opt.eval_f7(updated, data)
             trial = theta.copy()
             best_grid = -np.inf
@@ -171,7 +171,7 @@ def test_coordinate_update_never_decreases(make_cmcqp):
     value = irs_opt.eval_f7(theta, data)
     for sweep in range(3):
         for i in range(6):
-            theta = irs_opt.aso_coordinate(theta, i, data)
+            theta = aso_coordinate(theta, i, data)
             new_value = irs_opt.eval_f7(theta, data)
             assert new_value >= value - 1e-12 * max(1.0, abs(value))
             value = new_value
@@ -221,7 +221,7 @@ def test_sweep_is_coordinatewise_optimal(make_cmcqp):
     theta, _ = irs_opt.aso_solve(theta0, data, eps2=1e-14, max_sweeps=500)
     base = irs_opt.eval_f7(theta, data)
     for i in range(6):
-        improved = irs_opt.aso_coordinate(theta, i, data)
+        improved = aso_coordinate(theta, i, data)
         assert irs_opt.eval_f7(improved, data) <= base + 1e-10
 
 

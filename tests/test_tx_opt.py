@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cfirs import fp_core, model, tx_opt
 from cfirs.fp_core import AuxState
@@ -42,7 +40,7 @@ def _instance_with_aux(seed, **over):
 
 def test_f5_zero_at_zero():
     cfg, ch, theta, w, h, aux = _instance_with_aux(0)
-    assert tx_opt.eval_f5(h, BeamformerSet(w=np.zeros_like(w.w)), aux) == 0.0
+    assert QuadraticForm.build(h, aux).value(BeamformerSet(w=np.zeros_like(w.w))) == 0.0
 
 
 def test_f5_f4_difference_identity():
@@ -52,7 +50,8 @@ def test_f5_f4_difference_identity():
     w2 = BeamformerSet(w=0.3 * crandn(rng, w.w.shape))
     d4 = (fp_core.eval_f4(w1, theta, aux, ch, cfg.sigma2)
           - fp_core.eval_f4(w2, theta, aux, ch, cfg.sigma2))
-    d5 = tx_opt.eval_f5(h, w2, aux) - tx_opt.eval_f5(h, w1, aux)
+    form = QuadraticForm.build(h, aux)
+    d5 = form.value(w2) - form.value(w1)
     assert d4 == pytest.approx(d5, rel=1e-9)
 
 
@@ -64,13 +63,14 @@ def test_f5_scalar_quadratic():
     ubar = 1.8
     a = np.abs(hval) ** 2 * np.abs(0.4 - 0.2j) ** 2 * ubar
     b = hval * (0.4 - 0.2j) * ubar  # linear coefficient: -2 Re{b^* w}
+    form = QuadraticForm.build(h, aux)
     for wval in (0.1 + 0.2j, -0.5j, 1.0):
         w = BeamformerSet(w=np.full((1, 1, 1, 1), wval))
         expected = a * np.abs(wval) ** 2 - 2 * np.real(np.conj(b) * wval)
-        assert tx_opt.eval_f5(h, w, aux) == pytest.approx(expected, rel=1e-12)
+        assert form.value(w) == pytest.approx(expected, rel=1e-12)
     # minimizer of the scalar quadratic
     w_star = b / a
-    got = tx_opt.primal_w(DualState(lam=np.zeros(1), tau=np.ones(1)), h, aux)
+    got = BeamformerSet(w=form.solve(np.zeros(1)))
     assert got.w[0, 0, 0, 0] == pytest.approx(w_star, rel=1e-9)
 
 
@@ -81,7 +81,7 @@ def test_primal_regularization_shrinks_norm():
     lams = [0.0, 1.0, 10.0, 1e3, 1e6]
     norms = []
     for lam in lams:
-        got = tx_opt.primal_w(DualState(lam=np.full(cfg.l, lam), tau=np.ones(cfg.l)), h, aux)
+        got = BeamformerSet(w=QuadraticForm.build(h, aux).solve(np.full(cfg.l, lam)))
         norms.append(np.linalg.norm(got.w))
     assert all(norms[i] > norms[i + 1] for i in range(len(norms) - 1))
     assert norms[-1] < 1e-4 * norms[0]
@@ -93,7 +93,7 @@ def test_primal_scalar_closed_form():
     y, ubar = 0.3 + 0.5j, 2.0
     aux = AuxState(u=np.array([[[ubar - 1.0]]], complex), y=np.array([[[y]]]))
     lam = 0.7
-    got = tx_opt.primal_w(DualState(lam=np.array([lam]), tau=np.ones(1)), h, aux)
+    got = BeamformerSet(w=QuadraticForm.build(h, aux).solve(np.array([lam])))
     hv = h[0, 0, 0, 0]
     expected = hv * y * ubar / (np.abs(hv) ** 2 * np.abs(y) ** 2 * ubar + lam)
     assert got.w[0, 0, 0, 0] == pytest.approx(expected, rel=1e-12)
@@ -103,10 +103,11 @@ def test_primal_is_lagrangian_stationary_point():
     rng = np.random.default_rng(7)
     cfg, ch, theta, w, h, aux = _instance_with_aux(5)
     lam = np.ones(cfg.l)
-    got = tx_opt.primal_w(DualState(lam=lam, tau=np.ones(cfg.l)), h, aux)
+    form = QuadraticForm.build(h, aux)
+    got = BeamformerSet(w=form.solve(lam))
 
     def lagrangian(warr):
-        val = tx_opt.eval_f5(h, BeamformerSet(w=warr), aux)
+        val = form.value(warr)
         power = np.sum(np.abs(warr) ** 2, axis=(1, 2, 3))
         return val + np.dot(lam, power - np.asarray(cfg.p_max))
 
@@ -117,47 +118,6 @@ def test_primal_is_lagrangian_stationary_point():
         d /= np.linalg.norm(d)
         deriv = (lagrangian(got.w + eps * d) - lagrangian(got.w - eps * d)) / (2 * eps)
         assert abs(deriv) < 1e-5 * base_scale
-
-
-# ---- dual update ----
-
-def test_dual_step_zero_subgradient():
-    state = DualState(lam=np.array([0.4]), tau=np.array([0.5]))
-    w = np.zeros((1, 1, 2, 2), complex)
-    w[0, 0, 0, 0] = 1.0  # power exactly 1
-    out = tx_opt.dual_step(state, w, p_max=np.array([1.0]))
-    assert out.lam[0] == pytest.approx(0.4)
-
-
-def test_dual_step_projection_at_zero():
-    state = DualState(lam=np.array([0.0]), tau=np.array([0.5]))
-    w = np.zeros((1, 1, 2, 2), complex)  # zero power, slack constraint
-    out = tx_opt.dual_step(state, w, p_max=np.array([1.0]))
-    assert out.lam[0] == 0.0
-
-
-def test_dual_step_arithmetic():
-    state = DualState(lam=np.array([1.0]), tau=np.array([0.5]))
-    w = np.zeros((1, 1, 1, 1), complex)
-    w[0, 0, 0, 0] = np.sqrt(3.0)  # power 3, budget 1 -> violation +2
-    out = tx_opt.dual_step(state, w, p_max=np.array([1.0]))
-    assert out.lam[0] == pytest.approx(2.0)
-    assert out.iteration == 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    lam=st.floats(0, 10, allow_nan=False),
-    tau=st.floats(0.01, 5, allow_nan=False),
-    power=st.floats(0, 4, allow_nan=False),
-)
-def test_dual_step_never_negative(lam, tau, power):
-    state = DualState(lam=np.array([lam]), tau=np.array([tau]))
-    w = np.zeros((1, 1, 1, 1), complex)
-    w[0, 0, 0, 0] = np.sqrt(power)
-    out = tx_opt.dual_step(state, w, p_max=np.array([1.0]))
-    assert out.lam[0] >= 0.0
-    assert out.lam[0] == pytest.approx(max(0.0, lam + tau * (power - 1.0)), rel=1e-12)
 
 
 def test_power_monotone_in_own_multiplier():
@@ -182,9 +142,7 @@ def test_optimize_w_inactive_constraint():
     got, dual, info = tx_opt.optimize_w(h, aux, cfg_loose)
     assert info["converged"]
     np.testing.assert_allclose(dual.lam, 0.0, atol=1e-9)
-    unconstrained = tx_opt.primal_w(
-        DualState(lam=np.zeros(cfg.l), tau=np.ones(cfg.l)), h, aux
-    )
+    unconstrained = BeamformerSet(w=QuadraticForm.build(h, aux).solve(np.zeros(cfg.l)))
     np.testing.assert_allclose(got.w, unconstrained.w, rtol=1e-6)
 
 
