@@ -7,7 +7,8 @@ coefficients and a Zcal of rank at most (K * m_u)^2 = 64. Desk scale is
 ``build_cmcqp`` and ``qcr_relax`` at full scale; ``optimize_w``,
 ``effective_channel``, ``link_state`` (the link matrices and both
 covariances at one (H, W) point) and ``sum_rate`` at both scales; and
-``aso_solve`` and ``discrete_sweep`` at desk scale.
+``aso_solve``, ``discrete_sweep`` and ``sdr_solve`` (the mixing-method
+SDP, its certificate and the rounding) at desk scale.
 ``qcr_relax`` runs twice: from the draw's random phases (a cold start) and
 on the subproblem that the QCR scheme meets after a few outer iterations of
 the same draw (a warm start, the regime most full-scale QCR calls are in).
@@ -125,3 +126,11 @@ def test_discrete_sweep(benchmark, desk_scale):
     cfg, _, _, _, theta, data, _, _ = desk_scale
     _, sweeps = benchmark(irs_opt.discrete_sweep, theta, data, 4, max_sweeps=cfg.max_aso)
     benchmark.extra_info["sweeps"] = sweeps
+
+
+def test_sdr_solve(benchmark, desk_scale):
+    cfg, _, _, _, _, data, _, _ = desk_scale
+    # A fresh generator per round, so every round starts the factor alike.
+    _, _, certified = benchmark(
+        lambda: irs_opt.sdr_solve(data, cfg.alpha, rng=np.random.default_rng(0)))
+    benchmark.extra_info["certified"] = bool(certified)

@@ -16,7 +16,10 @@ the diagonal of E - A. Four solvers are provided:
   relaxation |theta_i| <= alpha under the diagonal majorizer
   diag(sum_j |Zcal_ij|) of Zcal, followed by a projection onto the modulus
   circle,
-* semidefinite relaxation solved by ADMM plus Gaussian randomization,
+* semidefinite relaxation of the lifted problem, solved on a low-rank
+  factor X = V V^H by the mixing method (Wang, Chang & Kolter 2017) with a
+  dual upper bound certified for any V, then rounded by Gaussian
+  randomization,
 * exhaustive per-coordinate search over a discrete phase grid.
 
 The first and the last share one coordinate-ascent loop and differ only in
@@ -46,10 +49,6 @@ class CmcQpData:
 
     zcal: np.ndarray    # (RN, RN)
     omega: np.ndarray   # (RN,)
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
 
 
 def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
@@ -301,40 +300,52 @@ def qcr_solve(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000)
     return projected, relaxed, trace
 
 
-def _psd_project(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_hermitize(m))
-    vals = np.maximum(vals, 0.0)
-    return (vecs * vals) @ vecs.conj().T
+# The mixing loop stops after a sweep that gains at most _MIX_TOL relative, or
+# after _MIX_SWEEPS; the bound is certified closed at _GAP_TOL relative.
+_MIX_TOL = 1e-10
+_MIX_SWEEPS = 1000
+_GAP_TOL = 1e-6
 
 
-def _admm_sdp(c: np.ndarray, diag_value: float, tol: float = 1e-6, max_iter: int = 4000):
-    """max Tr(c X) s.t. X_ii = diag_value, X >= 0, by ADMM splitting.
+def _mixing(zhat: np.ndarray, alpha: float, rng: np.random.Generator):
+    """max Tr(zhat X) s.t. X_ii = alpha^2, X >= 0 over X = V V^H, V n x p.
 
-    The X-update solves the diag-constrained quadratic in closed form; the
-    dual block is the PSD projection. Residuals are scale-normalized.
+    The mixing method (Wang, Chang & Kolter, arXiv:1706.00476): each visit
+    sets row v_i <- alpha g / |g|, g = sum_{j != i} zhat_ij v_j, its exact
+    maximizer. p = ceil(sqrt(2n)) + 1, so p^2 > n, which rules out spurious
+    local optima for generic complex instances (Boumal, Voroninski &
+    Bandeira 2016). Rows start from rng with norm alpha and keep it.
+
+    Returns (V, value, bound): value = Tr(zhat V V^H) = alpha^2 sum_i y_i
+    with y_i = Re(zhat V V^H)_ii / alpha^2, and bound = value + alpha^2 n
+    max(0, -lambda_min(Diag(y) - zhat)), the dual value of y shifted to
+    feasibility: an upper bound on the SDP for any V, tight at the optimum.
     """
-    n = c.shape[0]
-    scale = float(np.abs(c).max(initial=0.0))
-    cs = c / scale if scale > 0 else c
-    x = diag_value * np.eye(n, dtype=complex)
-    zmat = x.copy()
-    u = np.zeros_like(x)
-    idx = np.arange(n)
-    converged = False
-    for _ in range(max_iter):
-        x = zmat - u + cs
-        x = _hermitize(x)
-        x[idx, idx] = diag_value
-        z_prev = zmat
-        zmat = _psd_project(x + u)
-        u = u + x - zmat
-        norm = max(np.linalg.norm(x), np.linalg.norm(zmat), 1.0)
-        primal = np.linalg.norm(x - zmat)
-        dual = np.linalg.norm(zmat - z_prev)
-        if primal <= tol * norm and dual <= tol * norm:
-            converged = True
+    n = zhat.shape[0]
+    p = math.ceil(math.sqrt(2 * n)) + 1
+    v = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+    v *= alpha / np.linalg.norm(v, axis=1, keepdims=True)
+    off = zhat.copy()
+    np.fill_diagonal(off, 0.0)
+    rows, vrows = list(off), list(v)
+    value = float(np.vdot(v, zhat @ v).real)
+    for _ in range(_MIX_SWEEPS):
+        gain = 0.0
+        for row, vi in zip(rows, vrows):
+            g = row @ v
+            norm = math.sqrt(np.vdot(g, g).real)
+            if norm == 0.0:
+                continue
+            # Tr(zhat V V^H) moves by 2 Re<new - v_i, g>, |new| = |v_i|.
+            gain += 2.0 * (alpha * norm - np.vdot(vi, g).real)
+            np.multiply(g, alpha / norm, out=vi)
+        value += gain
+        if gain <= _MIX_TOL * max(1.0, abs(value)):
             break
-    return zmat, converged
+    y = np.einsum("ij,ij->i", v.conj(), zhat @ v).real / alpha**2
+    value = alpha**2 * float(y.sum())
+    lam = float(np.linalg.eigvalsh(np.diag(y) - zhat)[0])
+    return v, value, value + alpha**2 * n * max(0.0, -lam)
 
 
 def sdr_solve(
@@ -342,18 +353,22 @@ def sdr_solve(
     alpha: float,
     n_randomizations: int = 200,
     rng: np.random.Generator = None,
-    admm_tol: float = 1e-6,
-    admm_max_iter: int = 4000,
 ):
     """Semidefinite relaxation of the homogenized problem plus rounding.
 
-    Lifts theta_hat = [theta; alpha] and maximizes theta_hat^H Zbar theta_hat
-    with Zbar = [[-Zcal, omega], [omega^H, 0]]. Shifting by the smallest
-    eigenvalue, Zhat = Zbar - lambda_min(Zbar) I, makes the form PSD without
-    changing the maximizer on the constant-norm feasible set. The
-    diagonally-constrained SDP is solved with ADMM and rounded by Gaussian
-    randomization (the leading eigenvector is always in the candidate pool).
-    Returns (theta, sdp_value, converged).
+    On theta_hat = [theta; alpha], theta_hat^H Zbar theta_hat = f7(theta)
+    for Zbar = [[-Zcal, omega / alpha], [omega^H / alpha, 0]], and Zhat =
+    Zbar - lambda_min(Zbar) I is PSD and differs from it by a constant on
+    the feasible set. max Tr(Zhat X) s.t. X_ii = alpha^2, X >= 0 is solved
+    on a factor X = V V^H by ``_mixing`` from ``rng``. The rounding
+    candidates are V's top left singular vector and V zeta for standard
+    complex Gaussian zeta in C^p (V zeta ~ CN(0, X) up to a scale); each is
+    scored by f7 at its projection (phases relative to its last entry,
+    modulus alpha), and the best projection is returned.
+
+    Returns (theta, sdp_value, converged): sdp_value is the certified upper
+    bound on the SDP, hence on the lifted value of any feasible theta;
+    converged says the bound is within 1e-6 relative of the factor's value.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -363,38 +378,20 @@ def sdr_solve(
     nbar = nn + 1
     zbar = np.zeros((nbar, nbar), complex)
     zbar[:nn, :nn] = -data.zcal
-    zbar[:nn, nn] = data.omega
-    zbar[nn, :nn] = data.omega.conj()
-    lam_min = float(np.linalg.eigvalsh(zbar).min())
-    zhat = _hermitize(zbar - lam_min * np.eye(nbar))
+    zbar[:nn, nn] = data.omega / alpha
+    zbar[nn, :nn] = data.omega.conj() / alpha
+    zhat = zbar - float(np.linalg.eigvalsh(zbar)[0]) * np.eye(nbar)
 
-    v, converged = _admm_sdp(zhat, alpha**2, tol=admm_tol, max_iter=admm_max_iter)
-    sdp_value = float(np.real(np.trace(zhat @ v)))
-
-    vals, vecs = np.linalg.eigh(_hermitize(v))
-    vals = np.maximum(vals, 0.0)
-    factor = vecs * np.sqrt(vals)
-
-    # Leading eigenvector (scaled to the trace budget) seeds the pool so the
-    # rounding quality does not hinge on randomization alone.
-    lead = vecs[:, -1] * np.sqrt(max(vals[-1], 0.0) * nbar)
-    candidates = [lead]
-    for _ in range(max(0, n_randomizations)):
-        zeta = (rng.standard_normal(nbar) + 1j * rng.standard_normal(nbar)) / np.sqrt(2)
-        candidates.append(factor @ zeta)
-
-    best, best_score = None, -np.inf
-    for cand in candidates:
-        score = float(np.real(cand.conj() @ zhat @ cand))
-        if score > best_score:
-            best, best_score = cand, score
-    ref = best[nn]
-    if ref != 0:
-        phases = np.angle(best[:nn] / ref)
-    else:
-        phases = np.angle(best[:nn])
-    theta = alpha * np.exp(1j * phases)
-    return theta, sdp_value, converged
+    v, value, bound = _mixing(zhat, alpha, rng)
+    zeta = rng.standard_normal((2, v.shape[1], max(0, n_randomizations)))
+    lead = np.linalg.svd(v, full_matrices=False)[0][:, :1]
+    cands = np.concatenate([lead, v @ (zeta[0] + 1j * zeta[1])], axis=1)
+    ref = cands[nn]
+    thetas = alpha * np.exp(1j * np.angle(cands[:nn] * np.where(ref != 0, ref.conj(), 1.0)))
+    scores = (2.0 * (data.omega.conj() @ thetas).real
+              - np.einsum("ij,ij->j", thetas.conj(), data.zcal @ thetas).real)
+    theta = thetas[:, int(np.argmax(scores))]
+    return theta, bound, bound - value <= _GAP_TOL * max(1.0, abs(bound))
 
 
 def discrete_sweep(theta0, data: CmcQpData, levels: int, max_sweeps: int = 200):

@@ -511,20 +511,80 @@ def test_sdr_relaxation_upper_bounds_rounded(make_cmcqp):
         assert sdp_value >= rounded - 1e-6 * max(1.0, abs(sdp_value))
 
 
-def test_sdr_admm_constraint_contract(make_cmcqp):
-    data = make_cmcqp(111, nn=5)
-    nn = 5
+def _lifted_zhat(data, alpha):
+    """Zhat of the sdr_solve docstring: the lift of f7 at [theta; alpha],
+    shifted to be PSD."""
+    nn = data.omega.size
     zbar = np.zeros((nn + 1, nn + 1), complex)
     zbar[:nn, :nn] = -data.zcal
-    zbar[:nn, nn] = data.omega
-    zbar[nn, :nn] = data.omega.conj()
+    zbar[:nn, nn] = data.omega / alpha
+    zbar[nn, :nn] = data.omega.conj() / alpha
     lam_min = float(np.linalg.eigvalsh(zbar).min())
-    zhat = zbar - lam_min * np.eye(nn + 1)
-    alpha = 0.9
-    v, converged = irs_opt._admm_sdp(zhat, alpha**2)
-    assert converged
-    np.testing.assert_allclose(np.real(np.diag(v)), alpha**2, atol=1e-5)
-    assert np.linalg.eigvalsh(0.5 * (v + v.conj().T)).min() >= -1e-6
+    return zbar - lam_min * np.eye(nn + 1), lam_min
+
+
+def test_sdr_mixing_contract(make_cmcqp):
+    for seed, nn, alpha in [(111, 5, 0.9), (112, 6, 1.0), (113, 12, 0.5)]:
+        data = make_cmcqp(seed, nn=nn)
+        zhat, _ = _lifted_zhat(data, alpha)
+        v, value, bound = irs_opt._mixing(zhat, alpha, np.random.default_rng(seed))
+        # diag(V V^H) = alpha^2 exactly, and value is Tr(Zhat V V^H).
+        np.testing.assert_allclose(np.linalg.norm(v, axis=1), alpha, rtol=0, atol=1e-12)
+        assert value == pytest.approx(np.vdot(v, zhat @ v).real, rel=1e-12)
+        assert bound >= value
+        assert bound - value <= 1e-6 * abs(bound)
+
+
+def test_sdr_bound_matches_phase_grid_optimum_on_two_elements(make_cmcqp):
+    # A 3 x 3 lift: complex SDR is tight, so the certified bound equals the
+    # lifted value of the best theta, found on a phase grid and polished by ASO.
+    grid = np.exp(2j * np.pi * np.arange(720) / 720)
+    for seed, alpha in [(130, 1.0), (131, 0.7), (132, 0.3), (133, 1.0)]:
+        data = make_cmcqp(seed, nn=2, omega_scale=2.0)
+        t1, t2 = alpha * grid[:, None], alpha * grid[None, :]
+        z, om = data.zcal, data.omega
+        f = (2.0 * (t1.conj() * om[0] + t2.conj() * om[1]).real
+             - (z[0, 0].real * alpha**2 + z[1, 1].real * alpha**2
+                + 2.0 * (t1.conj() * z[0, 1] * t2).real))
+        i, j = np.unravel_index(np.argmax(f), f.shape)
+        best, _ = irs_opt.aso_solve(alpha * np.array([grid[i], grid[j]]), data, eps2=0.0)
+        zhat, lam_min = _lifted_zhat(data, alpha)
+        lifted_opt = irs_opt.eval_f7(best, data) - lam_min * 3 * alpha**2
+        theta, sdp_value, converged = irs_opt.sdr_solve(
+            data, alpha, rng=np.random.default_rng(seed))
+        assert converged
+        assert sdp_value == pytest.approx(lifted_opt, rel=1e-6)
+        assert irs_opt.eval_f7(theta, data) == pytest.approx(
+            irs_opt.eval_f7(best, data), rel=1e-6, abs=1e-9)
+
+
+def test_sdr_reaches_multistart_aso_below_unit_efficiency():
+    # The lift carries omega / alpha: with omega alone SDR maximizes
+    # -theta^H Zcal theta + 2 alpha Re theta^H omega, not f7.
+    alpha = 0.3
+    rng = np.random.default_rng(3)
+    f_sdr, f_aso = [], []
+    for seed in range(300, 320):
+        data = synthetic_cmcqp(seed, nn=6, omega_scale=3.0)
+        theta, _, _ = irs_opt.sdr_solve(data, alpha, rng=np.random.default_rng(seed))
+        f_sdr.append(irs_opt.eval_f7(theta, data))
+        starts = alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, (30, 6)))
+        f_aso.append(max(irs_opt.eval_f7(irs_opt.aso_solve(t0, data)[0], data)
+                         for t0 in starts))
+    assert np.mean(f_sdr) >= np.mean(f_aso) - 1e-6 * abs(np.mean(f_aso))
+
+
+def test_sdr_rounding_keeps_the_leading_candidate(make_cmcqp):
+    # The factor is drawn before the randomization, so with the same rng the
+    # pool of n_randomizations=0 (the leading candidate alone) is a subset of
+    # the default pool; each candidate is scored at its feasible projection.
+    for seed in range(200, 240):
+        data = make_cmcqp(seed, nn=6)
+        lead, _, _ = irs_opt.sdr_solve(data, 1.0, n_randomizations=0,
+                                       rng=np.random.default_rng(seed))
+        theta, _, _ = irs_opt.sdr_solve(data, 1.0, rng=np.random.default_rng(seed))
+        f_lead = irs_opt.eval_f7(lead, data)
+        assert irs_opt.eval_f7(theta, data) >= f_lead - 1e-12 * max(1.0, abs(f_lead))
 
 
 # ---- discrete phase grid ----
