@@ -8,9 +8,11 @@ coefficients and a Zcal of rank at most (K * m_u)^2 = 64. Desk scale is
 ``effective_channel``, ``link_state`` (the link matrices and both
 covariances at one (H, W) point) and ``sum_rate`` at both scales; and
 ``aso_solve``, ``discrete_sweep`` and ``sdr_solve`` (the mixing-method
-SDP, its certificate and the rounding) at desk scale.
-``qcr_relax`` runs twice: from the draw's random phases (a cold start) and
-on the subproblem that the QCR scheme meets after a few outer iterations of
+SDP, its certificate and the rounding) at desk scale. ``optimize_w``
+records the factorizations of M(lambda) its Newton steps made
+(``extra_info["factorizations"]``, cold start at the draw's matched-filter
+state). ``qcr_relax`` runs twice: from the draw's random phases (a cold
+start) and on the subproblem that the QCR scheme meets after a few outer iterations of
 the same draw (a warm start, the regime most full-scale QCR calls are in).
 This directory is outside the test paths; run with BLAS pinned to one
 thread for stable numbers:
@@ -94,7 +96,7 @@ def test_qcr_relax(benchmark, start, full_scale, full_scale_warm):
 def test_optimize_w(benchmark, scale, request):
     cfg, h, w, aux, _, _, _, _ = request.getfixturevalue(scale)
     _, _, info = benchmark(tx_opt.optimize_w, h, aux, cfg, w_prev=w)
-    benchmark.extra_info["dual_iterations"] = info["iterations"]
+    benchmark.extra_info["factorizations"] = info["iterations"]
 
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])

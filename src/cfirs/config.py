@@ -24,6 +24,12 @@ class SystemConfig:
     ``alpha`` the reflecting efficiency (modulus of every reflection
     coefficient). The size of a discrete phase set belongs to the scheme
     (``SchemeSpec.levels``).
+
+    ``tau`` (per-BS dual step sizes, default 1 / p_max) is parsed and
+    validated but no longer read: the precoder dual is solved by Newton
+    steps, which need no step size. ``eps1`` is their relative power
+    tolerance (and its square the relative duality-gap tolerance at which
+    they stop); ``max_dual`` caps their factorizations.
     """
 
     l: int
@@ -63,6 +69,8 @@ class SystemConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.sigma2 <= 0.0:
             raise ValueError("sigma2 must be positive")
+        if self.max_dual < 1:
+            raise ValueError("max_dual must be >= 1: the precoder step needs one factorization")
         p = self.p_max
         if isinstance(p, (int, float)):
             p = (float(p),) * self.l

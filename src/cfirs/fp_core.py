@@ -45,11 +45,10 @@ def update_u(gamma: np.ndarray) -> np.ndarray:
 
 
 def mmse_filters(link: model.LinkState) -> np.ndarray:
-    """The MMSE receive filters Y_k = Vbar_k^{-1} B_k of one link state."""
-    y = np.empty_like(link.vbar)
-    for k in range(link.vbar.shape[0]):
-        y[k] = np.linalg.solve(link.vbar[k], link.b[k, k])
-    return y
+    """The MMSE receive filters Y_k = Vbar_k^{-1} B_k of one link state, one
+    stacked solve over the users."""
+    k = np.arange(link.vbar.shape[0])
+    return np.linalg.solve(link.vbar, link.b[k, k])
 
 
 def update_y(h: np.ndarray, w, sigma2: float) -> np.ndarray:

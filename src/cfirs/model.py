@@ -90,6 +90,16 @@ def _theta_array(theta) -> np.ndarray:
     return theta.theta if isinstance(theta, PhaseVector) else np.asarray(theta)
 
 
+def _irs_stack(channels: ChannelSet):
+    """(g_k, s) of ``StackedChannels``: the IRS->UE channels stacked over
+    IRSs and the block matrix of BS->IRS channels."""
+    L, R, N, Mb = channels.bs_irs.shape
+    K, Mu = channels.irs_ue.shape[1], channels.irs_ue.shape[3]
+    g_k = channels.irs_ue.transpose(1, 0, 2, 3).reshape(K, R * N, Mu)
+    s = channels.bs_irs.transpose(1, 2, 0, 3).reshape(R * N, L * Mb)
+    return g_k, s
+
+
 def stack(channels: ChannelSet) -> StackedChannels:
     """Aggregate per-link channels into the stacked matrices used by the
     passive-beamforming subproblem.
@@ -99,30 +109,26 @@ def stack(channels: ChannelSet) -> StackedChannels:
     s[r*N:(r+1)*N, l*m_b:(l+1)*m_b] = bs_irs[l, r].
     """
     L, K, Mb, Mu = channels.direct.shape
-    R = channels.irs_ue.shape[0]
-    N = channels.irs_ue.shape[2] if R else 0
     d_k = channels.direct.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu)
-    g_k = channels.irs_ue.transpose(1, 0, 2, 3).reshape(K, R * N, Mu)
-    s = channels.bs_irs.transpose(1, 2, 0, 3).reshape(R * N, L * Mb)
+    g_k, s = _irs_stack(channels)
     return StackedChannels(d_k=d_k, g_k=g_k, s=s)
 
 
 def effective_channel(channels: ChannelSet, theta) -> np.ndarray:
     """Per-link effective channels H[l, k] = D[l, k] + sum_r S[l,r]^H Theta_r^H G[r,k].
 
+    The reflected part of every user is one stacked product
+    s^H (conj(theta) o g_k) over the ``stack`` layout.
     ``theta`` may be None (or empty) to drop the reflected term entirely.
     """
     theta = _theta_array(theta)
     h = channels.direct.copy()
-    R = channels.irs_ue.shape[0]
-    if theta is None or R == 0 or theta.size == 0:
+    if theta is None or channels.irs_ue.shape[0] == 0 or theta.size == 0:
         return h
-    N = channels.irs_ue.shape[2]
-    th = np.asarray(theta).reshape(R, N)
-    h += np.einsum(
-        "lrnm,rn,rknu->lkmu",
-        channels.bs_irs.conj(), th.conj(), channels.irs_ue,
-    )
+    L, K, Mb, Mu = h.shape
+    g_k, s = _irs_stack(channels)
+    reflected = s.conj().T @ (np.conj(theta)[:, None] * g_k)
+    h += reflected.reshape(K, L, Mb, Mu).transpose(1, 0, 2, 3)
     return h
 
 
@@ -157,20 +163,30 @@ def link_state(h: np.ndarray, w, sigma2: float) -> LinkState:
 
 
 def link_sinr(link: LinkState) -> np.ndarray:
-    """Per-user SINR matrices Gamma_k = B_k^H V_k^{-1} B_k (Hermitian PSD)."""
-    b, v = link.b, link.v
-    gamma = np.empty_like(v)
-    for k in range(v.shape[0]):
-        try:
-            np.linalg.cholesky(v[k])
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"interference covariance of user {k} is not positive definite"
-            ) from exc
-        bk = b[k, k]
-        gk = bk.conj().T @ np.linalg.solve(v[k], bk)
-        gamma[k] = 0.5 * (gk + gk.conj().T)
-    return gamma
+    """Per-user SINR matrices Gamma_k = B_k^H V_k^{-1} B_k (Hermitian PSD).
+
+    With V_k = L_k L_k^H (Cholesky), Gamma_k = Z_k^H Z_k for Z_k = L_k^{-1} B_k,
+    one stacked factorization and one stacked solve over the users.
+    """
+    k = np.arange(link.v.shape[0])
+    z = np.linalg.solve(_cholesky(link.v), link.b[k, k])
+    return z.conj().transpose(0, 2, 1) @ z
+
+
+def _cholesky(v: np.ndarray) -> np.ndarray:
+    """Stacked Cholesky factors of the users' interference covariances;
+    names the first user whose covariance is not positive definite."""
+    try:
+        return np.linalg.cholesky(v)
+    except np.linalg.LinAlgError as exc:
+        for k in range(v.shape[0]):
+            try:
+                np.linalg.cholesky(v[k])
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"interference covariance of user {k} is not positive definite"
+                ) from exc
+        raise
 
 
 def sinr(h: np.ndarray, w, sigma2: float) -> np.ndarray:
@@ -183,8 +199,9 @@ def sinr(h: np.ndarray, w, sigma2: float) -> np.ndarray:
 _SIGN_TOL = 1e-6
 
 
-def _logdet_hermitian(a: np.ndarray) -> float:
-    """log det of a Hermitian positive-definite matrix.
+def _logdet_hermitian(a: np.ndarray):
+    """log det of a Hermitian positive-definite matrix, or of each matrix
+    of a stack (one ``slogdet`` call).
 
     The determinant of a Hermitian matrix is real, so slogdet's sign is +1,
     -1 or 0 up to rounding; anything but +1 means the matrix is not PD and
@@ -193,23 +210,24 @@ def _logdet_hermitian(a: np.ndarray) -> float:
     sign, logabs = np.linalg.slogdet(a)
     # A singular matrix comes back with sign 0 (log-determinant -inf); the
     # negated test also rejects a NaN sign.
-    if not abs(sign - 1.0) <= _SIGN_TOL:
+    bad = ~(np.abs(sign - 1.0) <= _SIGN_TOL)
+    if bad.any():
         raise np.linalg.LinAlgError(
-            f"log-determinant of a matrix that is not positive definite (sign {sign})"
+            "log-determinant of a matrix that is not positive definite "
+            f"(sign {np.asarray(sign)[bad].flat[0]})"
         )
-    return float(logabs)
+    return logabs
 
 
 def link_rate(link: LinkState) -> float:
     """Achievable sum rate in nats, sum_k [log det Vbar_k - log det V_k].
 
     Evaluated through the determinant identity rather than an explicit SINR
-    inverse; base-2 conversion happens only at reporting boundaries.
+    inverse, with one ``slogdet`` over both covariances of every user;
+    base-2 conversion happens only at reporting boundaries.
     """
-    total = 0.0
-    for k in range(link.v.shape[0]):
-        total += _logdet_hermitian(link.vbar[k]) - _logdet_hermitian(link.v[k])
-    return float(total)
+    logdet = _logdet_hermitian(np.stack((link.vbar, link.v)))
+    return float(np.sum(logdet[0] - logdet[1]))
 
 
 def sum_rate(channels: ChannelSet, w, theta, sigma2: float) -> float:

@@ -1,11 +1,13 @@
 """Outer alternating optimization and Monte-Carlo experiment orchestration.
 
 One outer iteration updates, in order: the auxiliary matrices U (SINR) and Y
-(MMSE filters), the transmit precoders (dual sub-gradient), and the
-reflection phases (per the scheme's solver). Each quantity is evaluated once
-per iteration: the effective channel once after the phase step, and one
-``model.LinkState`` at the new (W, theta) that gives the surrogate f3, the
-new rate and the next iteration's U and Y. With exact phase solvers the
+(MMSE filters), the transmit precoders (Newton steps on the per-BS dual,
+warm-started from the previous iteration's multipliers), and the reflection
+phases (per the scheme's solver). Each quantity is evaluated once per
+iteration: the effective channel once after the phase step, and one
+``model.LinkState`` at the new (W, theta) that gives the new rate and the
+next iteration's U and Y. An outer iteration without a phase step is the
+U, Y and W updates and that one link state. With exact phase solvers the
 achieved sum rate is monotonically non-decreasing across iterations; rounded
 solvers (QCR, SDR) are safeguarded by accepting a phase step only when it
 does not decrease the quadratic phase objective.
@@ -71,8 +73,8 @@ class RunTrace:
     """Per-iteration accounting of one joint optimization run."""
 
     sum_rate: list = field(default_factory=list)      # nats, on the channels optimized
-    f3: list = field(default_factory=list)            # surrogate at the loop point
-    dual_iterations: list = field(default_factory=list)
+    dual_iterations: list = field(default_factory=list)  # factorizations per W step
+    dual_unconverged: int = 0                         # W steps that ended at max_dual
     phase_sweeps: list = field(default_factory=list)
     stage_seconds: dict = field(default_factory=lambda: {"u": 0.0, "y": 0.0, "w": 0.0, "theta": 0.0})
     converged: bool = False
@@ -164,10 +166,6 @@ def _optimize_once(channels, opt_channels, config, scheme, rng):
         y = fp_core.mmse_filters(link)
         aux = fp_core.AuxState(u=u, y=y)
         t2 = time.perf_counter()
-        if dual is not None:
-            # Warm-start the multipliers only; step sizes restart each outer
-            # iteration so earlier oscillation damping cannot stall the duals.
-            dual = tx_opt.DualState(lam=dual.lam, tau=np.asarray(config.tau, float))
         w, dual, winfo = tx_opt.optimize_w(h, aux, config, dual=dual, w_prev=w)
         t3 = time.perf_counter()
         sweeps = 0
@@ -185,12 +183,11 @@ def _optimize_once(channels, opt_channels, config, scheme, rng):
         trace.stage_seconds["w"] += t3 - t2
         trace.stage_seconds["theta"] += t4 - t3
         trace.dual_iterations.append(winfo["iterations"])
+        trace.dual_unconverged += not winfo["converged"]
         trace.phase_sweeps.append(sweeps)
-        # One link state at the new (W, theta) gives f3, the new rate and the
+        # One link state at the new (W, theta) gives the new rate and the
         # next iteration's U and Y.
         link = model.link_state(h, w, config.sigma2)
-        trace.f3.append(fp_core.surrogate(link, aux))
-
         new_rate = model.link_rate(link)
         trace.sum_rate.append(new_rate)
         trace.iterations = it

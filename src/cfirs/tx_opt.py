@@ -1,25 +1,32 @@
-"""Active transmit beamforming: convex QCQP solved by Lagrangian dual ascent.
+"""Active transmit beamforming: convex QCQP solved by Newton steps on its dual.
 
 With the auxiliaries fixed, the precoder subproblem is
 
     min_W  f5(W) = sum_i Tr(Ws_i^H A Ws_i) - 2 Re sum_i Tr(C_i^H Ws_i)
-    s.t.   sum_k ||W[l, k]||_F^2 <= p_max[l]  for every BS l,
+    s.t.   P_l(W) = sum_k ||W[l, k]||_F^2 <= p_max[l]  for every BS l,
 
 where Ws_i stacks W[:, i] over base stations, A = sum_k Hs_k Y_k Ubar_k
 Y_k^H Hs_k^H and C_i = Hs_i Y_i Ubar_i. The problem is convex with zero
-duality gap, so a projected sub-gradient ascent on the per-BS multipliers
-with the closed-form primal
+duality gap, so it is solved through its dual. At multipliers lambda the
+Lagrangian's minimizer is the closed form
 
-    Ws_i(lambda) = (A + blockdiag(lambda_l I))^{-1} C_i
+    Ws_i(lambda) = M(lambda)^{-1} C_i,   M(lambda) = A + blockdiag(lambda_l I),
 
-converges to the optimum. The quadratic matrix A couples base stations, so
-the primal solve is joint; a per-BS block inverse is not a stationary point
-of the Lagrangian.
+and the optimal multipliers are those at which every BS with lambda_l > 0
+transmits exactly p_max[l] and every BS with lambda_l = 0 stays within its
+budget. The quadratic matrix A couples base stations, so the primal solve
+is joint; a per-BS block inverse is not a stationary point of the
+Lagrangian.
 
-Each dual iteration is one L*m_b x L*m_b solve, against a right-hand side
-and a matrix buffer the ``QuadraticForm`` keeps, plus one reduction for the
-per-BS powers; the L multipliers, step sizes and violation signs are Python
-floats between solves.
+The multipliers are found by projected Newton steps in x = log lambda on
+the equations log P_l = log p_max[l] of the live BSs (lambda_l > 0). One
+``QuadraticForm.solve`` factors M(lambda) once against [C | I], so it
+returns both W and M^{-1}; the per-BS powers and their exact Jacobian
+
+    dP_l / dlambda_m = -2 Re sum_{a in l, b in m} (M^{-1})_ab (W W^H)_ba
+
+come from that one factorization. In the decoupled limit
+P_l = ||C_l||_F^2 / lambda_l^2, log P is linear in x and one step is exact.
 """
 
 from __future__ import annotations
@@ -35,33 +42,36 @@ from .fp_core import AuxState
 from .model import BeamformerSet
 
 _EIG_FLOOR = 1e-10
+# Trust region: a Newton step moves each multiplier by at most one decade.
+_MAX_LOG_STEP = math.log(10.0)
+# A multiplier below this fraction of its BS's scale sleeps (lambda_l = 0).
+_SLEEP_FLOOR = 1e-14
+# Relative power excess below which a returned block is left as it is.
+_POWER_TOL = 1e-9
 
 
 @dataclass
 class DualState:
-    """Per-BS multipliers and step sizes of the dual ascent."""
+    """Per-BS power multipliers; zero marks a BS whose budget is slack."""
 
     lam: np.ndarray       # (L,) nonnegative
-    tau: np.ndarray       # (L,) positive step sizes
-    iteration: int = 0
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, float).copy()
-        self.tau = np.asarray(self.tau, float).copy()
         if (self.lam < 0).any():
             raise ValueError("dual variables must be nonnegative")
-        if (self.tau <= 0).any():
-            raise ValueError("step sizes must be positive")
 
 
 @dataclass
 class QuadraticForm:
     """Cached pieces of f5 for a fixed (theta, U, Y).
 
-    Besides its four fields, a form keeps the stacked right-hand side
-    [C_1 ... C_K] (L*m_b x K*m_u, contiguous), diag(A) and one L*m_b x L*m_b
-    buffer holding A off the diagonal, so ``solve`` only writes
-    a_ii + lambda_l into the buffer's diagonal before each solve.
+    Besides its four fields, a form keeps C = [C_1 ... C_K] as the
+    L*m_b x K*m_u ``c_rows``, the right-hand side [C | I], diag(A) and one
+    L*m_b x L*m_b buffer holding A off the diagonal, so ``solve`` only writes
+    a_ii + lambda_l into the buffer's diagonal before each factorization.
+    After a solve, ``stacked`` holds its precoders as L*m_b x K*m_u rows and
+    ``inverse`` holds M(lambda)^{-1}.
     """
 
     a: np.ndarray        # (L*m_b, L*m_b) Hermitian PSD
@@ -71,44 +81,37 @@ class QuadraticForm:
 
     def __post_init__(self):
         dim = self.l * self.m_b
-        self._rhs = np.ascontiguousarray(self.c.transpose(1, 0, 2).reshape(dim, -1))
+        self.c_rows = self.c.transpose(1, 0, 2).reshape(dim, -1)
+        self._rhs = np.hstack([self.c_rows, np.eye(dim)])
         self._diag = self.a.diagonal().reshape(self.l, self.m_b).copy()
         self._m = self.a.copy()
         # Writable view of the buffer's diagonal, one row of m_b per BS.
         self._m_diag = self._m.reshape(-1)[:: dim + 1].reshape(self.l, self.m_b)
+        self.stacked = self.inverse = None
 
     @classmethod
     def build(cls, h: np.ndarray, aux: AuxState) -> "QuadraticForm":
         L, K, Mb, Mu = h.shape
-        hs = h.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu)
-        ubar = aux.ubar
-        a = np.zeros((L * Mb, L * Mb), complex)
-        c = np.zeros((K, L * Mb, Mu), complex)
-        for k in range(K):
-            hyu = hs[k] @ aux.y[k]
-            a += hyu @ ubar[k] @ hyu.conj().T
-            c[k] = hyu @ ubar[k]
+        hy = h.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu) @ aux.y
+        c = hy @ aux.ubar
+        # A = sum_k C_k (Hs_k Y_k)^H, one product over the users stacked.
+        hy_rows = hy.transpose(1, 0, 2).reshape(L * Mb, -1)
+        a = c.transpose(1, 0, 2).reshape(L * Mb, -1) @ hy_rows.conj().T
         a = 0.5 * (a + a.conj().T)
         return cls(a=a, c=c, l=L, m_b=Mb)
 
     def value(self, w) -> float:
-        ws = self._stacked(w)
-        val = 0.0
-        for i in range(ws.shape[0]):
-            val += np.trace(ws[i].conj().T @ self.a @ ws[i]).real
-            val -= 2.0 * np.trace(self.c[i].conj().T @ ws[i]).real
-        return val
-
-    def _stacked(self, w) -> np.ndarray:
         w = model._w_array(w)
         L, K, Mb, Mu = w.shape
-        return w.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu)
+        ws = w.transpose(0, 2, 1, 3).reshape(L * Mb, K * Mu)
+        return float(np.vdot(ws, self.a @ ws).real - 2.0 * np.vdot(self.c_rows, ws).real)
 
     def solve(self, lam) -> np.ndarray:
         """Stationary precoders (L, K, m_b, m_u) at the given multipliers.
 
-        The result is a view of the (L*m_b, K*m_u) solution, so
-        ``w.transpose(0, 2, 1, 3).reshape(L, -1)`` is a view too.
+        One factorization of M(lambda) against [C | I]; the result is a view
+        of the solution's first K*m_u columns, which ``stacked`` holds as
+        rows, and ``inverse`` is set to the remaining columns.
         """
         m, rhs = self._m, self._rhs
         np.add(self._diag, np.asarray(lam, float)[:, None], out=self._m_diag)
@@ -118,8 +121,10 @@ class QuadraticForm:
             sol = _floored_solve(m, rhs)
         if not np.isfinite(sol).all():
             sol = _floored_solve(m, rhs)
+        n = self.c_rows.shape[1]
+        self.stacked, self.inverse = sol[:, :n], sol[:, n:]
         K, Mu = self.c.shape[0], self.c.shape[2]
-        ws = sol.reshape(self.l * self.m_b, K, Mu).transpose(1, 0, 2)
+        ws = self.stacked.reshape(self.l * self.m_b, K, Mu).transpose(1, 0, 2)
         return ws.reshape(K, self.l, self.m_b, Mu).transpose(1, 0, 2, 3)
 
 
@@ -132,21 +137,39 @@ def _floored_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return vecs @ ((vecs.conj().T @ rhs) / vals[:, None])
 
 
-def _enforce_power(w: np.ndarray, p_max) -> np.ndarray:
-    """Scale down any BS block that exceeds its budget (no-op when feasible)."""
-    power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
-    out = w.copy()
-    for l, (p, cap) in enumerate(zip(power, p_max)):
-        if p > cap * (1.0 + 1e-9) and p > 0:
-            out[l] *= math.sqrt(cap / p)
-    return out
+def _power_jacobian(form: QuadraticForm, gram: np.ndarray) -> np.ndarray:
+    """Jacobian dP/dlambda of the per-BS powers (L x L, symmetric negative
+    semidefinite) at the last ``form.solve``, whose W W^H is ``gram``."""
+    L, Mb = form.l, form.m_b
+    # Re sum_{a in l, b in m} (M^{-1})_ab conj((W W^H)_ab) (both factors are
+    # Hermitian), summed over interleaved real and imaginary parts.
+    q = form.inverse.view(float) * gram.view(float)
+    return -2.0 * q.reshape(L, Mb, L, 2 * Mb).sum(axis=(1, 3))
 
 
-def _bs_power(w: np.ndarray) -> np.ndarray:
-    """Per-BS transmit power of a ``QuadraticForm.solve`` result, summed over
-    the solution's (L, m_b * K * m_u) rows."""
-    L = w.shape[0]
-    return (np.abs(w.transpose(0, 2, 1, 3).reshape(L, -1)) ** 2).sum(axis=1)
+def _newton_step(form: QuadraticForm, gram, lam, power, over, p_max, lam_scale):
+    """One projected Newton step in x = log lambda from the last
+    ``form.solve``, which was made at ``lam`` and gave W W^H = ``gram``, the
+    per-BS ``power`` and the BSs ``over`` budget."""
+    live = lam > 0.0
+    # A BS that transmits nothing has a slack budget and no Newton equation
+    # (log P_l is undefined): its multiplier falls one decade.
+    idle = power <= 0.0
+    step = np.where(live & idle, -_MAX_LOG_STEP, 0.0)
+    newton = np.flatnonzero(live & ~idle)
+    if newton.size:
+        # Newton on log P_l = log p_l over the live BSs, with
+        # dP_l/dx_m = lambda_m dP_l/dlambda_m.
+        dpdx = _power_jacobian(form, gram)[newton[:, None], newton] * lam[newton]
+        target = power[newton] * np.log(p_max[newton] / power[newton])
+        dx = np.linalg.solve(dpdx, target)
+        # Damped along the Newton direction: the largest move is one decade.
+        step[newton] = dx * min(1.0, _MAX_LOG_STEP / np.abs(dx).max())
+    new = lam * np.exp(step)
+    new[new < _SLEEP_FLOOR * lam_scale] = 0.0
+    wake = ~live & over
+    new[wake] = lam_scale[wake]
+    return new
 
 
 def optimize_w(
@@ -158,151 +181,71 @@ def optimize_w(
 ):
     """Solve the precoder subproblem.
 
-    Alternates the closed-form primal with per-BS dual updates until the
-    multipliers stabilize (relative test, absolute when a multiplier sits at
-    zero) or ``config.max_dual`` iterations. Step sizes adapt geometrically
-    (halved on a sign flip of the violation, grown while it persists) and
-    each multiplier moves at most one decade per iteration; if the loop still
-    fails to settle, a bisection pass on each BS's (monotone) power curve
-    finishes the job.
+    Starts from ``dual`` (cold: every multiplier at its BS's scale
+    ||C_l||_F / sqrt(p_l), the multiplier of the decoupled limit) and takes
+    projected Newton steps in log lambda, one factorization each. The step
+    is scaled down as a whole so that no multiplier moves by more than one
+    decade; a live multiplier that drops below 1e-14 of its scale sleeps
+    (lambda_l = 0), and a sleeping BS over its budget wakes at its scale.
+    A BS is over budget when its power exceeds p_l (1 + ``config.eps1``).
 
-    Each iteration costs one ``QuadraticForm.solve`` and one reduction for
-    the per-BS powers; the multipliers, step sizes and violation signs are
-    Python floats updated one BS at a time and become arrays after the loop.
+    At each factorization W minimizes the Lagrangian, so
+    f5(W) - f5* <= sum_l lambda_l |P_l - p_l| to first order in the scaling
+    that puts W on its budgets. The loop stops when no BS is over budget and
+    that bound is at most ``config.eps1`` ** 2 |f5(W)|; BSs more than
+    ``eps1`` under budget are then reported with lambda_l = 0 (exact
+    complementary slackness). ``config.max_dual`` caps the factorizations.
 
-    Returns (BeamformerSet, DualState, info) where info carries iteration
-    count, convergence flag, f5 value, and slackness residuals. The returned
-    precoders are always power-feasible; if the new solution is no better
+    Returns (BeamformerSet, DualState, info) where info carries
+    "iterations" (the factorizations of this call), "converged" (True only
+    when the stop test fired), the f5 value, the per-BS "power" and the
+    "slackness" residuals lambda_l (P_l - p_l). The returned precoders are
+    always power-feasible (a block over budget, left by an unconverged loop
+    or within the stop tolerance, is scaled down); if they are no better
     than ``w_prev`` in f5, ``w_prev`` is returned unchanged (block ascent).
     """
     form = QuadraticForm.build(h, aux)
     p_max = np.asarray(config.p_max, float)
-    # In the decoupled limit power_l(lam) ~ ||C_l||_F^2 / lam^2, so
-    # ||C_l||_F / sqrt(p_l) is the natural magnitude of an active multiplier.
-    c_bs = form.c.reshape(-1, config.l, config.m_b, form.c.shape[2])
-    lam_scale = np.sqrt(np.sum(np.abs(c_bs) ** 2, axis=(0, 2, 3)) / p_max)
-    lam_scale = np.maximum(lam_scale, 1e-30)
-    if dual is None:
-        dual = DualState(lam=lam_scale.copy(), tau=np.asarray(config.tau, float))
-
-    # Multipliers below the floor count as zero (the power curve is flat
-    # there); the floor keeps the multiplicative trust region usable.
-    lam_floor = 1e-14 * lam_scale
-    tau_cap = 1e9 * np.asarray(config.tau, float)
-    lam, tau = dual.lam.tolist(), dual.tau.tolist()
-    budget, scale = p_max.tolist(), lam_scale.tolist()
-    floor, cap = lam_floor.tolist(), tau_cap.tolist()
-    eps1 = config.eps1
-    prev_sign = [0] * config.l
+    gap_tol = config.eps1 ** 2
+    c_norm2 = (np.abs(form.c_rows) ** 2).reshape(config.l, -1).sum(axis=1)
+    lam_scale = np.maximum(np.sqrt(c_norm2 / p_max), 1e-30)
+    lam = lam_scale.copy() if dual is None else dual.lam.copy()
+    lam[lam < _SLEEP_FLOOR * lam_scale] = 0.0
     converged = False
-    iters = 0
-    for iters in range(1, config.max_dual + 1):
-        lam_eff = [x if x > fl else 0.0 for x, fl in zip(lam, floor)]
-        power = _bs_power(form.solve(lam_eff)).tolist()
-        settled = True
-        for l, fl in enumerate(floor):
-            f_l = power[l] - budget[l]
-            sign = (f_l > 0.0) - (f_l < 0.0)
-            # Halve the step whenever a violation changes sign, grow it while
-            # the sign persists: a geometric bracket on the monotone f_l that
-            # keeps the sub-gradient rule from creeping after an overshoot.
-            turn = sign * prev_sign[l]
-            if turn < 0:
-                tau[l] *= 0.5
-            elif turn > 0:
-                tau[l] = min(tau[l] * 2.0, cap[l])
-            prev_sign[l] = sign
-            # The violation is heavily asymmetric around the optimum (bounded
-            # by -p_max above it, arbitrarily large below), so each additive
-            # step is confined to one decade around the current multiplier. A
-            # sleeping multiplier facing a violation restarts at its scale.
-            anchor = max(lam[l], fl)
-            new = min(max(anchor + tau[l] * f_l, anchor / 10.0), anchor * 10.0)
-            if lam[l] <= fl and f_l > 0.0:
-                new = max(new, scale[l])
-            new = max(new, fl)
-            # Relative test on a live multiplier, absolute at zero.
-            new_eff, old_eff = (new if new > fl else 0.0), lam_eff[l]
-            if new_eff > eps1:
-                settled &= abs(new_eff - old_eff) / new_eff < eps1
-            else:
-                settled &= abs(new_eff - old_eff) < eps1
-            lam[l] = new
-        if settled:
+    for solves in range(1, config.max_dual + 1):
+        w = form.solve(lam)
+        rows = form.stacked
+        gram = rows @ rows.conj().T
+        power = gram.diagonal().real.reshape(config.l, config.m_b).sum(axis=1)
+        over = power > p_max * (1.0 + config.eps1)
+        # f5 at the Lagrangian's minimizer: -Re<C, W> - sum_l lambda_l P_l.
+        f5 = -np.vdot(form.c_rows, rows).real - lam @ power
+        if not over.any() and lam @ np.abs(power - p_max) <= gap_tol * abs(f5):
             converged = True
             break
-    lam = np.where(np.array(lam) > lam_floor, lam, 0.0)
-    tau = np.array(tau)
-    if not converged:
-        lam, extra = _bisection_duals(form, lam, p_max)
-        iters += extra
-        converged = True
-    # Exact complementary slackness for constraints that converged to a
-    # negligible multiplier: zero them outright when feasibility allows.
-    # (The multiplier decay stops once its steps drop below eps1.)
-    cutoff = np.maximum(1e-2 * lam_scale, 10.0 * config.eps1)
-    small = (lam > 0.0) & (lam < cutoff)
-    if small.any():
-        trial = np.where(small, 0.0, lam)
-        if (_bs_power(form.solve(trial)) <= p_max * (1.0 + 1e-9)).all():
-            lam = trial
-    w = form.solve(lam)
-    dual = DualState(lam=lam, tau=tau, iteration=dual.iteration + iters)
+        if solves < config.max_dual:
+            lam = _newton_step(form, gram, lam, power, over, p_max, lam_scale)
 
-    w = _enforce_power(w, p_max)
+    # Scale any block over budget onto it (one left by an unconverged loop or
+    # within the stop tolerance).
+    scale = np.sqrt(p_max / np.where(power > p_max * (1.0 + _POWER_TOL), power, p_max))
+    w = w * scale[:, None, None, None]
+    power = power * scale ** 2
+    # A BS more than eps1 under its budget is slack; its multiplier is
+    # negligible once the gap bound closed, and zero is exact.
+    lam[power < p_max * (1.0 - config.eps1)] = 0.0
     f5 = form.value(w)
     if w_prev is not None:
         w_prev_arr = model._w_array(w_prev)
         f5_prev = form.value(w_prev_arr)
         if f5_prev < f5:
             w, f5 = w_prev_arr.copy(), f5_prev
-    power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
+            power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
     info = {
-        "iterations": int(dual.iteration),
-        "converged": bool(converged),
+        "iterations": solves,
+        "converged": converged,
         "f5": f5,
-        "slackness": dual.lam * (power - p_max),
+        "slackness": lam * (power - p_max),
         "power": power,
     }
-    return BeamformerSet(w=w), dual, info
-
-
-def _bisection_duals(form, lam0, p_max, rounds: int = 12, tol: float = 1e-11):
-    """Gauss-Seidel bisection: per BS, drive lambda_l to the root of the
-    (monotone, non-increasing) power violation, or to zero when the
-    constraint is slack there. Returns (lam, power evaluations)."""
-    L = p_max.size
-    lam = lam0.copy()
-    iters = 0
-
-    def power_at(l, value):
-        nonlocal iters
-        trial = lam.copy()
-        trial[l] = value
-        iters += 1
-        return float(np.sum(np.abs(form.solve(trial)[l]) ** 2))
-
-    for _ in range(rounds):
-        moved = 0.0
-        for l in range(L):
-            old = lam[l]
-            if power_at(l, 0.0) <= p_max[l]:
-                lam[l] = 0.0
-            else:
-                hi = max(old, 1.0)
-                while power_at(l, hi) > p_max[l] and hi < 1e18:
-                    hi *= 2.0
-                lo = 0.0
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    if power_at(l, mid) > p_max[l]:
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo <= tol * max(hi, 1.0):
-                        break
-                lam[l] = hi
-            moved = max(moved, abs(lam[l] - old))
-        if moved <= tol * max(1.0, float(np.max(lam))):
-            break
-    return lam, iters
+    return BeamformerSet(w=w), DualState(lam=lam), info

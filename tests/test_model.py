@@ -122,6 +122,28 @@ def test_effective_channel_matches_naive():
     )
 
 
+def einsum_effective(channels, theta):
+    """The per-link definition as one three-operand einsum over (r, n)."""
+    R, N = channels.irs_ue.shape[0], channels.irs_ue.shape[2]
+    return channels.direct + np.einsum(
+        "lrnm,rn,rknu->lkmu",
+        channels.bs_irs.conj(), np.asarray(theta).reshape(R, N).conj(), channels.irs_ue,
+    )
+
+
+@pytest.mark.parametrize("over", [
+    dict(l=3, k=2, r=2, m_b=4, m_u=2, n=16, n_h=4, n_v=4),
+    dict(l=6, k=4, r=3, m_b=4, m_u=2, n=60, n_h=10, n_v=6),
+    dict(l=3, k=2, r=2, m_b=4, m_u=2, n=16, n_h=4, n_v=4, alpha=0.5),
+], ids=["desk", "full", "alpha-0.5"])
+def test_effective_channel_matches_einsum_definition(over):
+    for seed in (0, 1):
+        cfg, ch, theta, _, _ = build_instance(seed, **over)
+        ref = einsum_effective(ch, theta)
+        got = model.effective_channel(ch, theta)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 # ---- SINR and rate ----
 
 def test_sinr_zero_beamformers():
@@ -221,6 +243,22 @@ def test_logdet_rejects_indefinite_matrix():
     assert np.linalg.eigvalsh(a).min() < 0
     with pytest.raises(np.linalg.LinAlgError):
         model._logdet_hermitian(a)
+
+
+def test_link_sinr_names_the_user_whose_covariance_is_not_pd():
+    b = np.ones((3, 3, 2, 2), complex)
+    v = np.stack([np.eye(2), np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])]).astype(complex)
+    with pytest.raises(np.linalg.LinAlgError, match="user 2 is not positive definite"):
+        model.link_sinr(model.LinkState(b=b, v=v, vbar=v))
+
+
+def test_link_rate_rejects_a_covariance_that_is_not_pd():
+    b = np.ones((2, 2, 2, 2), complex)
+    good = np.stack([np.eye(2), 2.0 * np.eye(2)]).astype(complex)
+    bad = good.copy()
+    bad[1] = np.array([[2.0, 1j], [-1j, -1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        model.link_rate(model.LinkState(b=b, v=bad, vbar=good))
 
 
 def test_logdet_rejects_singular_matrix():

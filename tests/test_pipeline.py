@@ -94,18 +94,6 @@ def test_trace_bounded_by_capacity_estimate():
     assert max(trace.sum_rate) <= bound
 
 
-def test_surrogate_equals_rate_along_the_run():
-    cfg, ch, _, _, _ = build_instance(6)
-    w, theta, trace = pipeline.joint_optimize(
-        ch, cfg, SchemeSpec(solver="aso"), np.random.default_rng(6)
-    )
-    # f3 is evaluated right after the precoder/phase steps with the
-    # auxiliaries of the same iteration, so it can only trail the rate
-    # evaluated at the new point by the next aux update
-    for f3_val, rate in zip(trace.f3, trace.sum_rate[1:]):
-        assert f3_val <= rate + 1e-8 * max(1.0, abs(rate))
-
-
 def test_csi_error_optimizes_on_perturbed_channels():
     cfg, ch, _, _, _ = build_instance(7)
     clean = pipeline.joint_optimize(
@@ -176,7 +164,7 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
     """The outer loop as a sequence of per-quantity calls, each of which
     recomputes the link matrices (and the effective channel) from (W, theta)
     on its own: sinr, update_y, optimize_w, build_cmcqp and the phase step,
-    effective_channel, eval_f3, sum_rate."""
+    effective_channel, sum_rate."""
     use_irs = scheme.solver != "none" and config.r > 0
     theta = pipeline._init_theta(config, rng) if use_irs else None
     has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
@@ -190,8 +178,6 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
     for it in range(1, config.max_outer + 1):
         u = fp_core.update_u(model.sinr(h, w, config.sigma2))
         aux = fp_core.AuxState(u=u, y=fp_core.update_y(h, w, config.sigma2))
-        if dual is not None:
-            dual = tx_opt.DualState(lam=dual.lam, tau=np.asarray(config.tau, float))
         w, dual, winfo = tx_opt.optimize_w(h, aux, config, dual=dual, w_prev=w)
         sweeps = 0
         if has_phase_step:
@@ -200,7 +186,6 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
             h = model.effective_channel(opt_channels, theta)
         trace.dual_iterations.append(winfo["iterations"])
         trace.phase_sweeps.append(sweeps)
-        trace.f3.append(fp_core.eval_f3(w, theta, aux, opt_channels, config.sigma2))
         new_rate = model.sum_rate(opt_channels, w, theta, config.sigma2)
         trace.sum_rate.append(new_rate)
         trace.iterations = it
@@ -244,7 +229,7 @@ def test_loop_matches_per_quantity_reference(case):
     ref_w, ref_theta, ref = _reference_joint(
         ch, cfg, scheme, np.random.default_rng(8), n_starts=n_starts)
     assert trace.iterations > 1
-    for name in ("sum_rate", "f3", "dual_iterations", "phase_sweeps", "iterations",
+    for name in ("sum_rate", "dual_iterations", "phase_sweeps", "iterations",
                  "converged", "final_sum_rate_true"):
         assert getattr(trace, name) == getattr(ref, name), name
     np.testing.assert_array_equal(w.w, ref_w.w)

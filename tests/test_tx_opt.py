@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfirs import fp_core, model, tx_opt
 from cfirs.fp_core import AuxState
 from cfirs.model import BeamformerSet
-from cfirs.tx_opt import DualState, QuadraticForm
+from cfirs.tx_opt import QuadraticForm
 
 from conftest import build_instance, crandn
 
@@ -180,19 +182,7 @@ def test_optimize_w_matches_projected_gradient():
         assert info["f5"] == pytest.approx(ref_value, rel=1e-4, abs=1e-9)
 
 
-def test_bisection_fallback_agrees():
-    # One sub-gradient step cannot settle the multipliers, so the bisection
-    # fallback finishes the solve; it must land on the same optimum.
-    for seed in range(10, 14):
-        cfg, ch, theta, w, h, aux = _instance_with_aux(seed)
-        _, _, info_s = tx_opt.optimize_w(h, aux, cfg)
-        _, _, info_b = tx_opt.optimize_w(h, aux, cfg.with_(max_dual=1))
-        assert info_b["iterations"] > 1
-        assert info_s["f5"] == pytest.approx(info_b["f5"], rel=1e-4)
-        assert np.max(np.abs(info_b["slackness"])) < 1e-6
-
-
-# ---- reference multiplier loop ----
+# ---- reference dual solver (f5 oracle) ----
 
 class _ReferenceForm:
     """QuadraticForm pieces with the solve written as A + diag(repeat(lam))."""
@@ -216,60 +206,81 @@ class _ReferenceForm:
         return ws.reshape(K, self.l, self.m_b, Mu).transpose(1, 0, 2, 3)
 
 
-def _reference_optimize_w(h, aux, config, dual=None, w_prev=None, events=None):
-    """optimize_w with every multiplier, step size and sign held in numpy
-    arrays and updated for all BSs at once. ``events`` collects, per
-    iteration, which multipliers sleep (at or below the floor) and which wake."""
+def _reference_bisection(form, lam0, p_max, rounds=12, tol=1e-11):
+    """Gauss-Seidel bisection: per BS, drive lambda_l to the root of the
+    (monotone, non-increasing) power violation, or to zero when the
+    constraint is slack there."""
+    lam = lam0.copy()
+
+    def power_at(l, value):
+        trial = lam.copy()
+        trial[l] = value
+        return float(np.sum(np.abs(form.solve(trial)[l]) ** 2))
+
+    for _ in range(rounds):
+        moved = 0.0
+        for l in range(p_max.size):
+            old = lam[l]
+            if power_at(l, 0.0) <= p_max[l]:
+                lam[l] = 0.0
+            else:
+                hi = max(old, 1.0)
+                while power_at(l, hi) > p_max[l] and hi < 1e18:
+                    hi *= 2.0
+                lo = 0.0
+                for _ in range(100):
+                    mid = 0.5 * (lo + hi)
+                    if power_at(l, mid) > p_max[l]:
+                        lo = mid
+                    else:
+                        hi = mid
+                    if hi - lo <= tol * max(hi, 1.0):
+                        break
+                lam[l] = hi
+            moved = max(moved, abs(lam[l] - old))
+        if moved <= tol * max(1.0, float(np.max(lam))):
+            break
+    return lam
+
+
+def _reference_optimize_w(h, aux, config, lam0=None, w_prev=None):
+    """The projected sub-gradient dual ascent with geometric step sizes and
+    a bisection finish, all multipliers updated at once; returns f5."""
     form = QuadraticForm.build(h, aux)
     ref = _ReferenceForm(form)
     p_max = np.asarray(config.p_max, float)
     c_bs = form.c.reshape(-1, config.l, config.m_b, form.c.shape[2])
     lam_scale = np.sqrt(np.sum(np.abs(c_bs) ** 2, axis=(0, 2, 3)) / p_max)
     lam_scale = np.maximum(lam_scale, 1e-30)
-    if dual is None:
-        dual = DualState(lam=lam_scale.copy(), tau=np.asarray(config.tau, float))
-    lam = dual.lam.copy()
-    tau = dual.tau.copy()
+    lam = lam_scale.copy() if lam0 is None else np.asarray(lam0, float).copy()
+    tau = np.asarray(config.tau, float).copy()
     lam_floor = 1e-14 * lam_scale
     tau_cap = 1e9 * np.asarray(config.tau, float)
     prev_sign = np.zeros(config.l)
     converged = False
-    iters = 0
-    for iters in range(1, config.max_dual + 1):
+    for _ in range(config.max_dual):
         lam_eff = np.where(lam > lam_floor, lam, 0.0)
-        w = ref.solve(lam_eff)
-        power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
-        f_l = power - p_max
+        f_l = np.sum(np.abs(ref.solve(lam_eff)) ** 2, axis=(1, 2, 3)) - p_max
         sign = np.sign(f_l)
-        flip = (sign * prev_sign) < 0
+        tau[(sign * prev_sign) < 0] *= 0.5
         same = (sign * prev_sign) > 0
-        tau[flip] *= 0.5
         tau[same] = np.minimum(tau[same] * 2.0, tau_cap[same])
         prev_sign = sign
         anchor = np.maximum(lam, lam_floor)
-        raw = anchor + tau * f_l
-        lam_new = np.clip(raw, anchor / 10.0, anchor * 10.0)
+        lam_new = np.clip(anchor + tau * f_l, anchor / 10.0, anchor * 10.0)
         wake = (lam <= lam_floor) & (f_l > 0)
-        if events is not None:
-            events.append((lam <= lam_floor, wake))
         lam_new[wake] = np.maximum(lam_new[wake], lam_scale[wake])
         lam_new = np.maximum(lam_new, lam_floor)
         new_eff = np.where(lam_new > lam_floor, lam_new, 0.0)
-        ok = True
-        for new, old in zip(new_eff, lam_eff):
-            if new > config.eps1:
-                ok &= abs(new - old) / new < config.eps1
-            else:
-                ok &= abs(new - old) < config.eps1
+        ok = all(abs(n - o) / n < config.eps1 if n > config.eps1 else abs(n - o) < config.eps1
+                 for n, o in zip(new_eff, lam_eff))
         lam = lam_new
         if ok:
             converged = True
             break
     lam = np.where(lam > lam_floor, lam, 0.0)
     if not converged:
-        lam, extra = tx_opt._bisection_duals(ref, lam, p_max)
-        iters += extra
-        converged = True
+        lam = _reference_bisection(ref, lam, p_max)
     cutoff = np.maximum(1e-2 * lam_scale, 10.0 * config.eps1)
     small = (lam > 0.0) & (lam < cutoff)
     if small.any():
@@ -278,77 +289,141 @@ def _reference_optimize_w(h, aux, config, dual=None, w_prev=None, events=None):
         if (trial_power <= p_max * (1.0 + 1e-9)).all():
             lam = trial
     w = ref.solve(lam)
-    dual = DualState(lam=lam, tau=tau, iteration=dual.iteration + iters)
-    w = tx_opt._enforce_power(w, p_max)
+    power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
+    over = power > p_max * (1.0 + 1e-9)
+    w = w * np.sqrt(p_max / np.where(over, power, p_max))[:, None, None, None]
+    f5 = form.value(w)
     if w_prev is not None:
-        w_prev_arr = model._w_array(w_prev)
-        if form.value(w_prev_arr) < form.value(w):
-            w = w_prev_arr.copy()
-    info = {"iterations": int(dual.iteration), "converged": bool(converged), "f5": form.value(w)}
-    return BeamformerSet(w=w), dual, info
-
-
-def _assert_same_solve(h, aux, cfg, dual=None, w_prev=None):
-    w_ref, d_ref, i_ref = _reference_optimize_w(h, aux, cfg, dual, w_prev)
-    w_new, d_new, i_new = tx_opt.optimize_w(h, aux, cfg, dual, w_prev)
-    assert np.array_equal(w_new.w, w_ref.w)
-    assert np.array_equal(d_new.lam, d_ref.lam)
-    assert np.array_equal(d_new.tau, d_ref.tau)
-    assert i_new["iterations"] == i_ref["iterations"]
-    assert i_new["converged"] == i_ref["converged"]
-    assert i_new["f5"] == i_ref["f5"]
-    return d_new, i_new
+        f5 = min(f5, form.value(model._w_array(w_prev)))
+    return f5
 
 
 DESK = dict(l=3, k=2, r=2, m_b=4, m_u=2, n=16, n_h=4, n_v=4)
 FULL = dict(l=6, k=4, r=3, m_b=4, m_u=2, n=60, n_h=10, n_v=6)
 
 
-@pytest.mark.parametrize("scale, seeds", [("small", (0, 1)), ("desk", (2, 3, 4)), ("full", (5, 6))])
-def test_dual_loop_matches_reference(scale, seeds):
-    over = {"small": {}, "desk": DESK, "full": FULL}[scale]
+def _assert_kkt(cfg, dual, info):
+    """Per BS: asleep within budget, or live at its budget to eps1."""
+    p_max = np.asarray(cfg.p_max)
+    ratio = info["power"] / p_max
+    for l in range(cfg.l):
+        if dual.lam[l] == 0.0:
+            assert ratio[l] <= 1.0 + 1e-9, (l, ratio[l])
+        else:
+            assert abs(ratio[l] - 1.0) <= cfg.eps1, (l, ratio[l])
+
+
+# ---- Newton dual ----
+
+def test_form_solve_returns_the_inverse_and_the_power_jacobian():
+    for seed, over in ((0, DESK), (1, FULL)):
+        cfg, ch, theta, w, h, aux = _instance_with_aux(seed, **over)
+        form = QuadraticForm.build(h, aux)
+        lam = np.linspace(0.5, 2.0, cfg.l)
+        form.solve(lam)
+        m = form.a + np.diag(np.repeat(lam, cfg.m_b))
+        np.testing.assert_allclose(form.inverse @ m, np.eye(cfg.l * cfg.m_b), atol=1e-9)
+        rows = form.stacked
+        jac = tx_opt._power_jacobian(form, rows @ rows.conj().T)
+        np.testing.assert_allclose(jac, jac.T, rtol=1e-10, atol=1e-12 * np.abs(jac).max())
+        assert np.linalg.eigvalsh(jac).max() <= 1e-12 * np.abs(jac).max()
+        # Central differences of the per-BS powers in each multiplier.
+        for m_idx in range(cfg.l):
+            d = np.zeros(cfg.l)
+            d[m_idx] = 1e-6 * lam[m_idx]
+            up = np.sum(np.abs(form.solve(lam + d)) ** 2, axis=(1, 2, 3))
+            dn = np.sum(np.abs(form.solve(lam - d)) ** 2, axis=(1, 2, 3))
+            fd = (up - dn) / (2.0 * d[m_idx])
+            np.testing.assert_allclose(jac[:, m_idx], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
+
+
+@pytest.mark.parametrize("over", [DESK, FULL], ids=["desk", "full"])
+def test_newton_dual_meets_kkt(over):
+    for seed in range(4):
+        cfg, ch, theta, w, h, aux = _instance_with_aux(seed + 100, **over)
+        got, dual, info = tx_opt.optimize_w(h, aux, cfg)
+        assert info["converged"]
+        got.validate(cfg.p_max)
+        _assert_kkt(cfg, dual, info)
+
+
+@pytest.mark.parametrize("over, seeds", [(DESK, range(20)), (FULL, range(20, 23))],
+                         ids=["desk", "full"])
+def test_newton_dual_f5_not_above_reference(over, seeds):
     for seed in seeds:
         cfg, ch, theta, w, h, aux = _instance_with_aux(seed, **over)
-        _assert_same_solve(h, aux, cfg)
-        # Warm start and block-ascent comparison, as in the outer loop.
-        w1, d1, _ = tx_opt.optimize_w(h, aux, cfg)
-        _assert_same_solve(h, aux, cfg, DualState(d1.lam, np.asarray(cfg.tau, float)), w_prev=w1)
+        w1, d1, i1 = tx_opt.optimize_w(h, aux, cfg)
+        ref = _reference_optimize_w(h, aux, cfg)
+        assert i1["converged"]
+        assert i1["f5"] <= ref + 1e-9 * abs(ref), (seed, i1["f5"], ref)
+        # Warm start, as in the outer loop: new auxiliaries at the new
+        # precoders, the previous multipliers and block ascent on w_prev.
+        aux2 = fp_core.optimal_aux(h, w1, cfg.sigma2)
+        _, d2, i2 = tx_opt.optimize_w(h, aux2, cfg, dual=d1, w_prev=w1)
+        ref2 = _reference_optimize_w(h, aux2, cfg, lam0=d1.lam, w_prev=w1)
+        assert i2["converged"]
+        assert i2["f5"] <= ref2 + 1e-9 * abs(ref2), (seed, i2["f5"], ref2)
+        _assert_kkt(cfg, d2, i2)
 
 
-def test_dual_loop_matches_reference_through_sleep_and_wake():
-    # BS 2 gets 0.9 of its unconstrained power, the others keep loose
-    # budgets; with eps1 = 1e-12 their multipliers decay to the floor
-    # (sleep), the coupled powers later push them over budget and they
-    # wake, before the loop settles within max_dual.
-    cfg, ch, theta, w, h, aux = _instance_with_aux(1, **DESK)
-    free = np.sum(np.abs(QuadraticForm.build(h, aux).solve(np.zeros(cfg.l))[2]) ** 2)
-    cfg = cfg.with_(p_max=tuple(cfg.p_max[:2]) + (0.9 * free,), eps1=1e-12)
-    events = []
-    _reference_optimize_w(h, aux, cfg, events=events)
-    assert len(events) < cfg.max_dual
-    asleep = np.array([a for a, _ in events])
-    woke = np.array([wk for _, wk in events])
-    for l in (0, 1):
-        assert asleep[:, l].any()
-        assert woke[:, l].any()
-        assert np.flatnonzero(woke[:, l]).max() > np.flatnonzero(asleep[:, l]).min()
-    _assert_same_solve(h, aux, cfg)
+def test_newton_dual_sleeps_and_wakes():
+    # Full scale, where no BS can serve every stream alone (m_b < K m_u), so
+    # the precoders at lambda_0 = 0 are unique.
+    cfg, ch, theta, w, h, aux = _instance_with_aux(1, **FULL)
+    _, dual, info = tx_opt.optimize_w(h, aux, cfg)
+    assert (dual.lam > 0).all()
+    # BS 0 at a thousand times the power it uses at the optimum: slack, asleep.
+    loose = cfg.with_(p_max=(1e3 * info["power"][0],) + tuple(cfg.p_max[1:]))
+    _, d_loose, i_loose = tx_opt.optimize_w(h, aux, loose, dual=dual)
+    assert i_loose["converged"]
+    assert d_loose.lam[0] == 0.0 and (d_loose.lam[1:] > 0).all()
+    _assert_kkt(loose, d_loose, i_loose)
+    ref = _reference_optimize_w(h, aux, loose)
+    assert i_loose["f5"] <= ref + 1e-9 * abs(ref)
+    # Then half the power it used asleep: it wakes and meets its budget.
+    tight = cfg.with_(p_max=(0.5 * i_loose["power"][0],) + tuple(cfg.p_max[1:]))
+    _, d_tight, i_tight = tx_opt.optimize_w(h, aux, tight, dual=d_loose)
+    assert i_tight["converged"]
+    assert (d_tight.lam > 0).all()
+    _assert_kkt(tight, d_tight, i_tight)
+    ref = _reference_optimize_w(h, aux, tight)
+    assert i_tight["f5"] <= ref + 1e-9 * abs(ref)
 
 
-def test_dual_loop_matches_reference_at_step_cap():
-    # BS 0 at three times its unconstrained power is slack throughout, so its
-    # violation keeps one sign and its step size doubles up to the cap; with
-    # eps1 = 1e-12 the loop runs out of max_dual and bisection finishes.
-    cfg, ch, theta, w, h, aux = _instance_with_aux(1, **DESK)
-    free = np.sum(np.abs(QuadraticForm.build(h, aux).solve(np.zeros(cfg.l))[0]) ** 2)
-    cfg = cfg.with_(p_max=(3.0 * free,) + tuple(cfg.p_max[1:]), eps1=1e-12)
-    dual, info = _assert_same_solve(h, aux, cfg)
-    assert dual.tau[0] == 1e9 * cfg.tau[0]
-    assert info["iterations"] > cfg.max_dual
-
-
-def test_dual_loop_matches_reference_on_bisection_fallback():
-    for seed, over in ((7, DESK), (8, FULL)):
+@pytest.mark.parametrize("over", [DESK, FULL], ids=["desk", "full"])
+def test_newton_dual_at_one_factorization(over):
+    for seed in (7, 8):
         cfg, ch, theta, w, h, aux = _instance_with_aux(seed, **over)
-        _, info = _assert_same_solve(h, aux, cfg.with_(max_dual=1))
-        assert info["iterations"] > 1
+        got, dual, info = tx_opt.optimize_w(h, aux, cfg.with_(max_dual=1))
+        assert info["iterations"] == 1
+        assert not info["converged"]
+        assert np.isfinite(got.w).all()
+        assert (got.per_bs_power() <= np.asarray(cfg.p_max) * (1.0 + 1e-9)).all()
+
+
+def test_max_dual_needs_one_factorization():
+    cfg, ch, theta, w, h, aux = _instance_with_aux(0)
+    with pytest.raises(ValueError):
+        cfg.with_(max_dual=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    log_p=st.lists(st.floats(-8.0, 4.0), min_size=3, max_size=3),
+    log_sigma2=st.floats(-16.0, -9.0),
+)
+def test_optimize_w_finite_feasible_and_no_worse_than_zero(seed, log_p, log_sigma2):
+    p_max = tuple(10.0 ** np.asarray(log_p))
+    cfg, ch, theta, w, h = build_instance(seed, **DESK, p_max=p_max, sigma2=10.0 ** log_sigma2)
+    w = model.matched_filter_init(h, cfg.p_max)
+    try:
+        aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+        got, dual, info = tx_opt.optimize_w(h, aux, cfg, w_prev=w)
+    except np.linalg.LinAlgError:
+        return
+    assert np.isfinite(got.w).all()
+    assert (got.per_bs_power() <= np.asarray(cfg.p_max) * (1.0 + 1e-9)).all()
+    form = QuadraticForm.build(h, aux)
+    assert info["f5"] == form.value(got)
+    assert info["f5"] <= min(0.0, form.value(w))
