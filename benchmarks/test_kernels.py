@@ -33,6 +33,12 @@ from cfirs.config import SystemConfig, desk_config
 WARM_OUTER = 5
 
 
+def _aux(h, w, sigma2):
+    """Both closed-form auxiliaries at (H, W), read off one link state."""
+    link = model.link_state(h, w, sigma2)
+    return fp_core.AuxState(u=model.link_sinr(link), y=fp_core.mmse_filters(link))
+
+
 def _draw(cfg, seed):
     """(cfg, h, w, aux, theta, data, stacked, channels) at random phases and
     matched-filter precoders, the state of a first outer iteration."""
@@ -42,7 +48,7 @@ def _draw(cfg, seed):
     theta = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
     h = model.effective_channel(ch, theta)
     w = model.matched_filter_init(h, cfg.p_max)
-    aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+    aux = _aux(h, w, cfg.sigma2)
     stacked = model.stack(ch)
     return cfg, h, w, aux, theta, irs_opt.build_cmcqp(stacked, w, aux), stacked, ch
 
@@ -80,7 +86,7 @@ def full_scale_warm(full_scale):
         ch, config, pipeline.SchemeSpec(solver="qcr"), np.random.default_rng(2024))
     assert trace.iterations == WARM_OUTER
     h = model.effective_channel(ch, phases.theta)
-    aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+    aux = _aux(h, w, cfg.sigma2)
     w, _, _ = tx_opt.optimize_w(h, aux, cfg, w_prev=w)
     return phases.theta, irs_opt.build_cmcqp(model.stack(ch), w, aux)
 

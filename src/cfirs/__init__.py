@@ -17,7 +17,7 @@ from .channel import (
     upa_steering,
 )
 from .config import SystemConfig, desk_config
-from .fp_core import AuxState, eval_f3, eval_f4, optimal_aux, update_u, update_y
+from .fp_core import AuxState
 from .irs_opt import (
     CmcQpData,
     aso_solve,

@@ -99,19 +99,18 @@ class ChannelSet:
                 raise ValueError(f"{name} contains non-finite entries")
 
 
-def path_loss(distance: float, exponent: float, c0: float, d0: float = 1.0) -> float:
-    """Distance-dependent large-scale gain c0 * (distance / d0)^(-exponent).
+def path_loss(distance: float, exponent: float, c0: float) -> float:
+    """Distance-dependent large-scale gain c0 * distance^(-exponent), with
+    c0 the gain at 1 m.
 
     Returned value is a linear *power* gain; callers apply sqrt() of it as an
     amplitude on channel matrices.
     """
     if distance <= 0:
         raise ValueError("distance must be positive")
-    if d0 <= 0:
-        raise ValueError("reference distance d0 must be positive")
     if exponent < 0:
         raise ValueError("path loss exponent must be >= 0")
-    return c0 * (distance / d0) ** (-exponent)
+    return c0 * distance ** (-exponent)
 
 
 def ula_steering(angle: float, m: int) -> np.ndarray:
@@ -205,49 +204,34 @@ def sample_channels(
     return ChannelSet(direct=direct, irs_ue=irs_ue, bs_irs=bs_irs)
 
 
-def _perturb(matrix: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Subtract an error of Frobenius norm rho/(1+rho) * ||matrix||_F.
-
-    The error direction is Gaussian, rescaled to the fixed radius; the
-    returned estimate then satisfies ||error||_F <= rho * ||estimate||_F by
-    the triangle inequality.
-    """
-    delta = _crandn(rng, matrix.shape)
-    norm_m = np.linalg.norm(matrix)
-    norm_d = np.linalg.norm(delta)
-    if norm_m == 0.0 or norm_d == 0.0:
-        return matrix.copy()
-    radius = rho / (1.0 + rho) * norm_m
-    return matrix - delta * (radius / norm_d)
-
-
 def apply_csi_error(
     channels: ChannelSet, rho: float, rng: np.random.Generator
 ) -> ChannelSet:
     """Return estimated channels under the bounded error model.
 
     Each true matrix H is written H = H_hat + Delta with ||Delta||_F bounded
-    by rho * ||H_hat||_F. rho = 0 returns values identical to the input
-    (the generator is still advanced by the same number of draws, so sweeps
-    over rho stay paired).
+    by rho * ||H_hat||_F: H_hat = H - E with E Gaussian in direction and of
+    Frobenius norm rho/(1+rho) * ||H||_F, so the bound follows from the
+    triangle inequality. Each family's errors are drawn in one call, block
+    by block in index order, real parts before imaginary parts. rho = 0
+    returns values identical to the input (the generator is still advanced
+    by the same number of draws, so sweeps over rho stay paired).
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    L, K = channels.direct.shape[:2]
-    R = channels.irs_ue.shape[0]
-    direct = np.empty_like(channels.direct)
-    for l in range(L):
-        for k in range(K):
-            direct[l, k] = _perturb(channels.direct[l, k], rho, rng)
-    irs_ue = np.empty_like(channels.irs_ue)
-    for r in range(R):
-        for k in range(K):
-            irs_ue[r, k] = _perturb(channels.irs_ue[r, k], rho, rng)
-    bs_irs = np.empty_like(channels.bs_irs)
-    for l in range(L):
-        for r in range(R):
-            bs_irs[l, r] = _perturb(channels.bs_irs[l, r], rho, rng)
-    return ChannelSet(direct=direct, irs_ue=irs_ue, bs_irs=bs_irs)
+    estimates = []
+    for blocks in (channels.direct, channels.irs_ue, channels.bs_irs):
+        a, b, rows, cols = blocks.shape
+        z = rng.standard_normal((a, b, 2, rows, cols))
+        delta = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+        norm_m = np.linalg.norm(blocks, axis=(2, 3))
+        norm_d = np.linalg.norm(delta, axis=(2, 3))
+        # A zero block, or a zero draw, is left as it is.
+        live = (norm_m > 0.0) & (norm_d > 0.0)
+        radius = rho / (1.0 + rho) * norm_m
+        scale = np.divide(radius, norm_d, out=np.zeros_like(radius), where=live)
+        estimates.append(blocks - delta * scale[:, :, None, None])
+    return ChannelSet(*estimates)
 
 
 def default_geometry(

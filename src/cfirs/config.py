@@ -25,11 +25,10 @@ class SystemConfig:
     coefficient). The size of a discrete phase set belongs to the scheme
     (``SchemeSpec.levels``).
 
-    ``tau`` (per-BS dual step sizes, default 1 / p_max) is parsed and
-    validated but no longer read: the precoder dual is solved by Newton
-    steps, which need no step size. ``eps1`` is their relative power
-    tolerance (and its square the relative duality-gap tolerance at which
-    they stop); ``max_dual`` caps their factorizations.
+    The precoder dual is solved by Newton steps in the per-BS multipliers:
+    ``eps1`` is their relative power tolerance (and its square the relative
+    duality-gap tolerance at which they stop); ``max_dual`` caps their
+    factorizations.
     """
 
     l: int
@@ -51,7 +50,6 @@ class SystemConfig:
     eps1: float = 1e-5
     eps2: float = 1e-8
     eps3: float = 1e-4
-    tau: tuple = None
     max_outer: int = 50
     max_dual: int = 500
     max_aso: int = 200
@@ -83,16 +81,6 @@ class SystemConfig:
         if min(p) <= 0.0:
             raise ValueError("p_max entries must be positive")
         object.__setattr__(self, "p_max", p)
-        t = self.tau
-        if t is None:
-            t = tuple(1.0 / v for v in p)
-        else:
-            t = tuple(float(v) for v in t)
-            if len(t) == 1:
-                t = t * self.l
-            if len(t) != self.l or min(t) <= 0.0:
-                raise ValueError("tau needs l positive entries")
-        object.__setattr__(self, "tau", t)
 
     @property
     def n_irs_total(self) -> int:

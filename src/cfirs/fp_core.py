@@ -1,4 +1,4 @@
-"""Fractional-programming core: auxiliary-variable updates and surrogates.
+"""Fractional-programming core: the auxiliary closed forms and the surrogate.
 
 The sum rate is lifted in two steps. First the log-det ratios move out of the
 logarithm through auxiliary matrices U (one per user); then the remaining
@@ -12,9 +12,10 @@ U_k and Y_k are stored as full m_u x m_u complex matrices: the closed-form
 optimizers (the SINR matrix and the MMSE filter) are dense in general.
 
 Every quantity that depends on (W, theta) is read off one
-``model.LinkState``: ``mmse_filters`` gives Y, ``quad_terms`` and
-``surrogate`` give f4 and f3. ``update_y``, ``eval_f4`` and ``eval_f3`` take
-(W, theta) instead and compose those readings with ``model.link_state``.
+``model.LinkState``: ``model.link_sinr`` gives U, ``mmse_filters`` gives Y,
+``quad_terms`` and ``surrogate`` give f4 and f3. ``surrogate`` is the one
+statement of f3, the reference against which the recovery identity is
+checked; the outer loop itself never evaluates it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .channel import ChannelSet
 
 
 @dataclass
@@ -39,25 +39,11 @@ class AuxState:
         return self.u + np.eye(self.u.shape[1])[None, :, :]
 
 
-def update_u(gamma: np.ndarray) -> np.ndarray:
-    """Optimal U given everything else: U_k equals the SINR matrix."""
-    return np.array(gamma, copy=True)
-
-
 def mmse_filters(link: model.LinkState) -> np.ndarray:
     """The MMSE receive filters Y_k = Vbar_k^{-1} B_k of one link state, one
     stacked solve over the users."""
     k = np.arange(link.vbar.shape[0])
     return np.linalg.solve(link.vbar, link.b[k, k])
-
-
-def update_y(h: np.ndarray, w, sigma2: float) -> np.ndarray:
-    """Optimal Y given (W, theta): the MMSE receive filter Y_k = Vbar_k^{-1} B_k.
-
-    This is the stationary point of the surrogate in Y; it does not depend
-    on U.
-    """
-    return mmse_filters(model.link_state(h, w, sigma2))
 
 
 def quad_terms(link: model.LinkState, aux: AuxState) -> float:
@@ -87,23 +73,3 @@ def aux_constant(aux: AuxState) -> float:
 def surrogate(link: model.LinkState, aux: AuxState) -> float:
     """f3 at one link state; equals the sum rate at U = SINR, Y = MMSE."""
     return aux_constant(aux) + quad_terms(link, aux)
-
-
-def _link_at(w, theta, channels: ChannelSet, sigma2: float) -> model.LinkState:
-    return model.link_state(model.effective_channel(channels, theta), w, sigma2)
-
-
-def eval_f4(w, theta, aux: AuxState, channels: ChannelSet, sigma2: float) -> float:
-    """Quadratic surrogate without the U-only constant."""
-    return quad_terms(_link_at(w, theta, channels, sigma2), aux)
-
-
-def eval_f3(w, theta, aux: AuxState, channels: ChannelSet, sigma2: float) -> float:
-    """Full surrogate; equals the sum rate at U = SINR, Y = MMSE."""
-    return surrogate(_link_at(w, theta, channels, sigma2), aux)
-
-
-def optimal_aux(h: np.ndarray, w, sigma2: float) -> AuxState:
-    """Convenience: both closed-form updates at the current (W, theta)."""
-    link = model.link_state(h, w, sigma2)
-    return AuxState(u=update_u(model.link_sinr(link)), y=mmse_filters(link))

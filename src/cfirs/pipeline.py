@@ -161,7 +161,7 @@ def _optimize_once(channels, opt_channels, config, scheme, rng):
     dual = None
     for it in range(1, config.max_outer + 1):
         t0 = time.perf_counter()
-        u = fp_core.update_u(model.link_sinr(link))
+        u = model.link_sinr(link)
         t1 = time.perf_counter()
         y = fp_core.mmse_filters(link)
         aux = fp_core.AuxState(u=u, y=y)

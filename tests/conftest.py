@@ -31,7 +31,23 @@ def build_instance(seed, **over):
 
 
 def build_aux(cfg, h, w):
-    return fp_core.optimal_aux(h, w, cfg.sigma2)
+    """Both closed-form auxiliaries at (H, W): U = SINR, Y = MMSE."""
+    link = model.link_state(h, w, cfg.sigma2)
+    return fp_core.AuxState(u=model.link_sinr(link), y=fp_core.mmse_filters(link))
+
+
+def _link_at(w, theta, channels, sigma2):
+    return model.link_state(model.effective_channel(channels, theta), w, sigma2)
+
+
+def f3_at(w, theta, aux, channels, sigma2):
+    """The full surrogate at (W, theta); the sum rate at U = SINR, Y = MMSE."""
+    return fp_core.surrogate(_link_at(w, theta, channels, sigma2), aux)
+
+
+def f4_at(w, theta, aux, channels, sigma2):
+    """The surrogate without its U-only constant."""
+    return fp_core.quad_terms(_link_at(w, theta, channels, sigma2), aux)
 
 
 def cmcqp(zcal, omega):

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from cfirs import channel as chan
-from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
+from cfirs import irs_opt, model, pipeline, tx_opt
 from cfirs.channel import Geometry
 from cfirs.config import desk_config
 from cfirs.pipeline import SchemeSpec
 
-from conftest import aso_coordinate, build_instance, synthetic_cmcqp
+from conftest import aso_coordinate, build_aux, build_instance, f3_at, synthetic_cmcqp
 from test_tx_opt import pgd_reference
 
 
@@ -60,9 +60,9 @@ def test_criterion_1_recovery_identity():
     for seed in range(100):
         cfg, ch, theta, w, h = build_instance(seed, l=2, k=2, r=1,
                                               m_b=2, m_u=2, n=4, n_h=2, n_v=2)
-        aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+        aux = build_aux(cfg, h, w)
         rate = model.sum_rate(ch, w, theta, cfg.sigma2)
-        f3 = fp_core.eval_f3(w, theta, aux, ch, cfg.sigma2)
+        f3 = f3_at(w, theta, aux, ch, cfg.sigma2)
         worst = max(worst, abs(f3 - rate) / abs(rate))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 10.0
@@ -153,7 +153,7 @@ def test_criterion_5_dual_method_against_projected_gradient():
     for seed in range(n):
         cfg, ch, theta, w, h = build_instance(seed + 500, l=2, k=2, r=1,
                                               m_b=2, m_u=2, n=4, n_h=2, n_v=2)
-        aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+        aux = build_aux(cfg, h, w)
         got, dual, info = tx_opt.optimize_w(h, aux, cfg)
         _, ref_value = pgd_reference(h, aux, np.asarray(cfg.p_max))
         if abs(info["f5"] - ref_value) <= 1e-4 * max(abs(ref_value), 1e-12):
@@ -258,7 +258,7 @@ def test_criterion_11_relaxation_quality():
     for seed in range(n):
         cfg, ch, theta, w, h = build_instance(seed + 700, l=2, k=2, r=2,
                                               m_b=2, m_u=2, n=4, n_h=2, n_v=2)
-        aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+        aux = build_aux(cfg, h, w)
         data = irs_opt.build_cmcqp(model.stack(ch), w, aux)
         nn = data.omega.size
         t_sdr, sdp_value, _ = irs_opt.sdr_solve(

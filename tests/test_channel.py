@@ -216,6 +216,49 @@ def test_csi_error_bound(rho):
                 assert _norm_bound_holds(ch.bs_irs[l, r], est.bs_irs[l, r], rho)
 
 
+def _reference_csi_error(channels, rho, rng):
+    """The bounded error model one block at a time: a Gaussian direction,
+    real parts then imaginary parts, rescaled to radius rho/(1+rho) * ||H||_F;
+    zero blocks and zero draws are copied."""
+
+    def perturb(matrix):
+        delta = (rng.standard_normal(matrix.shape)
+                 + 1j * rng.standard_normal(matrix.shape)) / np.sqrt(2.0)
+        norm_m = np.linalg.norm(matrix)
+        norm_d = np.linalg.norm(delta)
+        if norm_m == 0.0 or norm_d == 0.0:
+            return matrix.copy()
+        return matrix - delta * (rho / (1.0 + rho) * norm_m / norm_d)
+
+    out = []
+    for blocks in (channels.direct, channels.irs_ue, channels.bs_irs):
+        est = np.empty_like(blocks)
+        for a in range(blocks.shape[0]):
+            for b in range(blocks.shape[1]):
+                est[a, b] = perturb(blocks[a, b])
+        out.append(est)
+    return chan.ChannelSet(*out)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.05, 0.2])
+@pytest.mark.parametrize("r", [0, 2])
+def test_csi_error_matches_per_block_reference(rho, r):
+    cfg = small_config(r=r)
+    ch = _draw(cfg, 12)
+    ch.direct[0, 1] = 0.0  # a zero block stays zero
+    rng_got, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+    got = chan.apply_csi_error(ch, rho, rng_got)
+    ref = _reference_csi_error(ch, rho, rng_ref)
+    for name in ("direct", "irs_ue", "bs_irs"):
+        g, e = getattr(got, name), getattr(ref, name)
+        if rho == 0.0:
+            np.testing.assert_array_equal(g, e)
+        else:
+            assert np.linalg.norm(g - e) <= 1e-15 * np.linalg.norm(e)
+    # The same draws in the same order: sweeps over rho stay paired.
+    assert rng_got.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_csi_error_without_irs():
     cfg = small_config(r=0)
     ch = _draw(cfg, 4)

@@ -162,11 +162,14 @@ def test_unknown_sweep_rejected(tmp_path):
         expcli.run(spec)
 
 
-def test_base_discrete_levels_rejected(tmp_path):
-    # The phase-grid size is a scheme field (levels), not a scenario field.
+@pytest.mark.parametrize("field, value", [("discrete_levels", 4), ("tau", [10.0])],
+                         ids=["discrete_levels", "tau"])
+def test_base_discrete_levels_rejected(tmp_path, field, value):
+    # The phase-grid size is a scheme field (levels), not a scenario field;
+    # the Newton precoder dual takes no step size tau.
     base = json.loads(minimal_spec(tmp_path).read_text())["base"]
-    spec = minimal_spec(tmp_path, base=dict(base, discrete_levels=4))
-    with pytest.raises(expcli.SpecError, match="discrete_levels"):
+    spec = minimal_spec(tmp_path, base=dict(base, **{field: value}))
+    with pytest.raises(expcli.SpecError, match=field):
         expcli.run(spec)
 
 

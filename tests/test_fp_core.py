@@ -5,7 +5,7 @@ from cfirs import fp_core, model
 from cfirs.fp_core import AuxState
 from cfirs.model import BeamformerSet
 
-from conftest import build_instance, crandn
+from conftest import build_aux, build_instance, crandn, f3_at, f4_at
 
 
 def _hermitian_direction(rng, mu):
@@ -14,18 +14,12 @@ def _hermitian_direction(rng, mu):
     return e / np.linalg.norm(e)
 
 
-def test_update_u_is_the_sinr_matrix(make_instance, make_aux):
-    cfg, ch, theta, w, h = make_instance(0)
-    gamma = model.sinr(h, w, cfg.sigma2)
-    np.testing.assert_array_equal(fp_core.update_u(gamma), gamma)
-
-
 def test_recovery_identity(make_instance, make_aux):
     for seed in range(10):
         cfg, ch, theta, w, h = build_instance(seed)
-        aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+        aux = build_aux(cfg, h, w)
         rate = model.sum_rate(ch, w, theta, cfg.sigma2)
-        f3 = fp_core.eval_f3(w, theta, aux, ch, cfg.sigma2)
+        f3 = f3_at(w, theta, aux, ch, cfg.sigma2)
         assert f3 == pytest.approx(rate, rel=1e-8)
 
 
@@ -36,15 +30,15 @@ def test_zero_beamformers_zero_aux():
         u=np.zeros((cfg.k, cfg.m_u, cfg.m_u), complex),
         y=np.zeros((cfg.k, cfg.m_u, cfg.m_u), complex),
     )
-    assert fp_core.eval_f3(zero_w, theta, aux, ch, cfg.sigma2) == pytest.approx(0.0, abs=1e-15)
-    assert fp_core.eval_f4(zero_w, theta, aux, ch, cfg.sigma2) == pytest.approx(0.0, abs=1e-15)
+    assert f3_at(zero_w, theta, aux, ch, cfg.sigma2) == pytest.approx(0.0, abs=1e-15)
+    assert f4_at(zero_w, theta, aux, ch, cfg.sigma2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mmse_filter_scalar_case():
     cfg, ch, _, _, _ = build_instance(2, l=1, k=1, m_b=1, m_u=1, r=0)
     h = model.effective_channel(ch, None)
     w = BeamformerSet(w=np.full((1, 1, 1, 1), 0.5 + 0.2j))
-    y = fp_core.update_y(h, w, cfg.sigma2)
+    y = fp_core.mmse_filters(model.link_state(h, w, cfg.sigma2))
     hw = h[0, 0, 0, 0].conj() * (0.5 + 0.2j)
     expected = hw / (np.abs(hw) ** 2 + cfg.sigma2)
     assert y[0, 0, 0] == pytest.approx(expected, rel=1e-12)
@@ -52,7 +46,8 @@ def test_mmse_filter_scalar_case():
 
 def test_mmse_filter_zero_for_zero_w():
     cfg, ch, theta, w, h = build_instance(3)
-    y = fp_core.update_y(h, BeamformerSet(w=np.zeros_like(w.w)), cfg.sigma2)
+    zero_w = BeamformerSet(w=np.zeros_like(w.w))
+    y = fp_core.mmse_filters(model.link_state(h, zero_w, cfg.sigma2))
     np.testing.assert_allclose(y, 0.0, atol=1e-30)
 
 
@@ -60,14 +55,14 @@ def test_u_update_is_first_order_stationary(make_instance):
     rng = np.random.default_rng(42)
     for seed in range(5):
         cfg, ch, theta, w, h = build_instance(seed + 10)
-        aux = fp_core.optimal_aux(h, w, cfg.sigma2)
-        base = fp_core.eval_f3(w, theta, aux, ch, cfg.sigma2)
+        aux = build_aux(cfg, h, w)
+        base = f3_at(w, theta, aux, ch, cfg.sigma2)
         eps = 1e-3
         for _ in range(3):
             e = _hermitian_direction(rng, cfg.m_u)
             u_pert = aux.u.copy()
             u_pert[rng.integers(cfg.k)] += eps * e
-            pert = fp_core.eval_f3(w, theta, AuxState(u=u_pert, y=aux.y), ch, cfg.sigma2)
+            pert = f3_at(w, theta, AuxState(u=u_pert, y=aux.y), ch, cfg.sigma2)
             # exact maximizer of a concave problem: no ascent direction
             assert pert <= base + eps ** 2
 
@@ -76,14 +71,14 @@ def test_y_update_is_first_order_stationary():
     rng = np.random.default_rng(3)
     for seed in range(5):
         cfg, ch, theta, w, h = build_instance(seed + 30)
-        aux = fp_core.optimal_aux(h, w, cfg.sigma2)
-        scale = max(1.0, abs(fp_core.eval_f3(w, theta, aux, ch, cfg.sigma2)))
+        aux = build_aux(cfg, h, w)
+        scale = max(1.0, abs(f3_at(w, theta, aux, ch, cfg.sigma2)))
         eps = 1e-6
         for _ in range(5):
             d = crandn(rng, aux.y.shape)
             d /= np.linalg.norm(d)
-            up = fp_core.eval_f3(w, theta, AuxState(u=aux.u, y=aux.y + eps * d), ch, cfg.sigma2)
-            dn = fp_core.eval_f3(w, theta, AuxState(u=aux.u, y=aux.y - eps * d), ch, cfg.sigma2)
+            up = f3_at(w, theta, AuxState(u=aux.u, y=aux.y + eps * d), ch, cfg.sigma2)
+            dn = f3_at(w, theta, AuxState(u=aux.u, y=aux.y - eps * d), ch, cfg.sigma2)
             assert abs(up - dn) / (2 * eps) < 1e-5 * scale
 
 
@@ -93,17 +88,17 @@ def test_block_ascent_of_aux_updates():
         cfg, ch, theta, w, h = build_instance(seed + 50)
         rng = np.random.default_rng(seed)
         other_theta = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
-        stale = fp_core.optimal_aux(model.effective_channel(ch, other_theta), w, cfg.sigma2)
-        before = fp_core.eval_f3(w, theta, stale, ch, cfg.sigma2)
+        stale = build_aux(cfg, model.effective_channel(ch, other_theta), w)
+        before = f3_at(w, theta, stale, ch, cfg.sigma2)
 
         # exact Y step at fixed U never decreases the surrogate
-        y_new = fp_core.update_y(h, w, cfg.sigma2)
-        mid = fp_core.eval_f3(w, theta, AuxState(u=stale.u, y=y_new), ch, cfg.sigma2)
+        y_new = fp_core.mmse_filters(model.link_state(h, w, cfg.sigma2))
+        mid = f3_at(w, theta, AuxState(u=stale.u, y=y_new), ch, cfg.sigma2)
         assert mid >= before - 1e-9 * abs(before)
 
         # the paired U step at the fresh Y lands on the exact joint maximum
         gamma = model.sinr(h, w, cfg.sigma2)
-        after = fp_core.eval_f3(w, theta, AuxState(u=fp_core.update_u(gamma), y=y_new), ch, cfg.sigma2)
+        after = f3_at(w, theta, AuxState(u=gamma, y=y_new), ch, cfg.sigma2)
         assert after >= mid - 1e-9 * abs(mid)
         assert after == pytest.approx(model.sum_rate(ch, w, theta, cfg.sigma2), rel=1e-8)
 
@@ -119,40 +114,40 @@ def test_surrogate_never_exceeds_rate():
             m = crandn(rng, (cfg.m_u, 2 * cfg.m_u))
             u[k] = m @ m.conj().T  # Hermitian PSD
         y = crandn(rng, (cfg.k, cfg.m_u, cfg.m_u))
-        val = fp_core.eval_f3(w, theta, AuxState(u=u, y=y), ch, cfg.sigma2)
+        val = f3_at(w, theta, AuxState(u=u, y=y), ch, cfg.sigma2)
         assert val <= rate + 1e-9 * abs(rate)
 
 
 def test_const_u_independent_of_w():
     cfg, ch, theta, w, h = build_instance(4)
-    aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+    aux = build_aux(cfg, h, w)
     rng = np.random.default_rng(0)
     other = BeamformerSet(w=0.5 * crandn(rng, w.w.shape))
-    gap1 = (fp_core.eval_f3(w, theta, aux, ch, cfg.sigma2)
-            - fp_core.eval_f4(w, theta, aux, ch, cfg.sigma2))
-    gap2 = (fp_core.eval_f3(other, theta, aux, ch, cfg.sigma2)
-            - fp_core.eval_f4(other, theta, aux, ch, cfg.sigma2))
+    gap1 = (f3_at(w, theta, aux, ch, cfg.sigma2)
+            - f4_at(w, theta, aux, ch, cfg.sigma2))
+    gap2 = (f3_at(other, theta, aux, ch, cfg.sigma2)
+            - f4_at(other, theta, aux, ch, cfg.sigma2))
     assert gap1 == pytest.approx(gap2, rel=1e-12)
     assert gap1 == pytest.approx(fp_core.aux_constant(aux), rel=1e-12)
 
 
 def test_f4_zero_filters():
     cfg, ch, theta, w, h = build_instance(5)
-    aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+    aux = build_aux(cfg, h, w)
     zeroed = AuxState(u=aux.u, y=np.zeros_like(aux.y))
-    assert fp_core.eval_f4(w, theta, zeroed, ch, cfg.sigma2) == 0.0
+    assert f4_at(w, theta, zeroed, ch, cfg.sigma2) == 0.0
 
 
 def test_f4_concave_in_filters():
     rng = np.random.default_rng(19)
     cfg, ch, theta, w, h = build_instance(6)
-    aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+    aux = build_aux(cfg, h, w)
     for _ in range(5):
         y1 = crandn(rng, aux.y.shape)
         y2 = crandn(rng, aux.y.shape)
-        f1 = fp_core.eval_f4(w, theta, AuxState(u=aux.u, y=y1), ch, cfg.sigma2)
-        f2 = fp_core.eval_f4(w, theta, AuxState(u=aux.u, y=y2), ch, cfg.sigma2)
-        fm = fp_core.eval_f4(w, theta, AuxState(u=aux.u, y=0.5 * (y1 + y2)), ch, cfg.sigma2)
+        f1 = f4_at(w, theta, AuxState(u=aux.u, y=y1), ch, cfg.sigma2)
+        f2 = f4_at(w, theta, AuxState(u=aux.u, y=y2), ch, cfg.sigma2)
+        fm = f4_at(w, theta, AuxState(u=aux.u, y=0.5 * (y1 + y2)), ch, cfg.sigma2)
         assert fm >= 0.5 * (f1 + f2) - 1e-9 * max(1.0, abs(fm))
 
 
@@ -176,10 +171,10 @@ def test_scalar_degenerate_transform():
     grid = u_star * np.linspace(0.2, 3.0, 41)
     assert all(f1_scalar(u) <= f1_scalar(u_star) + 1e-12 for u in grid)
     # the full evaluation path agrees with the scalar formula on the grid
-    y_star = fp_core.update_y(h, w, s2)
+    y_star = fp_core.mmse_filters(model.link_state(h, w, s2))
     for u in grid[::8]:
         aux = AuxState(u=np.array([[[u]]], complex), y=y_star)
-        got = fp_core.eval_f3(w, None, aux, ch, s2)
+        got = f3_at(w, None, aux, ch, s2)
         assert got == pytest.approx(f1_scalar(u), rel=1e-9)
 
 

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfirs import fp_core, irs_opt, model
-from conftest import aso_coordinate, build_instance, cmcqp, crandn, synthetic_cmcqp
+from cfirs import irs_opt, model
+from conftest import (
+    aso_coordinate, build_aux, build_instance, cmcqp, crandn, f4_at, synthetic_cmcqp,
+)
 
 
 def _system_cmcqp(seed, **over):
     cfg, ch, theta, w, h = build_instance(seed, **over)
-    aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+    aux = build_aux(cfg, h, w)
     data = irs_opt.build_cmcqp(model.stack(ch), w, aux)
     return cfg, ch, theta, w, aux, data
 
@@ -53,7 +55,7 @@ def test_hadamard_trace_identity():
 
 def test_build_zero_beamformers():
     cfg, ch, theta, w, h = build_instance(0)
-    aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+    aux = build_aux(cfg, h, w)
     zero_w = model.BeamformerSet(w=np.zeros_like(w.w))
     data = irs_opt.build_cmcqp(model.stack(ch), zero_w, aux)
     np.testing.assert_allclose(data.zcal, 0.0, atol=1e-30)
@@ -75,8 +77,8 @@ def test_phase_objective_tracks_surrogate_differences():
         rng = np.random.default_rng(seed)
         t1 = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
         t2 = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
-        d4 = (fp_core.eval_f4(w, t1, aux, ch, cfg.sigma2)
-              - fp_core.eval_f4(w, t2, aux, ch, cfg.sigma2))
+        d4 = (f4_at(w, t1, aux, ch, cfg.sigma2)
+              - f4_at(w, t2, aux, ch, cfg.sigma2))
         d7 = irs_opt.eval_f7(t1, data) - irs_opt.eval_f7(t2, data)
         assert d7 == pytest.approx(d4, rel=1e-8)
 

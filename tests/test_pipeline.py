@@ -163,7 +163,7 @@ def test_aggregate_mean_and_stderr():
 def _reference_once(channels, opt_channels, config, scheme, rng):
     """The outer loop as a sequence of per-quantity calls, each of which
     recomputes the link matrices (and the effective channel) from (W, theta)
-    on its own: sinr, update_y, optimize_w, build_cmcqp and the phase step,
+    on its own: sinr, the MMSE filters, optimize_w, build_cmcqp and the phase step,
     effective_channel, sum_rate."""
     use_irs = scheme.solver != "none" and config.r > 0
     theta = pipeline._init_theta(config, rng) if use_irs else None
@@ -176,8 +176,9 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
     trace.sum_rate.append(rate)
     dual = None
     for it in range(1, config.max_outer + 1):
-        u = fp_core.update_u(model.sinr(h, w, config.sigma2))
-        aux = fp_core.AuxState(u=u, y=fp_core.update_y(h, w, config.sigma2))
+        u = model.sinr(h, w, config.sigma2)
+        y = fp_core.mmse_filters(model.link_state(h, w, config.sigma2))
+        aux = fp_core.AuxState(u=u, y=y)
         w, dual, winfo = tx_opt.optimize_w(h, aux, config, dual=dual, w_prev=w)
         sweeps = 0
         if has_phase_step:

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfirs import fp_core, model, tx_opt
+from cfirs import model, tx_opt
 from cfirs.fp_core import AuxState
 from cfirs.model import BeamformerSet
 from cfirs.tx_opt import QuadraticForm
 
-from conftest import build_instance, crandn
+from conftest import build_aux, build_instance, crandn, f4_at
 
 
 def pgd_reference(h, aux, p_max, iters=4000):
@@ -34,7 +34,7 @@ def pgd_reference(h, aux, p_max, iters=4000):
 
 def _instance_with_aux(seed, **over):
     cfg, ch, theta, w, h = build_instance(seed, **over)
-    aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+    aux = build_aux(cfg, h, w)
     return cfg, ch, theta, w, h, aux
 
 
@@ -50,8 +50,8 @@ def test_f5_f4_difference_identity():
     cfg, ch, theta, w, h, aux = _instance_with_aux(1)
     w1 = BeamformerSet(w=0.3 * crandn(rng, w.w.shape))
     w2 = BeamformerSet(w=0.3 * crandn(rng, w.w.shape))
-    d4 = (fp_core.eval_f4(w1, theta, aux, ch, cfg.sigma2)
-          - fp_core.eval_f4(w2, theta, aux, ch, cfg.sigma2))
+    d4 = (f4_at(w1, theta, aux, ch, cfg.sigma2)
+          - f4_at(w2, theta, aux, ch, cfg.sigma2))
     form = QuadraticForm.build(h, aux)
     d5 = form.value(w2) - form.value(w1)
     assert d4 == pytest.approx(d5, rel=1e-9)
@@ -160,9 +160,9 @@ def test_optimize_w_active_constraint():
 def test_optimize_w_block_ascent():
     for seed in range(5):
         cfg, ch, theta, w, h, aux = _instance_with_aux(seed + 40)
-        before = fp_core.eval_f4(w, theta, aux, ch, cfg.sigma2)
+        before = f4_at(w, theta, aux, ch, cfg.sigma2)
         got, _, _ = tx_opt.optimize_w(h, aux, cfg, w_prev=w)
-        after = fp_core.eval_f4(got, theta, aux, ch, cfg.sigma2)
+        after = f4_at(got, theta, aux, ch, cfg.sigma2)
         assert after >= before - 1e-9 * max(1.0, abs(before))
 
 
@@ -253,9 +253,9 @@ def _reference_optimize_w(h, aux, config, lam0=None, w_prev=None):
     lam_scale = np.sqrt(np.sum(np.abs(c_bs) ** 2, axis=(0, 2, 3)) / p_max)
     lam_scale = np.maximum(lam_scale, 1e-30)
     lam = lam_scale.copy() if lam0 is None else np.asarray(lam0, float).copy()
-    tau = np.asarray(config.tau, float).copy()
+    tau = 1.0 / p_max
     lam_floor = 1e-14 * lam_scale
-    tau_cap = 1e9 * np.asarray(config.tau, float)
+    tau_cap = 1e9 / p_max
     prev_sign = np.zeros(config.l)
     converged = False
     for _ in range(config.max_dual):
@@ -358,7 +358,7 @@ def test_newton_dual_f5_not_above_reference(over, seeds):
         assert i1["f5"] <= ref + 1e-9 * abs(ref), (seed, i1["f5"], ref)
         # Warm start, as in the outer loop: new auxiliaries at the new
         # precoders, the previous multipliers and block ascent on w_prev.
-        aux2 = fp_core.optimal_aux(h, w1, cfg.sigma2)
+        aux2 = build_aux(cfg, h, w1)
         _, d2, i2 = tx_opt.optimize_w(h, aux2, cfg, dual=d1, w_prev=w1)
         ref2 = _reference_optimize_w(h, aux2, cfg, lam0=d1.lam, w_prev=w1)
         assert i2["converged"]
@@ -418,7 +418,7 @@ def test_optimize_w_finite_feasible_and_no_worse_than_zero(seed, log_p, log_sigm
     cfg, ch, theta, w, h = build_instance(seed, **DESK, p_max=p_max, sigma2=10.0 ** log_sigma2)
     w = model.matched_filter_init(h, cfg.p_max)
     try:
-        aux = fp_core.optimal_aux(h, w, cfg.sigma2)
+        aux = build_aux(cfg, h, w)
         got, dual, info = tx_opt.optimize_w(h, aux, cfg, w_prev=w)
     except np.linalg.LinAlgError:
         return
