@@ -6,12 +6,13 @@ coefficients and a Zcal of rank at most (K * m_u)^2 = 64. Desk scale is
 ``desk_config`` with 32-element IRSs (3 BSs x 4 antennas, RN = 64). Times
 ``build_cmcqp`` and ``qcr_relax`` at full scale; ``optimize_w``,
 ``effective_channel``, ``link_state`` (the link matrices and both
-covariances at one (H, W) point) and ``sum_rate`` at both scales; and
-``aso_solve``, ``discrete_sweep`` and ``sdr_solve`` (the mixing-method
-SDP, its certificate and the rounding) at desk scale. ``optimize_w``
-records the factorizations of M(lambda) its Newton steps made
-(``extra_info["factorizations"]``, cold start at the draw's matched-filter
-state). ``qcr_relax`` runs twice: from the draw's random phases (a cold
+covariances at one (H, W) point), ``sum_rate``, ``aso_solve`` and
+``discrete_sweep`` (M = 4; both record their sweeps in
+``extra_info["sweeps"]``) at both scales; and ``sdr_solve`` (the
+mixing-method SDP, its certificate and the rounding) at desk scale.
+``optimize_w`` records the factorizations of M(lambda) its Newton steps
+made (``extra_info["factorizations"]``, cold start at the draw's
+matched-filter state). ``qcr_relax`` runs twice: from the draw's random phases (a cold
 start) and on the subproblem that the QCR scheme meets after a few outer iterations of
 the same draw (a warm start, the regime most full-scale QCR calls are in).
 This directory is outside the test paths; run with BLAS pinned to one
@@ -123,15 +124,17 @@ def test_sum_rate(benchmark, scale, request):
     benchmark(model.sum_rate, ch, w, theta, cfg.sigma2)
 
 
-def test_aso_solve(benchmark, desk_scale):
-    cfg, _, _, _, theta, data, _, _ = desk_scale
+@pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
+def test_aso_solve(benchmark, scale, request):
+    cfg, _, _, _, theta, data, _, _ = request.getfixturevalue(scale)
     eps2 = cfg.eps2 * max(1.0, abs(irs_opt.eval_f7(theta, data)))
     _, trace = benchmark(irs_opt.aso_solve, theta, data, eps2=eps2, max_sweeps=cfg.max_aso)
     benchmark.extra_info["sweeps"] = len(trace) - 1
 
 
-def test_discrete_sweep(benchmark, desk_scale):
-    cfg, _, _, _, theta, data, _, _ = desk_scale
+@pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
+def test_discrete_sweep(benchmark, scale, request):
+    cfg, _, _, _, theta, data, _, _ = request.getfixturevalue(scale)
     _, sweeps = benchmark(irs_opt.discrete_sweep, theta, data, 4, max_sweeps=cfg.max_aso)
     benchmark.extra_info["sweeps"] = sweeps
 

@@ -24,9 +24,11 @@ the diagonal of E - A. Four solvers are provided:
 
 The first and the last share one coordinate-ascent loop and differ only in
 the per-coordinate rule (best point of the circle or of the grid). The loop
-keeps theta, omega and diag(Zcal) as Python complex numbers and only Zcal
-theta as a numpy vector; the circle rule is cmath.rect(alpha, arg mu_i),
-within one ulp of alpha * exp(j arg mu_i).
+visits the coordinates in blocks of ceil(sqrt(RN)) with theta, omega and the
+block's diagonal sub-block of Zcal as Python complex numbers, and keeps Zcal
+theta as a numpy vector, updated once per block by the block's columns of
+Zcal; f7 after each sweep is read off that vector. The circle rule is
+cmath.rect(alpha, arg mu_i), within one ulp of alpha * exp(j arg mu_i).
 """
 
 from __future__ import annotations
@@ -146,30 +148,47 @@ def _ascend(theta0, data: CmcQpData, best, eps2: float, max_sweeps: int):
     up to date. Stops after a sweep whose f7 change is at most eps2.
     Returns (theta, trace), trace[u] being f7 after sweep u.
 
-    theta, omega and diag(Zcal) are Python complex lists during a sweep, so a
-    visit is scalar arithmetic plus, when theta_i moves, one update of the
-    numpy vector Zcal theta by a contiguous copy of Zcal's column i; the theta
-    array is rebuilt once per sweep for f7.
+    A sweep visits the coordinates in order, in consecutive blocks of
+    b = ceil(sqrt(RN)). theta, omega and the block's b x b diagonal sub-block
+    of Zcal are Python complex lists, and the block's rows of Zcal theta are
+    read into one at its start; a move of theta_i by delta is pushed to the
+    block's later rows through column i of the sub-block. After the block,
+    Zcal theta += Zcal[:, block] @ deltas in one numpy call, skipped when
+    nothing moved. Every trace entry is Re theta^H (2 omega - Zcal theta) on
+    the maintained vector, so a sweep that moves nothing repeats f7 exactly.
     """
     theta = np.array(model._theta_array(theta0), copy=True)
-    trace = [eval_f7(theta, data)]
-    if theta.size == 0:
-        return theta, trace
-    cols = np.ascontiguousarray(data.zcal.T)
-    zth = data.zcal @ theta
+    nn = theta.size
+    if nn == 0:
+        return theta, [0.0]
+    zcal, two_omega = data.zcal, 2.0 * data.omega
+    zth = zcal @ theta
+    trace = [float(np.vdot(theta, two_omega - zth).real)]
+    size = math.isqrt(nn - 1) + 1
+    blocks = []
+    for s in range(0, nn, size):
+        # sub[k] is column k of the block's diagonal sub-block: sub[k][k] is
+        # Zcal[s + k, s + k] and sub[k][k + 1:] holds the block's later rows.
+        blocks.append((s, zcal[:, s:s + size], data.omega[s:s + size].tolist(),
+                       zcal[s:s + size, s:s + size].T.tolist()))
     th = theta.tolist()
-    omega = data.omega.tolist()
-    diag = data.zcal.diagonal().tolist()
-    zth_at = zth.item
     for _ in range(max_sweeps):
-        for i, cur in enumerate(th):
-            mu = omega[i] - zth_at(i) + diag[i] * cur
-            new = best(mu, cur)
-            if new != cur:
-                zth += cols[i] * (new - cur)
-                th[i] = new
+        for s, cols, omega, sub in blocks:
+            b = len(omega)
+            z = zth[s:s + b].tolist()
+            deltas = [0j] * b
+            for k, col in enumerate(sub):
+                cur = th[s + k]
+                new = best(omega[k] - z[k] + col[k] * cur, cur)
+                if new != cur:
+                    delta = deltas[k] = new - cur
+                    th[s + k] = new
+                    for j in range(k + 1, b):
+                        z[j] += col[j] * delta
+            if any(deltas):
+                zth += cols @ np.array(deltas)
         theta = np.array(th)
-        trace.append(eval_f7(theta, data))
+        trace.append(float(np.vdot(theta, two_omega - zth).real))
         if abs(trace[-1] - trace[-2]) <= eps2:
             break
     return theta, trace

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -678,7 +679,13 @@ def _reference_grid(alpha, levels):
 
 def _ascent_instances():
     """(theta0, data): synthetic problems at two moduli, desk-scale
-    subproblems (RN = 32) and one with a zero row, where mu_i = 0."""
+    subproblems (RN = 32) and one with a zero row, where mu_i = 0. Then, for
+    the sweep's blocks of ceil(sqrt(RN)) coordinates, synthetic problems at
+    RN = 1, 2, 7, 16, 50 and 180 (all blocks full at 1 and 16, a partial
+    last block otherwise) and, from RN = 7 on, a copy with a zero row and
+    column of Zcal and omega_i = 0 at the second coordinate of the second
+    block; each at moduli 0.5, 1 and 2 with Zcal and omega scaled by 1e-6,
+    1 and 1e6."""
     out = []
     for seed, alpha in ((0, 1.0), (1, 0.7), (2, 1.0)):
         rng = np.random.default_rng(seed)
@@ -693,7 +700,26 @@ def _ascent_instances():
     zcal[2, :] = zcal[:, 2] = 0.0
     omega[2] = 0.0
     out.append((theta, cmcqp(zcal, omega)))
+    for nn in (1, 2, 7, 16, 50, 180):
+        data = synthetic_cmcqp(400 + nn, nn=nn)
+        problems = [(data.zcal, data.omega)]
+        if nn >= 7:
+            i = math.isqrt(nn - 1) + 2
+            zcal, omega = data.zcal.copy(), data.omega.copy()
+            zcal[i, :] = zcal[:, i] = 0.0
+            omega[i] = 0.0
+            problems.append((zcal, omega))
+        phases = np.exp(1j * np.random.default_rng(nn).uniform(0, 2 * np.pi, nn))
+        for (zcal, omega), alpha, scale in itertools.product(
+                problems, (0.5, 1.0, 2.0), (1e-6, 1.0, 1e6)):
+            out.append((alpha * phases, cmcqp(scale * zcal, scale * omega)))
     return out
+
+
+def _assert_trace_end_is_f7(theta, trace, data):
+    # The f7 read off the maintained Zcal theta is that of the returned theta.
+    f7 = irs_opt.eval_f7(theta, data)
+    assert abs(trace[-1] - f7) <= 1e-12 * max(1.0, abs(f7))
 
 
 @pytest.mark.parametrize("levels", [2, 4, 8])
@@ -705,6 +731,11 @@ def test_discrete_sweep_matches_reference_loop(levels):
         ref, trace = _reference_ascend(theta0, data, _reference_grid(alpha, levels), 0.0, 200)
         np.testing.assert_array_equal(out, ref)
         assert sweeps == len(trace) - 1
+        rule = irs_opt._grid_rule(alpha, levels)
+        _assert_trace_end_is_f7(*irs_opt._ascend(theta0, data, rule, 0.0, 200), data)
+        # From its own output the first sweep moves nothing: f7 repeats exactly.
+        _, again = irs_opt._ascend(out, data, rule, 0.0, 200)
+        assert len(again) == 2 and again[1] == again[0]
 
 
 def test_aso_matches_reference_loop():
@@ -717,6 +748,7 @@ def test_aso_matches_reference_loop():
         assert np.max(np.abs(theta - ref)) <= 1e-12 * alpha
         scale = max(1.0, np.max(np.abs(ref_trace)))
         assert np.max(np.abs(np.subtract(trace, ref_trace))) <= 1e-12 * scale
+        _assert_trace_end_is_f7(theta, trace, data)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.8, 2.0])
