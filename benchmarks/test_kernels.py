@@ -29,7 +29,7 @@ import pytest
 
 from cfirs import channel as chan
 from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
-from cfirs.config import SystemConfig, desk_config
+from cfirs.config import desk_config, full_config
 
 WARM_OUTER = 5
 
@@ -47,16 +47,16 @@ def _draw(cfg, seed):
     geo = chan.sample_ue_positions(chan.default_geometry(cfg), rng)
     ch = chan.sample_channels(cfg, geo, chan.sample_angles(cfg, rng), rng)
     theta = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
-    h = model.effective_channel(ch, theta)
+    stacked = model.stack(ch)
+    h = model.effective_channel(stacked, theta)
     w = model.matched_filter_init(h, cfg.p_max)
     aux = _aux(h, w, cfg.sigma2)
-    stacked = model.stack(ch)
     return cfg, h, w, aux, theta, irs_opt.build_cmcqp(stacked, w, aux), stacked, ch
 
 
 @pytest.fixture(scope="module")
 def full_scale():
-    cfg = SystemConfig(l=6, k=4, r=3, m_b=4, m_u=2, n=60, n_h=10, n_v=6)
+    cfg = full_config()
     draw = _draw(cfg, 2024)
     data = draw[5]
     assert data.zcal.shape == (180, 180)
@@ -81,15 +81,16 @@ def full_scale_warm(full_scale):
     """(theta, data) of the phase subproblem in outer iteration WARM_OUTER + 1
     of the QCR scheme on the full-scale draw: U, Y and W updated at the
     phases and precoders that WARM_OUTER outer iterations left."""
-    cfg, ch = full_scale[0], full_scale[-1]
+    cfg, stacked, ch = full_scale[0], full_scale[-2], full_scale[-1]
     config = dataclasses.replace(cfg, max_outer=WARM_OUTER, eps3=0.0)
-    w, phases, trace = pipeline.joint_optimize(
+    beams, phases, trace = pipeline.joint_optimize(
         ch, config, pipeline.SchemeSpec(solver="qcr"), np.random.default_rng(2024))
     assert trace.iterations == WARM_OUTER
-    h = model.effective_channel(ch, phases.theta)
+    h = model.effective_channel(stacked, phases.theta)
+    w = beams.w.transpose(0, 2, 1, 3).reshape(h.shape)  # the stacked precoders
     aux = _aux(h, w, cfg.sigma2)
     w, _, _ = tx_opt.optimize_w(h, aux, cfg, w_prev=w)
-    return phases.theta, irs_opt.build_cmcqp(model.stack(ch), w, aux)
+    return phases.theta, irs_opt.build_cmcqp(stacked, w, aux)
 
 
 @pytest.mark.parametrize("start", ["cold", "warm"])
@@ -108,8 +109,8 @@ def test_optimize_w(benchmark, scale, request):
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_effective_channel(benchmark, scale, request):
-    _, _, _, _, theta, _, _, ch = request.getfixturevalue(scale)
-    benchmark(model.effective_channel, ch, theta)
+    _, _, _, _, theta, _, stacked, _ = request.getfixturevalue(scale)
+    benchmark(model.effective_channel, stacked, theta)
 
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
@@ -120,8 +121,8 @@ def test_link_state(benchmark, scale, request):
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_sum_rate(benchmark, scale, request):
-    cfg, _, w, _, theta, _, _, ch = request.getfixturevalue(scale)
-    benchmark(model.sum_rate, ch, w, theta, cfg.sigma2)
+    cfg, _, w, _, theta, _, stacked, _ = request.getfixturevalue(scale)
+    benchmark(model.sum_rate, stacked, w, theta, cfg.sigma2)
 
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])

@@ -14,23 +14,13 @@ Examples:
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from cfirs import expcli
-
-DESK_BASE = {
-    "l": 3, "k": 2, "r": 2, "m_b": 4, "m_u": 2,
-    "n": 16, "n_h": 4, "n_v": 4,
-    "p_max": [0.1], "sigma2": 1e-11,
-}
-
-FULL_BASE = {
-    "l": 6, "k": 4, "r": 3, "m_b": 4, "m_u": 2,
-    "n": 60, "n_h": 10, "n_v": 6,
-    "p_max": [0.1], "sigma2": 1e-11,
-}
+from cfirs.config import desk_config, full_config
 
 ALL_SCHEMES = [
     {"solver": "aso"},
@@ -97,7 +87,7 @@ def main() -> int:
     out_dir = Path(args.out) if args.out else Path("results") / args.preset
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
-        "base": dict(FULL_BASE if args.full else DESK_BASE),
+        "base": dataclasses.asdict(full_config() if args.full else desk_config()),
         "n_seeds": args.seeds,
         "master_seed": args.master_seed,
         "output_dir": str(out_dir),

@@ -16,7 +16,7 @@ from .channel import (
     ula_steering,
     upa_steering,
 )
-from .config import SystemConfig, desk_config
+from .config import SystemConfig, desk_config, full_config
 from .fp_core import AuxState
 from .irs_opt import (
     CmcQpData,
@@ -37,4 +37,4 @@ from .model import (
     sum_rate,
 )
 from .pipeline import RunTrace, SchemeSpec, aggregate, joint_optimize, monte_carlo
-from .tx_opt import DualState, optimize_w
+from .tx_opt import optimize_w

@@ -105,3 +105,15 @@ def desk_config(**overrides) -> SystemConfig:
     )
     base.update(overrides)
     return SystemConfig(**base)
+
+
+def full_config(**overrides) -> SystemConfig:
+    """The full-scale scenario: 6 BSs with 4 antennas, 4 UEs with 2 antennas
+    and 3 reflecting surfaces of 60 (10 x 6) elements, with the physical
+    constants of ``desk_config``."""
+    base = dict(
+        l=6, k=4, r=3, m_b=4, m_u=2, n=60, n_h=10, n_v=6,
+        p_max=(0.1,), sigma2=1e-11, c0=1e-3,
+    )
+    base.update(overrides)
+    return SystemConfig(**base)

@@ -21,6 +21,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -106,6 +107,10 @@ class ExperimentSpec:
         labels = [s.label for s in schemes]
         if len(set(labels)) != len(labels):
             raise SpecError("spec.schemes: labels must be unique")
+        if sweep == "iterations" and any(s.csi_error_rho > 0 for s in schemes):
+            # Its rows read the rate trace, which is taken on the channels
+            # optimized, not on the true ones every other sweep reports.
+            raise SpecError("spec.schemes: the iterations sweep needs csi_error_rho = 0")
         n_seeds, master_seed = doc.get("n_seeds", 1), doc.get("master_seed", 0)
         if not _is_number(n_seeds, integral=True) or n_seeds < 1:
             raise SpecError("spec.n_seeds: must be an integer >= 1")
@@ -224,12 +229,6 @@ def _run_unit(spec: ExperimentSpec, value, seed_index: int):
     return rows
 
 
-def _unit_worker(args):
-    spec_doc, value, seed_index = args
-    spec = ExperimentSpec.from_dict(spec_doc)
-    return _run_unit(spec, value, seed_index)
-
-
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -242,13 +241,13 @@ def run_spec(spec: ExperimentSpec, out_dir: Path, threads: int = 1) -> Path:
     """Execute the sweep and write results.csv + manifest.json into out_dir."""
     # The iterations sweep solves each realization once, to its largest cap.
     values = spec.sweep_values[:1] if spec.sweep == "iterations" else spec.sweep_values
-    units = [(v, s) for v in values for s in range(spec.n_seeds)]
+    unit_values = [v for v in values for _ in range(spec.n_seeds)]
+    unit_seeds = list(range(spec.n_seeds)) * len(values)
     if threads > 1:
-        payloads = [(spec.raw, value, seed) for value, seed in units]
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_unit_worker, payloads))
+            chunks = list(pool.map(_run_unit, itertools.repeat(spec), unit_values, unit_seeds))
     else:
-        chunks = [_run_unit(spec, value, seed) for value, seed in units]
+        chunks = list(map(_run_unit, itertools.repeat(spec), unit_values, unit_seeds))
     rows = [row for chunk in chunks for row in chunk]
 
     value_order = {v: i for i, v in enumerate(spec.sweep_values)}
@@ -339,11 +338,9 @@ def run(spec_file, out_dir=None, threads: int = 1, master_seed=None) -> Path:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{spec_file}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if master_seed is not None and isinstance(doc, dict):
+        doc = dict(doc, master_seed=int(master_seed))
     spec = ExperimentSpec.from_dict(doc)
-    if master_seed is not None:
-        doc = dict(doc)
-        doc["master_seed"] = int(master_seed)
-        spec = ExperimentSpec.from_dict(doc)
     target = Path(out_dir) if out_dir is not None else Path(spec.output_dir)
     return run_spec(spec, target, threads=threads)
 

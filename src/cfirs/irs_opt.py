@@ -53,8 +53,8 @@ class CmcQpData:
     omega: np.ndarray   # (RN,)
 
 
-def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
-    """Assemble (Zcal, omega) from the stacked system.
+def build_cmcqp(stacked: StackedChannels, w: np.ndarray, aux: AuxState) -> CmcQpData:
+    """Assemble (Zcal, omega) from the stacked system and precoders.
 
     Z  = sum_k G_k Y_k Ubar_k Y_k^H G_k^H
     Q  = S Wcov S^H with Wcov = sum_i Ws_i Ws_i^H
@@ -63,25 +63,20 @@ def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
 
     Zcal = Z o Q^T and omega = diag(E - A). Only thin factors are formed:
     with P = [G_k Y_k Ubar_k]_k and C = [G_k Y_k]_k (both RN x K*m_u) and
-    Wst = [Ws_1 ... Ws_K] (L*m_b x K*m_u), Z = P C^H, Q = B B^H with
-    B = S Wst, and Wcov = Wst Wst^H; A and E are never formed, as
-    omega = diag(P M S^H) with M the rows M_k = Ws_k^H - Y_k^H D_k^H Wcov
-    stacked over k. Zcal is made exactly Hermitian once, in place.
+    W = [Ws_1 ... Ws_K] (L*m_b x K*m_u), Z = P C^H, Q = B B^H with B = S W,
+    and Wcov = W W^H; A and E are never formed, as omega = diag(P M^H) with
+    M = S (W - Wcov [D_k Y_k]_k). Zcal is made exactly Hermitian once, in
+    place.
     """
-    warr = model._w_array(w)
-    L, K, Mb, Mu = warr.shape
-    nn = stacked.s.shape[0]
-    ws = warr.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu)
-    wst = ws.transpose(1, 0, 2).reshape(L * Mb, K * Mu)
+    wst = w.reshape(len(w), -1)
     wcov = wst @ wst.conj().T
+    nn = len(stacked.s)
 
-    gy = stacked.g_k @ aux.y                                   # (K, RN, Mu)
-    p = (gy @ aux.ubar).transpose(1, 0, 2).reshape(nn, K * Mu)
-    c = gy.transpose(1, 0, 2).reshape(nn, K * Mu)
-    y_herm = aux.y.conj().transpose(0, 2, 1)
-    m = ws.conj().transpose(0, 2, 1) - y_herm @ stacked.d_k.conj().transpose(0, 2, 1) @ wcov
-    s_herm = stacked.s.conj().T
-    omega = np.sum(p * (m.reshape(K * Mu, L * Mb) @ s_herm).T, axis=1)
+    gy = model.per_user(stacked.g, aux.y)
+    p = model.per_user(gy, aux.ubar).reshape(nn, -1)
+    c = gy.reshape(nn, -1)
+    dy = model.per_user(stacked.d, aux.y).reshape(wst.shape)
+    omega = np.sum(p * (stacked.s @ (wst - wcov @ dy)).conj(), axis=1)
 
     b = stacked.s @ wst
     zcal = p @ c.conj().T
@@ -91,13 +86,10 @@ def build_cmcqp(stacked: StackedChannels, w, aux: AuxState) -> CmcQpData:
     return CmcQpData(zcal=zcal, omega=omega)
 
 
-def eval_f7(theta, data: CmcQpData) -> float:
+def eval_f7(theta: np.ndarray, data: CmcQpData) -> float:
     """Quadratic phase objective; concave over the torus (Zcal is PSD)."""
-    th = model._theta_array(theta)
-    if th is None or th.size == 0:
-        return 0.0
-    quad = np.real(th.conj() @ data.zcal @ th)
-    lin = 2.0 * np.real(th.conj() @ data.omega)
+    quad = np.real(theta.conj() @ data.zcal @ theta)
+    lin = 2.0 * np.real(theta.conj() @ data.omega)
     return float(lin - quad)
 
 
@@ -157,7 +149,7 @@ def _ascend(theta0, data: CmcQpData, best, eps2: float, max_sweeps: int):
     nothing moved. Every trace entry is Re theta^H (2 omega - Zcal theta) on
     the maintained vector, so a sweep that moves nothing repeats f7 exactly.
     """
-    theta = np.array(model._theta_array(theta0), copy=True)
+    theta = np.array(theta0, copy=True)
     nn = theta.size
     if nn == 0:
         return theta, [0.0]
@@ -200,7 +192,7 @@ def aso_solve(theta0, data: CmcQpData, eps2: float = 1e-8, max_sweeps: int = 200
     Returns (theta, trace) where trace[u] is the objective after sweep u
     (trace[0] is the starting value); the sequence is non-decreasing.
     """
-    alpha = _alpha_of(model._theta_array(theta0))
+    alpha = _alpha_of(theta0)
     return _ascend(theta0, data, _circle_rule(alpha), eps2, max_sweeps)
 
 
@@ -232,7 +224,7 @@ def qcr_relax(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000)
     the objective changes by at most tol relative. Returns (theta_relaxed,
     objective_trace).
     """
-    theta = np.array(model._theta_array(theta0), copy=True)
+    theta = np.array(theta0, copy=True)
     if theta.size == 0:
         return theta, [0.0]
     alpha = _alpha_of(theta)
@@ -306,7 +298,6 @@ def qcr_solve(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000)
     the discs, so both it and the circle projection are reported; downstream
     rate evaluation uses the feasible (projected) vector.
     """
-    theta0 = model._theta_array(theta0)
     relaxed, trace = qcr_relax(theta0, data, tol=tol, max_iter=max_iter)
     if relaxed.size == 0:
         return relaxed.copy(), relaxed, trace
@@ -423,6 +414,6 @@ def discrete_sweep(theta0, data: CmcQpData, levels: int, max_sweeps: int = 200):
     """
     if levels < 2:
         raise ValueError("discrete phase set needs at least 2 levels")
-    alpha = _alpha_of(model._theta_array(theta0))
+    alpha = _alpha_of(theta0)
     theta, trace = _ascend(theta0, data, _grid_rule(alpha, levels), 0.0, max_sweeps)
     return theta, len(trace) - 1

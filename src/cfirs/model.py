@@ -2,8 +2,12 @@
 
 All base stations jointly serve every user through a central processor, so
 per-user signal and interference combine coherently across base stations.
-With the stacked effective channel Hs_k (L*m_b x m_u) and stacked precoders
-Ws_i (L*m_b x m_u), the per-user link matrices are B[k, i] = Hs_k^H Ws_i and
+The solver core holds every channel and precoder stacked over base stations
+(and reflecting surfaces): the effective channel H = [Hs_1 ... Hs_K] and the
+precoders W = [Ws_1 ... Ws_K] are (L*m_b, K, m_u) arrays, ``stack`` is the
+one conversion from the per-link ``ChannelSet``, and the per-link
+``BeamformerSet`` is built only where ``pipeline.joint_optimize`` returns.
+The per-user link matrices are the blocks B[k, i] = Hs_k^H Ws_i of H^H W and
 
     V_k    = sum_{i != k} B[k,i] B[k,i]^H + sigma2 * I     (interference+noise)
     Vbar_k = V_k + B[k,k] B[k,k]^H                          (full covariance)
@@ -26,12 +30,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelSet
-from .config import SystemConfig
 
 
 @dataclass
 class BeamformerSet:
-    """Active transmit beamformers, one (m_b x m_u) matrix per (BS, UE) pair."""
+    """Active transmit beamformers, one (m_b x m_u) matrix per (BS, UE) pair:
+    the per-link form of the stacked precoders, as a solve returns them."""
 
     w: np.ndarray  # (L, K, m_b, m_u)
 
@@ -68,74 +72,64 @@ class PhaseVector:
 
 @dataclass(frozen=True)
 class StackedChannels:
-    """Block-stacked channel matrices (index 1 of each family first).
+    """The channels stacked over BSs and IRSs, as the solver core holds them.
 
-    d_k[k] : (L*m_b, m_u)   direct channels stacked over BSs
-    g_k[k] : (R*N, m_u)     IRS->UE channels stacked over IRSs
-    s      : (R*N, L*m_b)   block (r, l) holds the BS l -> IRS r channel
+    d : (L*m_b, K, m_u)   d[:, k] = Ds_k, the direct channels of user k
+                          stacked over BSs
+    g : (R*N, K, m_u)     g[:, k] = Gs_k, the IRS->UE channels of user k
+                          stacked over IRSs
+    s : (R*N, L*m_b)      block (r, l) holds the BS l -> IRS r channel
+
+    An (L*m_b, K, m_u) array reshaped to (L*m_b, K*m_u) is the paper's
+    [Xs_1 ... Xs_K]; the effective channel H and the precoders W are held
+    the same way as d.
     """
 
-    d_k: np.ndarray
-    g_k: np.ndarray
+    d: np.ndarray
+    g: np.ndarray
     s: np.ndarray
 
 
-def _w_array(w) -> np.ndarray:
-    return w.w if isinstance(w, BeamformerSet) else np.asarray(w)
-
-
-def _theta_array(theta) -> np.ndarray:
-    if theta is None:
-        return None
-    return theta.theta if isinstance(theta, PhaseVector) else np.asarray(theta)
-
-
-def _irs_stack(channels: ChannelSet):
-    """(g_k, s) of ``StackedChannels``: the IRS->UE channels stacked over
-    IRSs and the block matrix of BS->IRS channels."""
-    L, R, N, Mb = channels.bs_irs.shape
-    K, Mu = channels.irs_ue.shape[1], channels.irs_ue.shape[3]
-    g_k = channels.irs_ue.transpose(1, 0, 2, 3).reshape(K, R * N, Mu)
-    s = channels.bs_irs.transpose(1, 2, 0, 3).reshape(R * N, L * Mb)
-    return g_k, s
-
-
 def stack(channels: ChannelSet) -> StackedChannels:
-    """Aggregate per-link channels into the stacked matrices used by the
-    passive-beamforming subproblem.
+    """The one conversion from the per-link ``ChannelSet`` to the stacked
+    matrices of the solver core.
 
     The block layout of ``s`` is pinned by the requirement that the stacked
     effective channel reproduces the per-link one blockwise:
     s[r*N:(r+1)*N, l*m_b:(l+1)*m_b] = bs_irs[l, r].
     """
     L, K, Mb, Mu = channels.direct.shape
-    d_k = channels.direct.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu)
-    g_k, s = _irs_stack(channels)
-    return StackedChannels(d_k=d_k, g_k=g_k, s=s)
+    R, _, N, _ = channels.irs_ue.shape
+    d = channels.direct.transpose(0, 2, 1, 3).reshape(L * Mb, K, Mu)
+    g = channels.irs_ue.transpose(0, 2, 1, 3).reshape(R * N, K, Mu)
+    s = channels.bs_irs.transpose(1, 2, 0, 3).reshape(R * N, L * Mb)
+    return StackedChannels(d=d, g=g, s=s)
 
 
-def effective_channel(channels: ChannelSet, theta) -> np.ndarray:
-    """Per-link effective channels H[l, k] = D[l, k] + sum_r S[l,r]^H Theta_r^H G[r,k].
+def effective_channel(stacked: StackedChannels, theta) -> np.ndarray:
+    """Stacked effective channels H = D + S^H diag(theta*) G, (L*m_b, K, m_u).
 
-    The reflected part of every user is one stacked product
-    s^H (conj(theta) o g_k) over the ``stack`` layout.
-    ``theta`` may be None (or empty) to drop the reflected term entirely.
+    ``theta`` None drops the reflected term (H is then ``stacked.d``).
     """
-    theta = _theta_array(theta)
-    h = channels.direct.copy()
-    if theta is None or channels.irs_ue.shape[0] == 0 or theta.size == 0:
-        return h
-    L, K, Mb, Mu = h.shape
-    g_k, s = _irs_stack(channels)
-    reflected = s.conj().T @ (np.conj(theta)[:, None] * g_k)
-    h += reflected.reshape(K, L, Mb, Mu).transpose(1, 0, 2, 3)
-    return h
+    if theta is None:
+        return stacked.d
+    k, mu = stacked.d.shape[1:]
+    reflected = stacked.s.conj().T @ (np.conj(theta)[:, None] * stacked.g.reshape(-1, k * mu))
+    return stacked.d + reflected.reshape(stacked.d.shape)
 
 
-def link_matrices(h: np.ndarray, w) -> np.ndarray:
-    """B[k, i] = sum_l H[l,k]^H W[l,i], the coherent per-user link matrices."""
-    w = _w_array(w)
-    return np.einsum("lkmu,limv->kiuv", h.conj(), w)
+def per_user(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """[Xs_1 M_1 ... Xs_K M_K] for a stacked (rows, K, m_u) array x and one
+    m_u x m_u matrix M_k per user: one batched product over the users."""
+    return (x.transpose(1, 0, 2) @ m).transpose(1, 0, 2)
+
+
+def link_matrices(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """B[k, i] = Hs_k^H Ws_i, the coherent per-user link matrices: the
+    blocks of the one product H^H W."""
+    k, mu = h.shape[1:]
+    b = h.reshape(len(h), -1).conj().T @ w.reshape(len(w), -1)
+    return b.reshape(k, mu, k, mu).transpose(0, 2, 1, 3)
 
 
 def noise_plus_interference(b: np.ndarray, sigma2: float):
@@ -155,7 +149,7 @@ class LinkState(NamedTuple):
     vbar: np.ndarray  # (K, m_u, m_u), full receive covariance
 
 
-def link_state(h: np.ndarray, w, sigma2: float) -> LinkState:
+def link_state(h: np.ndarray, w: np.ndarray, sigma2: float) -> LinkState:
     """(B, V, Vbar) at one (H, W, sigma2) point."""
     b = link_matrices(h, w)
     v, vbar = noise_plus_interference(b, sigma2)
@@ -189,7 +183,7 @@ def _cholesky(v: np.ndarray) -> np.ndarray:
         raise
 
 
-def sinr(h: np.ndarray, w, sigma2: float) -> np.ndarray:
+def sinr(h: np.ndarray, w: np.ndarray, sigma2: float) -> np.ndarray:
     """Per-user SINR matrices at (H, W): ``link_sinr`` of ``link_state``."""
     return link_sinr(link_state(h, w, sigma2))
 
@@ -230,19 +224,16 @@ def link_rate(link: LinkState) -> float:
     return float(np.sum(logdet[0] - logdet[1]))
 
 
-def sum_rate(channels: ChannelSet, w, theta, sigma2: float) -> float:
+def sum_rate(stacked: StackedChannels, w: np.ndarray, theta, sigma2: float) -> float:
     """Sum rate in nats at (W, theta): ``link_rate`` at the effective channel."""
-    return link_rate(link_state(effective_channel(channels, theta), w, sigma2))
+    return link_rate(link_state(effective_channel(stacked, theta), w, sigma2))
 
 
-def matched_filter_init(h: np.ndarray, p_max) -> BeamformerSet:
-    """Matched-filter start: W[l,k] = c_l H[l,k], each BS at full power,
-    split evenly across users."""
-    L = h.shape[0]
-    w = h.copy()
-    for l in range(L):
-        norm2 = np.sum(np.abs(h[l]) ** 2)
-        if norm2 == 0.0:
-            continue
-        w[l] *= np.sqrt(p_max[l] / norm2)
-    return BeamformerSet(w=w)
+def matched_filter_init(h: np.ndarray, p_max) -> np.ndarray:
+    """Matched-filter start: W = H with the rows of BS l scaled by c_l, each
+    BS at full power, split evenly across users."""
+    p_max = np.asarray(p_max, float)
+    rows = h.reshape(p_max.size, -1)
+    norm2 = np.sum(np.abs(rows) ** 2, axis=1)
+    scale = np.sqrt(np.divide(p_max, norm2, out=np.ones_like(norm2), where=norm2 > 0.0))
+    return (rows * scale[:, None]).reshape(h.shape)

@@ -132,33 +132,43 @@ def joint_optimize(
     ``n_starts`` > 1 restarts from fresh random phases and keeps the start
     with the best rate on the optimizer's channels (the true channels are
     never consulted for the choice). All starts share one channel estimate.
+
+    Both channel sets are stacked once (``model.stack``) and every start
+    runs in the stacked layout; the per-link ``BeamformerSet`` is formed from
+    the stacked precoders only here, at the return.
     """
     channels.validate(config)
     # The perturbation draw happens even at rho = 0 so that sweeps over rho
     # share both the channel realization and the error direction.
     opt_channels = chan.apply_csi_error(channels, scheme.csi_error_rho, rng)
+    true, opt = model.stack(channels), model.stack(opt_channels)
     best = None
     for _ in range(max(1, n_starts)):
-        w, theta, trace = _optimize_once(channels, opt_channels, config, scheme, rng)
+        w, theta, trace = _optimize_once(true, opt, config, scheme, rng)
         if best is None or trace.sum_rate[-1] > best[2].sum_rate[-1]:
             best = (w, theta, trace)
-    return best
+    w, theta, trace = best
+    per_link = w.reshape(config.l, config.m_b, config.k, config.m_u).transpose(0, 2, 1, 3)
+    phases = theta if theta is not None else np.zeros(0, complex)
+    return BeamformerSet(w=per_link), PhaseVector(theta=phases, alpha=config.alpha), trace
 
 
-def _optimize_once(channels, opt_channels, config, scheme, rng):
+def _optimize_once(true, opt, config, scheme, rng):
+    """One start on the stacked channels ``opt``; the final rate is read on
+    the stacked true channels ``true``. Returns (W, theta, RunTrace) with W
+    stacked and theta None when the scheme uses no surfaces."""
     use_irs = scheme.solver != "none" and config.r > 0
     theta = _init_theta(config, rng) if use_irs else None
     has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
 
-    h = model.effective_channel(opt_channels, theta)
+    h = model.effective_channel(opt, theta)
     w = model.matched_filter_init(h, config.p_max)
-    stacked = model.stack(opt_channels) if has_phase_step else None
 
     trace = RunTrace()
     link = model.link_state(h, w, config.sigma2)
     rate = model.link_rate(link)
     trace.sum_rate.append(rate)
-    dual = None
+    lam = None
     for it in range(1, config.max_outer + 1):
         t0 = time.perf_counter()
         u = model.link_sinr(link)
@@ -166,16 +176,16 @@ def _optimize_once(channels, opt_channels, config, scheme, rng):
         y = fp_core.mmse_filters(link)
         aux = fp_core.AuxState(u=u, y=y)
         t2 = time.perf_counter()
-        w, dual, winfo = tx_opt.optimize_w(h, aux, config, dual=dual, w_prev=w)
+        w, lam, winfo = tx_opt.optimize_w(h, aux, config, lam=lam, w_prev=w)
         t3 = time.perf_counter()
         sweeps = 0
         if has_phase_step:
             # Built inside the call so the previous iteration's subproblem is
             # already released while this one is assembled.
             theta, sweeps = _phase_step(
-                scheme, theta, irs_opt.build_cmcqp(stacked, w, aux), config, rng
+                scheme, theta, irs_opt.build_cmcqp(opt, w, aux), config, rng
             )
-            h = model.effective_channel(opt_channels, theta)
+            h = model.effective_channel(opt, theta)
         t4 = time.perf_counter()
 
         trace.stage_seconds["u"] += t1 - t0
@@ -197,12 +207,8 @@ def _optimize_once(channels, opt_channels, config, scheme, rng):
             break
         rate = new_rate
 
-    trace.final_sum_rate_true = model.sum_rate(channels, w, theta, config.sigma2)
-    theta_out = PhaseVector(
-        theta=theta if theta is not None else np.zeros(0, complex),
-        alpha=config.alpha,
-    )
-    return w, theta_out, trace
+    trace.final_sum_rate_true = model.sum_rate(true, w, theta, config.sigma2)
+    return w, theta, trace
 
 
 def scheme_seed_key(master_seed: int, seed_index: int, label: str) -> np.random.SeedSequence:

@@ -3,9 +3,10 @@
 With the auxiliaries fixed, the precoder subproblem is
 
     min_W  f5(W) = sum_i Tr(Ws_i^H A Ws_i) - 2 Re sum_i Tr(C_i^H Ws_i)
-    s.t.   P_l(W) = sum_k ||W[l, k]||_F^2 <= p_max[l]  for every BS l,
+    s.t.   P_l(W) = ||W_l||_F^2 <= p_max[l]  for every BS l,
 
-where Ws_i stacks W[:, i] over base stations, A = sum_k Hs_k Y_k Ubar_k
+over the stacked precoders W = [Ws_1 ... Ws_K], whose rows l*m_b to
+(l+1)*m_b - 1 are BS l's block W_l, with A = sum_k Hs_k Y_k Ubar_k
 Y_k^H Hs_k^H and C_i = Hs_i Y_i Ubar_i. The problem is convex with zero
 duality gap, so it is solved through its dual. At multipliers lambda the
 Lagrangian's minimizer is the closed form
@@ -39,7 +40,6 @@ import numpy as np
 from . import model
 from .config import SystemConfig
 from .fp_core import AuxState
-from .model import BeamformerSet
 
 _EIG_FLOOR = 1e-10
 # Trust region: a Newton step moves each multiplier by at most one decade.
@@ -51,67 +51,52 @@ _POWER_TOL = 1e-9
 
 
 @dataclass
-class DualState:
-    """Per-BS power multipliers; zero marks a BS whose budget is slack."""
-
-    lam: np.ndarray       # (L,) nonnegative
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, float).copy()
-        if (self.lam < 0).any():
-            raise ValueError("dual variables must be nonnegative")
-
-
-@dataclass
 class QuadraticForm:
     """Cached pieces of f5 for a fixed (theta, U, Y).
 
-    Besides its four fields, a form keeps C = [C_1 ... C_K] as the
-    L*m_b x K*m_u ``c_rows``, the right-hand side [C | I], diag(A) and one
-    L*m_b x L*m_b buffer holding A off the diagonal, so ``solve`` only writes
-    a_ii + lambda_l into the buffer's diagonal before each factorization.
-    After a solve, ``stacked`` holds its precoders as L*m_b x K*m_u rows and
-    ``inverse`` holds M(lambda)^{-1}.
+    ``c`` is the stacked [C_1 ... C_K] and ``l`` splits its L*m_b rows into
+    the BSs' blocks of ``m_b``. Besides its fields, a form keeps C as the
+    L*m_b x K*m_u matrix ``c_rows``, the right-hand side [C | I], diag(A) and
+    one L*m_b x L*m_b buffer holding A off the diagonal, so ``solve`` only
+    writes a_ii + lambda_l into the buffer's diagonal before each
+    factorization. After a solve, ``inverse`` holds M(lambda)^{-1}.
     """
 
     a: np.ndarray        # (L*m_b, L*m_b) Hermitian PSD
-    c: np.ndarray        # (K, L*m_b, m_u)
+    c: np.ndarray        # (L*m_b, K, m_u)
     l: int
     m_b: int
 
     def __post_init__(self):
         dim = self.l * self.m_b
-        self.c_rows = self.c.transpose(1, 0, 2).reshape(dim, -1)
+        self.c_rows = self.c.reshape(dim, -1)
         self._rhs = np.hstack([self.c_rows, np.eye(dim)])
         self._diag = self.a.diagonal().reshape(self.l, self.m_b).copy()
         self._m = self.a.copy()
         # Writable view of the buffer's diagonal, one row of m_b per BS.
         self._m_diag = self._m.reshape(-1)[:: dim + 1].reshape(self.l, self.m_b)
-        self.stacked = self.inverse = None
+        self.inverse = None
 
     @classmethod
-    def build(cls, h: np.ndarray, aux: AuxState) -> "QuadraticForm":
-        L, K, Mb, Mu = h.shape
-        hy = h.transpose(1, 0, 2, 3).reshape(K, L * Mb, Mu) @ aux.y
-        c = hy @ aux.ubar
+    def build(cls, h: np.ndarray, aux: AuxState, l: int) -> "QuadraticForm":
+        """The form at the stacked effective channel ``h`` of ``l`` BSs."""
+        hy = model.per_user(h, aux.y)
+        c = model.per_user(hy, aux.ubar)
         # A = sum_k C_k (Hs_k Y_k)^H, one product over the users stacked.
-        hy_rows = hy.transpose(1, 0, 2).reshape(L * Mb, -1)
-        a = c.transpose(1, 0, 2).reshape(L * Mb, -1) @ hy_rows.conj().T
+        a = c.reshape(len(h), -1) @ hy.reshape(len(h), -1).conj().T
         a = 0.5 * (a + a.conj().T)
-        return cls(a=a, c=c, l=L, m_b=Mb)
+        return cls(a=a, c=c, l=l, m_b=len(h) // l)
 
-    def value(self, w) -> float:
-        w = model._w_array(w)
-        L, K, Mb, Mu = w.shape
-        ws = w.transpose(0, 2, 1, 3).reshape(L * Mb, K * Mu)
+    def value(self, w: np.ndarray) -> float:
+        ws = w.reshape(self.c_rows.shape)
         return float(np.vdot(ws, self.a @ ws).real - 2.0 * np.vdot(self.c_rows, ws).real)
 
     def solve(self, lam) -> np.ndarray:
-        """Stationary precoders (L, K, m_b, m_u) at the given multipliers.
+        """Stationary stacked precoders (L*m_b, K, m_u) at the given multipliers.
 
         One factorization of M(lambda) against [C | I]; the result is a view
-        of the solution's first K*m_u columns, which ``stacked`` holds as
-        rows, and ``inverse`` is set to the remaining columns.
+        of the solution's first K*m_u columns, and ``inverse`` is set to the
+        remaining columns.
         """
         m, rhs = self._m, self._rhs
         np.add(self._diag, np.asarray(lam, float)[:, None], out=self._m_diag)
@@ -122,10 +107,8 @@ class QuadraticForm:
         if not np.isfinite(sol).all():
             sol = _floored_solve(m, rhs)
         n = self.c_rows.shape[1]
-        self.stacked, self.inverse = sol[:, :n], sol[:, n:]
-        K, Mu = self.c.shape[0], self.c.shape[2]
-        ws = self.stacked.reshape(self.l * self.m_b, K, Mu).transpose(1, 0, 2)
-        return ws.reshape(K, self.l, self.m_b, Mu).transpose(1, 0, 2, 3)
+        self.inverse = sol[:, n:]
+        return sol[:, :n].reshape(self.c.shape)
 
 
 def _floored_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -176,18 +159,19 @@ def optimize_w(
     h: np.ndarray,
     aux: AuxState,
     config: SystemConfig,
-    dual: DualState = None,
-    w_prev=None,
+    lam: np.ndarray = None,
+    w_prev: np.ndarray = None,
 ):
-    """Solve the precoder subproblem.
+    """Solve the precoder subproblem at the stacked effective channel ``h``.
 
-    Starts from ``dual`` (cold: every multiplier at its BS's scale
-    ||C_l||_F / sqrt(p_l), the multiplier of the decoupled limit) and takes
-    projected Newton steps in log lambda, one factorization each. The step
-    is scaled down as a whole so that no multiplier moves by more than one
-    decade; a live multiplier that drops below 1e-14 of its scale sleeps
-    (lambda_l = 0), and a sleeping BS over its budget wakes at its scale.
-    A BS is over budget when its power exceeds p_l (1 + ``config.eps1``).
+    Starts from the per-BS multipliers ``lam`` (cold: every multiplier at
+    its BS's scale ||C_l||_F / sqrt(p_l), the multiplier of the decoupled
+    limit) and takes projected Newton steps in log lambda, one factorization
+    each. The step is scaled down as a whole so that no multiplier moves by
+    more than one decade; a live multiplier that drops below 1e-14 of its
+    scale sleeps (lambda_l = 0), and a sleeping BS over its budget wakes at
+    its scale. A BS is over budget when its power exceeds
+    p_l (1 + ``config.eps1``).
 
     At each factorization W minimizes the Lagrangian, so
     f5(W) - f5* <= sum_l lambda_l |P_l - p_l| to first order in the scaling
@@ -196,25 +180,26 @@ def optimize_w(
     ``eps1`` under budget are then reported with lambda_l = 0 (exact
     complementary slackness). ``config.max_dual`` caps the factorizations.
 
-    Returns (BeamformerSet, DualState, info) where info carries
-    "iterations" (the factorizations of this call), "converged" (True only
-    when the stop test fired), the f5 value, the per-BS "power" and the
-    "slackness" residuals lambda_l (P_l - p_l). The returned precoders are
-    always power-feasible (a block over budget, left by an unconverged loop
-    or within the stop tolerance, is scaled down); if they are no better
-    than ``w_prev`` in f5, ``w_prev`` is returned unchanged (block ascent).
+    Returns (W, lambda, info): the stacked precoders (L*m_b, K, m_u), the
+    (L,) multipliers and info carrying "iterations" (the factorizations of
+    this call), "converged" (True only when the stop test fired), the f5
+    value, the per-BS "power" and the "slackness" residuals
+    lambda_l (P_l - p_l). The returned precoders are always power-feasible
+    (a block over budget, left by an unconverged loop or within the stop
+    tolerance, is scaled down); if they are no better than the stacked
+    ``w_prev`` in f5, ``w_prev`` is returned unchanged (block ascent).
     """
-    form = QuadraticForm.build(h, aux)
+    form = QuadraticForm.build(h, aux, config.l)
     p_max = np.asarray(config.p_max, float)
     gap_tol = config.eps1 ** 2
     c_norm2 = (np.abs(form.c_rows) ** 2).reshape(config.l, -1).sum(axis=1)
     lam_scale = np.maximum(np.sqrt(c_norm2 / p_max), 1e-30)
-    lam = lam_scale.copy() if dual is None else dual.lam.copy()
+    lam = lam_scale.copy() if lam is None else np.array(lam, float)
     lam[lam < _SLEEP_FLOOR * lam_scale] = 0.0
     converged = False
     for solves in range(1, config.max_dual + 1):
         w = form.solve(lam)
-        rows = form.stacked
+        rows = w.reshape(form.c_rows.shape)
         gram = rows @ rows.conj().T
         power = gram.diagonal().real.reshape(config.l, config.m_b).sum(axis=1)
         over = power > p_max * (1.0 + config.eps1)
@@ -229,18 +214,17 @@ def optimize_w(
     # Scale any block over budget onto it (one left by an unconverged loop or
     # within the stop tolerance).
     scale = np.sqrt(p_max / np.where(power > p_max * (1.0 + _POWER_TOL), power, p_max))
-    w = w * scale[:, None, None, None]
+    w = w * np.repeat(scale, config.m_b)[:, None, None]
     power = power * scale ** 2
     # A BS more than eps1 under its budget is slack; its multiplier is
     # negligible once the gap bound closed, and zero is exact.
     lam[power < p_max * (1.0 - config.eps1)] = 0.0
     f5 = form.value(w)
     if w_prev is not None:
-        w_prev_arr = model._w_array(w_prev)
-        f5_prev = form.value(w_prev_arr)
+        f5_prev = form.value(w_prev)
         if f5_prev < f5:
-            w, f5 = w_prev_arr.copy(), f5_prev
-            power = np.sum(np.abs(w) ** 2, axis=(1, 2, 3))
+            w, f5 = w_prev.copy(), f5_prev
+            power = (np.abs(w) ** 2).reshape(config.l, -1).sum(axis=1)
     info = {
         "iterations": solves,
         "converged": converged,
@@ -248,4 +232,4 @@ def optimize_w(
         "slackness": lam * (power - p_max),
         "power": power,
     }
-    return BeamformerSet(w=w), DualState(lam=lam), info
+    return w, lam, info

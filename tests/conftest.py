@@ -18,16 +18,25 @@ def small_config(**over):
 
 
 def build_instance(seed, **over):
-    """One random desk-scale instance: (config, channels, theta, w, h)."""
+    """One random desk-scale instance: (config, channels, theta, w, h) with
+    the channels per link and w, h stacked."""
     cfg = small_config(**over)
     rng = np.random.default_rng(seed)
     geo = chan.sample_ue_positions(chan.default_geometry(cfg), rng)
     ang = chan.sample_angles(cfg, rng)
     ch = chan.sample_channels(cfg, geo, ang, rng)
     theta = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
-    h = model.effective_channel(ch, theta)
+    h = model.effective_channel(model.stack(ch), theta)
     w = model.matched_filter_init(h, cfg.p_max)
     return cfg, ch, theta, w, h
+
+
+def per_link(x, l):
+    """The per-link blocks (L, K, m_b, m_u) of a stacked (L*m_b, K, m_u)
+    channel or precoder array of ``l`` BSs: block [l, k] is rows
+    l*m_b:(l+1)*m_b of x[:, k]."""
+    rows, k, mu = x.shape
+    return x.reshape(l, rows // l, k, mu).transpose(0, 2, 1, 3)
 
 
 def build_aux(cfg, h, w):
@@ -37,7 +46,7 @@ def build_aux(cfg, h, w):
 
 
 def _link_at(w, theta, channels, sigma2):
-    return model.link_state(model.effective_channel(channels, theta), w, sigma2)
+    return model.link_state(model.effective_channel(model.stack(channels), theta), w, sigma2)
 
 
 def f3_at(w, theta, aux, channels, sigma2):

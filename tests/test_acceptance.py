@@ -18,7 +18,7 @@ from cfirs.channel import Geometry
 from cfirs.config import desk_config
 from cfirs.pipeline import SchemeSpec
 
-from conftest import aso_coordinate, build_aux, build_instance, f3_at, synthetic_cmcqp
+from conftest import aso_coordinate, build_aux, build_instance, f3_at, per_link, synthetic_cmcqp
 from test_tx_opt import pgd_reference
 
 
@@ -61,7 +61,7 @@ def test_criterion_1_recovery_identity():
         cfg, ch, theta, w, h = build_instance(seed, l=2, k=2, r=1,
                                               m_b=2, m_u=2, n=4, n_h=2, n_v=2)
         aux = build_aux(cfg, h, w)
-        rate = model.sum_rate(ch, w, theta, cfg.sigma2)
+        rate = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
         f3 = f3_at(w, theta, aux, ch, cfg.sigma2)
         worst = max(worst, abs(f3 - rate) / abs(rate))
     elapsed = time.perf_counter() - start
@@ -158,7 +158,7 @@ def test_criterion_5_dual_method_against_projected_gradient():
         _, ref_value = pgd_reference(h, aux, np.asarray(cfg.p_max))
         if abs(info["f5"] - ref_value) <= 1e-4 * max(abs(ref_value), 1e-12):
             match += 1
-        power = got.per_bs_power()
+        power = model.BeamformerSet(w=per_link(got, cfg.l)).per_bs_power()
         if (power <= np.asarray(cfg.p_max) + 1e-6).all():
             feasible += 1
         if np.max(np.abs(info["slackness"])) < 1e-4 * min(cfg.p_max):

@@ -86,6 +86,8 @@ def test_run_via_cli_exit_codes(tmp_path, capsys):
     {"sweep": "iterations", "sweep_values": [-1, 0, 2]},
     {"sweep": "iterations", "sweep_values": [0, 2]},
     {"sweep": "iterations", "sweep_values": ["3"]},
+    {"sweep": "iterations", "sweep_values": [1, 3],
+     "schemes": [{"solver": "aso"}, {"solver": "aso", "csi_error_rho": 0.2}]},
     {"sweep": "n_phase_shifts", "sweep_values": [2, 0]},
     {"sweep": "n_phase_shifts", "sweep_values": [2.7]},
     {"sweep": "reflecting_efficiency", "sweep_values": [1.0, 1.5]},
@@ -96,7 +98,8 @@ def test_run_via_cli_exit_codes(tmp_path, capsys):
     {"master_seed": -1},
     {"schemes": []},
 ], ids=[
-    "iterations_negative", "iterations_zero", "iterations_string", "n_phase_shifts_zero",
+    "iterations_negative", "iterations_zero", "iterations_string", "iterations_csi_error",
+    "n_phase_shifts_zero",
     "n_phase_shifts_fractional", "efficiency_above_one", "values_repeated",
     "center_of_fixed_ues", "n_seeds_string", "master_seed_string", "master_seed_negative",
     "schemes_empty",

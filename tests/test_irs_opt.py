@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfirs import irs_opt, model
+from cfirs.config import full_config
 from conftest import (
-    aso_coordinate, build_aux, build_instance, cmcqp, crandn, f4_at, synthetic_cmcqp,
+    aso_coordinate, build_aux, build_instance, cmcqp, crandn, f4_at, per_link, synthetic_cmcqp,
 )
 
 
@@ -23,15 +25,15 @@ def _dense_forms(ch, w, aux):
     """Z, Q, A and E of the build_cmcqp docstring, each formed as an RN x RN
     matrix straight from its definition."""
     st = model.stack(ch)
-    warr = model._w_array(w)
+    warr = per_link(w, ch.direct.shape[0])
     K = warr.shape[1]
     ws = [np.vstack(warr[:, i]) for i in range(K)]  # W[:, i] stacked over BSs
     wcov = sum(wi @ wi.conj().T for wi in ws)
     s_h = st.s.conj().T
-    gyu = [st.g_k[k] @ aux.y[k] @ aux.ubar[k] for k in range(K)]
-    z = sum(gyu[k] @ aux.y[k].conj().T @ st.g_k[k].conj().T for k in range(K))
+    gyu = [st.g[:, k] @ aux.y[k] @ aux.ubar[k] for k in range(K)]
+    z = sum(gyu[k] @ aux.y[k].conj().T @ st.g[:, k].conj().T for k in range(K))
     q = st.s @ wcov @ s_h
-    a = sum(gyu[k] @ aux.y[k].conj().T @ st.d_k[k].conj().T @ wcov @ s_h for k in range(K))
+    a = sum(gyu[k] @ aux.y[k].conj().T @ st.d[:, k].conj().T @ wcov @ s_h for k in range(K))
     e = sum(gyu[k] @ ws[k].conj().T @ s_h for k in range(K))
     return z, q, a, e
 
@@ -57,7 +59,7 @@ def test_hadamard_trace_identity():
 def test_build_zero_beamformers():
     cfg, ch, theta, w, h = build_instance(0)
     aux = build_aux(cfg, h, w)
-    zero_w = model.BeamformerSet(w=np.zeros_like(w.w))
+    zero_w = np.zeros_like(w)
     data = irs_opt.build_cmcqp(model.stack(ch), zero_w, aux)
     np.testing.assert_allclose(data.zcal, 0.0, atol=1e-30)
     np.testing.assert_allclose(data.omega, 0.0, atol=1e-30)
@@ -98,7 +100,7 @@ def test_f7_trace_form_oracle():
 
 # The full-scale scenario: 6 BSs x 4 antennas, 4 UEs x 2 antennas, 3 x 60
 # elements (RN = 180).
-FULL_SCALE = dict(l=6, k=4, r=3, m_b=4, m_u=2, n=60, n_h=10, n_v=6)
+FULL_SCALE = dataclasses.asdict(full_config())
 
 
 def test_build_matches_dense_definition():

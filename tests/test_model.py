@@ -1,12 +1,21 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from cfirs import channel as chan
 from cfirs import model
 from cfirs.channel import ChannelSet
+from cfirs.config import full_config
 from cfirs.model import BeamformerSet
 
-from conftest import build_instance, crandn, small_config
+from conftest import build_instance, crandn, per_link, small_config
+
+# No two of L, K, R, m_b, m_u and N equal, so a stacked layout with swapped
+# axes cannot match the per-link oracles; and the same without surfaces.
+LAYOUT = dict(l=3, k=4, r=2, m_b=5, m_u=2, n=6, n_h=3, n_v=2)
+LAYOUT_NO_IRS = dict(LAYOUT, r=0)
 
 
 # ---- independent oracles (kept loop-based on purpose) ----
@@ -78,11 +87,11 @@ def test_stack_blockwise_consistency():
     for k in range(cfg.k):
         for l in range(cfg.l):
             np.testing.assert_array_equal(
-                st.d_k[k, l * Mb:(l + 1) * Mb], ch.direct[l, k]
+                st.d[l * Mb:(l + 1) * Mb, k], ch.direct[l, k]
             )
         for r in range(cfg.r):
             np.testing.assert_array_equal(
-                st.g_k[k, r * N:(r + 1) * N], ch.irs_ue[r, k]
+                st.g[r * N:(r + 1) * N, k], ch.irs_ue[r, k]
             )
 
 
@@ -92,7 +101,7 @@ def test_stacked_form_reproduces_per_link_channel():
     st = model.stack(ch)
     th = np.diag(theta)
     for k in range(cfg.k):
-        hs = st.d_k[k] + st.s.conj().T @ th.conj().T @ st.g_k[k]
+        hs = st.d[:, k] + st.s.conj().T @ th.conj().T @ st.g[:, k]
         per_link = naive_effective(ch, theta)
         for l in range(cfg.l):
             np.testing.assert_allclose(
@@ -104,22 +113,22 @@ def test_stacked_form_reproduces_per_link_channel():
 
 def test_effective_channel_no_irs():
     cfg, ch, _, _, _ = build_instance(4, r=0)
-    h = model.effective_channel(ch, None)
-    np.testing.assert_array_equal(h, ch.direct)
+    h = model.effective_channel(model.stack(ch), None)
+    np.testing.assert_array_equal(per_link(h, cfg.l), ch.direct)
 
 
 def test_effective_channel_zero_cascade():
     cfg, ch, theta, _, _ = build_instance(5)
     dead = ChannelSet(direct=ch.direct, irs_ue=np.zeros_like(ch.irs_ue), bs_irs=ch.bs_irs)
-    h = model.effective_channel(dead, theta)
-    np.testing.assert_allclose(h, ch.direct)
+    h = model.effective_channel(model.stack(dead), theta)
+    np.testing.assert_allclose(per_link(h, cfg.l), ch.direct)
 
 
 def test_effective_channel_matches_naive():
-    cfg, ch, theta, _, _ = build_instance(6, l=2, r=2, n=4, n_h=2, n_v=2)
-    np.testing.assert_allclose(
-        model.effective_channel(ch, theta), naive_effective(ch, theta), rtol=1e-12
-    )
+    for over in (dict(l=2, r=2, n=4, n_h=2, n_v=2), LAYOUT, LAYOUT_NO_IRS):
+        cfg, ch, theta, _, _ = build_instance(6, **over)
+        h = model.effective_channel(model.stack(ch), theta)
+        np.testing.assert_allclose(per_link(h, cfg.l), naive_effective(ch, theta), rtol=1e-12)
 
 
 def einsum_effective(channels, theta):
@@ -133,14 +142,14 @@ def einsum_effective(channels, theta):
 
 @pytest.mark.parametrize("over", [
     dict(l=3, k=2, r=2, m_b=4, m_u=2, n=16, n_h=4, n_v=4),
-    dict(l=6, k=4, r=3, m_b=4, m_u=2, n=60, n_h=10, n_v=6),
+    dataclasses.asdict(full_config()),
     dict(l=3, k=2, r=2, m_b=4, m_u=2, n=16, n_h=4, n_v=4, alpha=0.5),
 ], ids=["desk", "full", "alpha-0.5"])
 def test_effective_channel_matches_einsum_definition(over):
     for seed in (0, 1):
         cfg, ch, theta, _, _ = build_instance(seed, **over)
         ref = einsum_effective(ch, theta)
-        got = model.effective_channel(ch, theta)
+        got = per_link(model.effective_channel(model.stack(ch), theta), cfg.l)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -148,37 +157,36 @@ def test_effective_channel_matches_einsum_definition(over):
 
 def test_sinr_zero_beamformers():
     cfg, ch, theta, w, h = build_instance(7)
-    zero = BeamformerSet(w=np.zeros_like(w.w))
-    gamma = model.sinr(h, zero, cfg.sigma2)
+    gamma = model.sinr(h, np.zeros_like(w), cfg.sigma2)
     np.testing.assert_allclose(gamma, 0.0, atol=1e-30)
 
 
 def test_sinr_scalar_case():
     cfg, ch, theta, _, h = build_instance(8, l=1, k=1, m_b=1, m_u=1, r=0)
-    h = model.effective_channel(ch, None)
-    w = BeamformerSet(w=np.full((1, 1, 1, 1), 0.3 + 0.1j))
+    h = model.effective_channel(model.stack(ch), None)
+    w = np.full((1, 1, 1), 0.3 + 0.1j)
     gamma = model.sinr(h, w, cfg.sigma2)
-    expected = np.abs(h[0, 0, 0, 0]) ** 2 * np.abs(0.3 + 0.1j) ** 2 / cfg.sigma2
+    expected = np.abs(h[0, 0, 0]) ** 2 * np.abs(0.3 + 0.1j) ** 2 / cfg.sigma2
     assert gamma[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_matches_naive_loop_oracle():
-    for seed in range(5):
-        cfg, ch, theta, w, h = build_instance(seed, k=2)
-        got = model.sum_rate(ch, w, theta, cfg.sigma2)
-        want = naive_sum_rate(ch, w.w, theta, cfg.sigma2)
+    for over, seed in itertools.product((dict(k=2), LAYOUT, LAYOUT_NO_IRS), range(5)):
+        cfg, ch, theta, w, h = build_instance(seed, **over)
+        got = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
+        want = naive_sum_rate(ch, per_link(w, cfg.l), theta, cfg.sigma2)
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_rate_zero_beamformers():
     cfg, ch, theta, w, _ = build_instance(9)
-    assert model.sum_rate(ch, BeamformerSet(w=np.zeros_like(w.w)), theta, cfg.sigma2) == 0.0
+    assert model.sum_rate(model.stack(ch), np.zeros_like(w), theta, cfg.sigma2) == 0.0
 
 
 def test_rate_scalar_shannon():
     cfg, ch, _, _, _ = build_instance(10, l=1, k=1, m_b=1, m_u=1, r=0)
-    w = BeamformerSet(w=np.full((1, 1, 1, 1), 0.2 - 0.4j))
-    got = model.sum_rate(ch, w, None, cfg.sigma2)
+    w = np.full((1, 1, 1), 0.2 - 0.4j)
+    got = model.sum_rate(model.stack(ch), w, None, cfg.sigma2)
     snr = np.abs(ch.direct[0, 0, 0, 0] * (0.2 - 0.4j)) ** 2 / cfg.sigma2
     assert got == pytest.approx(np.log(1 + snr), rel=1e-12)
 
@@ -186,28 +194,27 @@ def test_rate_scalar_shannon():
 def test_rate_invariant_to_common_unitary():
     cfg, ch, theta, w, h = build_instance(11)
     rng = np.random.default_rng(0)
-    base = model.sum_rate(ch, w, theta, cfg.sigma2)
+    base = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
     m = crandn(rng, (cfg.m_u, cfg.m_u))
     q, _ = np.linalg.qr(m)
-    rotated = np.array(w.w, copy=True)
+    rotated = np.array(w, copy=True)
     for k in range(cfg.k):
-        for l in range(cfg.l):
-            rotated[l, k] = rotated[l, k] @ q
-    assert model.sum_rate(ch, BeamformerSet(w=rotated), theta, cfg.sigma2) == pytest.approx(base, rel=1e-10)
+        rotated[:, k] = rotated[:, k] @ q
+    assert model.sum_rate(model.stack(ch), rotated, theta, cfg.sigma2) == pytest.approx(base, rel=1e-10)
 
 
 def test_rate_without_irs_equals_zero_cascade():
     cfg, ch, theta, w, _ = build_instance(12)
     dead = ChannelSet(direct=ch.direct, irs_ue=np.zeros_like(ch.irs_ue), bs_irs=ch.bs_irs)
-    with_dead = model.sum_rate(dead, w, theta, cfg.sigma2)
-    without = model.sum_rate(dead, w, None, cfg.sigma2)
+    with_dead = model.sum_rate(model.stack(dead), w, theta, cfg.sigma2)
+    without = model.sum_rate(model.stack(dead), w, None, cfg.sigma2)
     assert with_dead == pytest.approx(without, rel=1e-12)
 
 
 def test_logdet_identity_paths_agree():
     for seed in range(5):
         cfg, ch, theta, w, h = build_instance(seed + 20)
-        via_identity = model.sum_rate(ch, w, theta, cfg.sigma2)
+        via_identity = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
         gamma = model.sinr(h, w, cfg.sigma2)
         via_sinr = sum(model._logdet_hermitian(np.eye(g.shape[0]) + g) for g in gamma)
         assert via_identity == pytest.approx(via_sinr, rel=1e-9)
@@ -217,6 +224,7 @@ def test_logdet_identity_paths_agree():
 
 def test_beamformer_power_accounting():
     cfg, ch, theta, w, _ = build_instance(13)
+    w = BeamformerSet(w=per_link(w, cfg.l))
     w.validate(cfg.p_max)
     power = w.per_bs_power()
     for l in range(cfg.l):

@@ -5,7 +5,7 @@ from cfirs import channel as chan
 from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
 from cfirs.pipeline import SchemeSpec
 
-from conftest import build_instance, small_config
+from conftest import build_instance, per_link, small_config
 
 
 def test_scheme_labels():
@@ -54,7 +54,8 @@ def test_none_scheme_returns_empty_phases():
     )
     assert theta.theta.size == 0
     assert trace.final_sum_rate_true == pytest.approx(
-        model.sum_rate(ch, w, None, cfg.sigma2), rel=1e-12
+        model.sum_rate(model.stack(ch), w.w.transpose(0, 2, 1, 3).reshape(-1, cfg.k, cfg.m_u),
+                       None, cfg.sigma2), rel=1e-12
     )
 
 
@@ -87,8 +88,8 @@ def test_trace_bounded_by_capacity_estimate():
     w, theta, trace = pipeline.joint_optimize(
         ch, cfg, SchemeSpec(solver="aso"), np.random.default_rng(5)
     )
-    h = model.effective_channel(ch, theta.theta)
-    hs = h.transpose(1, 0, 2, 3).reshape(cfg.k, cfg.l * cfg.m_b, cfg.m_u)
+    h = model.effective_channel(model.stack(ch), theta.theta)
+    hs = h.transpose(1, 0, 2)
     hnorm2 = max(np.linalg.norm(hs[k], 2) ** 2 for k in range(cfg.k))
     bound = cfg.k * cfg.m_u * np.log(1 + sum(cfg.p_max) * hnorm2 / cfg.sigma2)
     assert max(trace.sum_rate) <= bound
@@ -168,33 +169,33 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
     use_irs = scheme.solver != "none" and config.r > 0
     theta = pipeline._init_theta(config, rng) if use_irs else None
     has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
-    h = model.effective_channel(opt_channels, theta)
+    opt = model.stack(opt_channels)
+    h = model.effective_channel(opt, theta)
     w = model.matched_filter_init(h, config.p_max)
-    stacked = model.stack(opt_channels) if has_phase_step else None
     trace = pipeline.RunTrace()
-    rate = model.sum_rate(opt_channels, w, theta, config.sigma2)
+    rate = model.sum_rate(opt, w, theta, config.sigma2)
     trace.sum_rate.append(rate)
-    dual = None
+    lam = None
     for it in range(1, config.max_outer + 1):
         u = model.sinr(h, w, config.sigma2)
         y = fp_core.mmse_filters(model.link_state(h, w, config.sigma2))
         aux = fp_core.AuxState(u=u, y=y)
-        w, dual, winfo = tx_opt.optimize_w(h, aux, config, dual=dual, w_prev=w)
+        w, lam, winfo = tx_opt.optimize_w(h, aux, config, lam=lam, w_prev=w)
         sweeps = 0
         if has_phase_step:
-            data = irs_opt.build_cmcqp(stacked, w, aux)
+            data = irs_opt.build_cmcqp(opt, w, aux)
             theta, sweeps = pipeline._phase_step(scheme, theta, data, config, rng)
-            h = model.effective_channel(opt_channels, theta)
+            h = model.effective_channel(opt, theta)
         trace.dual_iterations.append(winfo["iterations"])
         trace.phase_sweeps.append(sweeps)
-        new_rate = model.sum_rate(opt_channels, w, theta, config.sigma2)
+        new_rate = model.sum_rate(opt, w, theta, config.sigma2)
         trace.sum_rate.append(new_rate)
         trace.iterations = it
         if new_rate != 0 and abs(new_rate - rate) / abs(new_rate) < config.eps3:
             trace.converged = True
             break
         rate = new_rate
-    trace.final_sum_rate_true = model.sum_rate(channels, w, theta, config.sigma2)
+    trace.final_sum_rate_true = model.sum_rate(model.stack(channels), w, theta, config.sigma2)
     return w, theta, trace
 
 
@@ -233,7 +234,7 @@ def test_loop_matches_per_quantity_reference(case):
     for name in ("sum_rate", "dual_iterations", "phase_sweeps", "iterations",
                  "converged", "final_sum_rate_true"):
         assert getattr(trace, name) == getattr(ref, name), name
-    np.testing.assert_array_equal(w.w, ref_w.w)
+    np.testing.assert_array_equal(w.w, per_link(ref_w, cfg.l))
     ref_theta = ref_theta if ref_theta is not None else np.zeros(0, complex)
     np.testing.assert_array_equal(theta.theta, ref_theta)
 
