@@ -87,9 +87,8 @@ def full_scale_warm(full_scale):
         ch, config, pipeline.SchemeSpec(solver="qcr"), np.random.default_rng(2024))
     assert trace.iterations == WARM_OUTER
     h = model.effective_channel(stacked, phases.theta)
-    w = beams.w.transpose(0, 2, 1, 3).reshape(h.shape)  # the stacked precoders
-    aux = _aux(h, w, cfg.sigma2)
-    w, _, _ = tx_opt.optimize_w(h, aux, cfg, w_prev=w)
+    aux = _aux(h, beams.w, cfg.sigma2)
+    w, _, _ = tx_opt.optimize_w(h, aux, cfg, w_prev=beams.w)
     return phases.theta, irs_opt.build_cmcqp(stacked, w, aux)
 
 

@@ -8,6 +8,7 @@ received *power* scales with the distance-dependent gain.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,13 +266,7 @@ def sample_ue_positions(geometry: Geometry, rng: np.random.Generator) -> Geometr
     phases = rng.uniform(0.0, 2.0 * np.pi, k)
     ue[:, 0] = geometry.ue_center_x + radii * np.cos(phases)
     ue[:, 1] = 100.0 + radii * np.sin(phases)
-    return Geometry(
-        bs_positions=geometry.bs_positions,
-        irs_positions=geometry.irs_positions,
-        ue_positions=ue,
-        ue_center_x=geometry.ue_center_x,
-        ue_radius=geometry.ue_radius,
-    )
+    return dataclasses.replace(geometry, ue_positions=ue)
 
 
 def sample_angles(config: SystemConfig, rng: np.random.Generator) -> SteeringAngles:

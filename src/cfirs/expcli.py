@@ -9,9 +9,10 @@ The spec file is a single JSON document (see ``ExperimentSpec.from_dict``)
 describing the base scenario, one sweep parameter with its values, the
 schemes to compare, and the seed count; every sweep value is mapped to its
 (config, geometry, schemes) at parse time, so a bad value fails before any
-solve. ``pipeline.solve_realization`` runs each (value, realization) unit;
-this module shapes its traces into rows. Results land in ``results.csv`` (one
-row per (sweep value, scheme, seed)) next to a ``manifest.json`` echoing the
+solve. ``pipeline.solve_realization`` runs each (value, realization) unit
+and ``pipeline.result_row`` shapes each solve; this module puts the sweep
+parameter and value in front. Results land in ``results.csv`` (one row per
+(sweep value, scheme, seed)) next to a ``manifest.json`` echoing the
 configuration. Exit codes: 0 success, 2 spec/input error, 3 runtime failure.
 """
 
@@ -48,10 +49,7 @@ SWEEPS = (
 )
 INTEGER_SWEEPS = ("iterations", "n_phase_shifts", "discrete_levels")
 
-RESULT_COLUMNS = (
-    "sweep_param", "value", "scheme", "seed",
-    "sum_rate_bits", "iterations", "wall_ms", "converged",
-)
+RESULT_COLUMNS = ("sweep_param", "value") + pipeline.ROW_COLUMNS
 
 
 class SpecError(ValueError):
@@ -180,15 +178,7 @@ def _sweep_config(spec: ExperimentSpec, value):
     if spec.sweep == "ue_center_x":
         if spec.fixed_ue:
             raise ValueError("cannot move UEs fixed by geometry.ue_positions")
-        geo = chan.default_geometry(base, ue_center_x=float(value), ue_radius=geometry.ue_radius)
-        geo = Geometry(
-            bs_positions=geometry.bs_positions,
-            irs_positions=geometry.irs_positions,
-            ue_positions=geo.ue_positions,
-            ue_center_x=float(value),
-            ue_radius=geometry.ue_radius,
-        )
-        return base, geo, schemes
+        return base, dataclasses.replace(geometry, ue_center_x=float(value)), schemes
     if spec.sweep == "irs_pathloss_exponent":
         return base.with_(pathloss_irs=float(value)), geometry, schemes
     if spec.sweep == "reflecting_efficiency":
@@ -205,27 +195,25 @@ def _sweep_config(spec: ExperimentSpec, value):
 
 
 def _run_unit(spec: ExperimentSpec, value, seed_index: int):
-    """All schemes on one (sweep value, realization) pair -> list of rows."""
+    """All schemes on one (sweep value, realization) pair -> list of rows:
+    ``pipeline.result_row`` with the sweep parameter and value in front."""
     config, geometry, schemes = _sweep_config(spec, value)
     rows = []
     for scheme, trace, wall_ms in pipeline.solve_realization(
         config, geometry, schemes, spec.master_seed, seed_index, fixed_ue=spec.fixed_ue
     ):
-        if spec.sweep == "iterations":
-            # One row per cap: the rate after that many outer iterations, and
-            # whether the base config's stop rule would have fired there.
-            rates = trace.sum_rate
-            points = []
-            for cap in map(int, spec.sweep_values):
-                rel = abs(rates[cap] - rates[cap - 1]) / abs(rates[cap]) if rates[cap] else 0.0
-                points.append((cap, rates[cap], cap, rel < spec.base.eps3))
-        else:
-            points = [(value, trace.final_sum_rate_true, trace.iterations, trace.converged)]
-        rows += [
-            dict(zip(RESULT_COLUMNS, (spec.sweep, label, scheme.label, seed_index,
-                                      rate_nats / math.log(2.0), iterations, wall_ms, converged)))
-            for label, rate_nats, iterations, converged in points
-        ]
+        row = dict(sweep_param=spec.sweep, value=value,
+                   **pipeline.result_row(scheme, seed_index, trace, wall_ms))
+        if spec.sweep != "iterations":
+            rows.append(row)
+            continue
+        # One row per cap: the rate after that many outer iterations, and
+        # whether the base config's stop rule would have fired there.
+        rates = trace.sum_rate
+        for cap in map(int, spec.sweep_values):
+            rel = abs(rates[cap] - rates[cap - 1]) / abs(rates[cap]) if rates[cap] else 0.0
+            rows.append(dict(row, value=cap, sum_rate_bits=rates[cap] / math.log(2.0),
+                             iterations=cap, converged=rel < spec.base.eps3))
     return rows
 
 

@@ -4,9 +4,9 @@ All base stations jointly serve every user through a central processor, so
 per-user signal and interference combine coherently across base stations.
 The solver core holds every channel and precoder stacked over base stations
 (and reflecting surfaces): the effective channel H = [Hs_1 ... Hs_K] and the
-precoders W = [Ws_1 ... Ws_K] are (L*m_b, K, m_u) arrays, ``stack`` is the
-one conversion from the per-link ``ChannelSet``, and the per-link
-``BeamformerSet`` is built only where ``pipeline.joint_optimize`` returns.
+precoders W = [Ws_1 ... Ws_K] are (L*m_b, K, m_u) arrays. ``stack`` is the
+one conversion from the per-link ``ChannelSet``, the only per-link type, and
+``pipeline.joint_optimize`` returns W as it holds it, in a ``BeamformerSet``.
 The per-user link matrices are the blocks B[k, i] = Hs_k^H Ws_i of H^H W and
 
     V_k    = sum_{i != k} B[k,i] B[k,i]^H + sigma2 * I     (interference+noise)
@@ -34,14 +34,15 @@ from .channel import ChannelSet
 
 @dataclass
 class BeamformerSet:
-    """Active transmit beamformers, one (m_b x m_u) matrix per (BS, UE) pair:
-    the per-link form of the stacked precoders, as a solve returns them."""
+    """The stacked precoders W = [Ws_1 ... Ws_K] that a solve returns: rows
+    l*m_b:(l+1)*m_b of W belong to BS l of the ``l`` base stations."""
 
-    w: np.ndarray  # (L, K, m_b, m_u)
+    w: np.ndarray  # (L*m_b, K, m_u)
+    l: int
 
     def per_bs_power(self) -> np.ndarray:
         """Transmit power of each base station, sum_k ||W_{l,k}||_F^2."""
-        return np.sum(np.abs(self.w) ** 2, axis=(1, 2, 3))
+        return np.sum(np.abs(self.w.reshape(self.l, -1)) ** 2, axis=1)
 
     def validate(self, p_max, tol: float = 1e-6) -> None:
         power = self.per_bs_power()

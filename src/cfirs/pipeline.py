@@ -12,9 +12,10 @@ achieved sum rate is monotonically non-decreasing across iterations; rounded
 solvers (QCR, SDR) are safeguarded by accepting a phase step only when it
 does not decrease the quadratic phase objective.
 
-``solve_realization`` is the one experiment runner (draw, solve, time);
-``monte_carlo`` and the experiment CLI build their rows from it, and
-``aggregate`` is the one mean / standard-error reduction.
+``solve_realization`` is the one experiment runner (draw, solve, time),
+``result_row`` turns one of its solves into a results row (``ROW_COLUMNS``)
+for both ``monte_carlo`` and the experiment CLI, and ``aggregate`` is the
+one mean / standard-error reduction.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .config import SystemConfig
 from .model import BeamformerSet, PhaseVector
 
 PHASE_SOLVERS = ("aso", "qcr", "sdr", "discrete", "random", "none")
+ROW_COLUMNS = ("scheme", "seed", "sum_rate_bits", "iterations", "wall_ms", "converged")
 
 
 @dataclass(frozen=True)
@@ -133,9 +135,8 @@ def joint_optimize(
     with the best rate on the optimizer's channels (the true channels are
     never consulted for the choice). All starts share one channel estimate.
 
-    Both channel sets are stacked once (``model.stack``) and every start
-    runs in the stacked layout; the per-link ``BeamformerSet`` is formed from
-    the stacked precoders only here, at the return.
+    Both channel sets are stacked once (``model.stack``), every start runs
+    in the stacked layout, and the ``BeamformerSet`` holds the stacked W.
     """
     channels.validate(config)
     # The perturbation draw happens even at rho = 0 so that sweeps over rho
@@ -148,9 +149,8 @@ def joint_optimize(
         if best is None or trace.sum_rate[-1] > best[2].sum_rate[-1]:
             best = (w, theta, trace)
     w, theta, trace = best
-    per_link = w.reshape(config.l, config.m_b, config.k, config.m_u).transpose(0, 2, 1, 3)
     phases = theta if theta is not None else np.zeros(0, complex)
-    return BeamformerSet(w=per_link), PhaseVector(theta=phases, alpha=config.alpha), trace
+    return BeamformerSet(w=w, l=config.l), PhaseVector(theta=phases, alpha=config.alpha), trace
 
 
 def _optimize_once(true, opt, config, scheme, rng):
@@ -255,6 +255,15 @@ def solve_realization(
     return out
 
 
+def result_row(scheme: SchemeSpec, seed_index: int, trace: RunTrace, wall_ms: float) -> dict:
+    """The ``ROW_COLUMNS`` row of one solve: its rate on the true channels in
+    bits, iteration count, wall time and convergence flag."""
+    return dict(zip(ROW_COLUMNS, (
+        scheme.label, seed_index, trace.final_sum_rate_true / np.log(2.0),
+        trace.iterations, wall_ms, trace.converged,
+    )))
+
+
 def monte_carlo(
     config: SystemConfig,
     geometry: Geometry,
@@ -265,23 +274,13 @@ def monte_carlo(
 ):
     """Run every scheme on the same channel realizations.
 
-    Returns a list of row dicts keyed by (scheme, seed), carrying the rate on
-    the true channels in both nats and bits, iteration count, wall time, and
-    the convergence flag. Rows for one seed share the channel draw, so
-    per-seed scheme differences are paired.
+    Returns one ``result_row`` per (seed, scheme). Rows for one seed share
+    the channel draw, so per-seed scheme differences are paired.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     return [
-        {
-            "scheme": scheme.label,
-            "seed": seed_index,
-            "sum_rate_nats": trace.final_sum_rate_true,
-            "sum_rate_bits": trace.final_sum_rate_true / np.log(2.0),
-            "iterations": trace.iterations,
-            "converged": trace.converged,
-            "wall_ms": wall_ms,
-        }
+        result_row(scheme, seed_index, trace, wall_ms)
         for seed_index in range(n_seeds)
         for scheme, trace, wall_ms in solve_realization(
             config, geometry, schemes, master_seed, seed_index, n_starts=n_starts
@@ -289,11 +288,11 @@ def monte_carlo(
     ]
 
 
-def aggregate(rows, key: str = "sum_rate_bits"):
-    """Mean and standard error of ``key`` per scheme label."""
+def aggregate(rows):
+    """Mean and standard error of ``sum_rate_bits`` per scheme label."""
     by_scheme = {}
     for row in rows:
-        by_scheme.setdefault(row["scheme"], []).append(row[key])
+        by_scheme.setdefault(row["scheme"], []).append(row["sum_rate_bits"])
     out = {}
     for label, values in by_scheme.items():
         arr = np.asarray(values, float)

@@ -18,7 +18,7 @@ from cfirs.channel import Geometry
 from cfirs.config import desk_config
 from cfirs.pipeline import SchemeSpec
 
-from conftest import aso_coordinate, build_aux, build_instance, f3_at, per_link, synthetic_cmcqp
+from conftest import aso_coordinate, build_aux, build_instance, f3_at, synthetic_cmcqp
 from test_tx_opt import pgd_reference
 
 
@@ -158,7 +158,7 @@ def test_criterion_5_dual_method_against_projected_gradient():
         _, ref_value = pgd_reference(h, aux, np.asarray(cfg.p_max))
         if abs(info["f5"] - ref_value) <= 1e-4 * max(abs(ref_value), 1e-12):
             match += 1
-        power = model.BeamformerSet(w=per_link(got, cfg.l)).per_bs_power()
+        power = model.BeamformerSet(w=got, l=cfg.l).per_bs_power()
         if (power <= np.asarray(cfg.p_max) + 1e-6).all():
             feasible += 1
         if np.max(np.abs(info["slackness"])) < 1e-4 * min(cfg.p_max):

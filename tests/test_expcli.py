@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from cfirs import channel as chan
 from cfirs import expcli, pipeline
 
 
@@ -139,6 +140,27 @@ def test_fixed_ue_rows_come_from_the_shared_runner(tmp_path):
     written = sorted((float(r["value"]), r["scheme"], int(r["seed"]), r["sum_rate_bits"]) for r in rows)
     assert written == runner_rates(True)
     assert written != runner_rates(False)
+
+
+def test_cli_rows_are_monte_carlo_rows(tmp_path):
+    # A ue_center_x sweep's rows at value v are monte_carlo's rows at the
+    # default geometry centred at v, in every column but sweep_param, value
+    # and wall_ms.
+    doc = json.loads(minimal_spec(
+        tmp_path, sweep="ue_center_x", sweep_values=[50.0, 125.0], n_seeds=2,
+        schemes=[{"solver": "aso"}, {"solver": "none"}],
+    ).read_text())
+    spec = expcli.ExperimentSpec.from_dict(doc)
+    rows = read_rows(expcli.run_spec(spec, tmp_path / "ue"))
+    assert tuple(rows[0]) == expcli.RESULT_COLUMNS
+    columns = [c for c in pipeline.ROW_COLUMNS if c != "wall_ms"]
+    for value in spec.sweep_values:
+        written = sorted([r[c] for c in columns] for r in rows if float(r["value"]) == value)
+        want = pipeline.monte_carlo(
+            spec.base, chan.default_geometry(spec.base, ue_center_x=value),
+            spec.schemes, spec.n_seeds, spec.master_seed,
+        )
+        assert written == sorted([expcli._fmt(r[c]) for c in columns] for r in want)
 
 
 def test_run_spec_solves_through_the_pipeline_attribute(tmp_path, monkeypatch):

@@ -223,13 +223,17 @@ def test_logdet_identity_paths_agree():
 
 
 def test_beamformer_power_accounting():
-    cfg, ch, theta, w, _ = build_instance(13)
-    w = BeamformerSet(w=per_link(w, cfg.l))
-    w.validate(cfg.p_max)
-    power = w.per_bs_power()
-    for l in range(cfg.l):
-        manual = sum(np.linalg.norm(w.w[l, k]) ** 2 for k in range(cfg.k))
-        assert power[l] == pytest.approx(manual, rel=1e-12)
+    # The second shape has l != k and m_b != m_u, so a wrong row split shows.
+    for over in ({}, dict(l=3, k=2, m_b=5, m_u=2)):
+        cfg, ch, theta, w, _ = build_instance(13, **over)
+        w = BeamformerSet(w=w, l=cfg.l)
+        w.validate(cfg.p_max)
+        power = w.per_bs_power()
+        assert power.shape == (cfg.l,)
+        for l in range(cfg.l):
+            rows = w.w[l * cfg.m_b:(l + 1) * cfg.m_b]
+            manual = sum(np.linalg.norm(rows[:, k]) ** 2 for k in range(cfg.k))
+            assert power[l] == pytest.approx(manual, rel=1e-12)
 
 
 def test_phase_vector_validation():

@@ -5,7 +5,7 @@ from cfirs import channel as chan
 from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
 from cfirs.pipeline import SchemeSpec
 
-from conftest import build_instance, per_link, small_config
+from conftest import build_instance, small_config
 
 
 def test_scheme_labels():
@@ -54,8 +54,7 @@ def test_none_scheme_returns_empty_phases():
     )
     assert theta.theta.size == 0
     assert trace.final_sum_rate_true == pytest.approx(
-        model.sum_rate(model.stack(ch), w.w.transpose(0, 2, 1, 3).reshape(-1, cfg.k, cfg.m_u),
-                       None, cfg.sigma2), rel=1e-12
+        model.sum_rate(model.stack(ch), w.w, None, cfg.sigma2), rel=1e-12
     )
 
 
@@ -116,7 +115,8 @@ def test_monte_carlo_single_seed_matches_direct_run():
     channels = pipeline.realize_channels(cfg, geo, master_seed=5, seed_index=0)
     rng = np.random.default_rng(pipeline.scheme_seed_key(5, 0, scheme.label))
     _, _, trace = pipeline.joint_optimize(channels, cfg, scheme, rng)
-    assert rows[0]["sum_rate_nats"] == pytest.approx(trace.final_sum_rate_true, rel=1e-12)
+    assert rows[0]["sum_rate_bits"] == pytest.approx(trace.final_sum_rate_true / np.log(2.0),
+                                                     rel=1e-12)
     assert rows[0]["iterations"] == trace.iterations
 
 
@@ -140,8 +140,8 @@ def test_adding_scheme_leaves_other_draws_unchanged():
     more = [SchemeSpec(solver="random"), SchemeSpec(solver="aso")]
     rows_a = pipeline.monte_carlo(cfg, geo, base, n_seeds=2, master_seed=3)
     rows_b = pipeline.monte_carlo(cfg, geo, more, n_seeds=2, master_seed=3)
-    vals_a = {(r["scheme"], r["seed"]): r["sum_rate_nats"] for r in rows_a}
-    vals_b = {(r["scheme"], r["seed"]): r["sum_rate_nats"] for r in rows_b}
+    vals_a = {(r["scheme"], r["seed"]): r["sum_rate_bits"] for r in rows_a}
+    vals_b = {(r["scheme"], r["seed"]): r["sum_rate_bits"] for r in rows_b}
     for key, val in vals_a.items():
         assert vals_b[key] == pytest.approx(val, rel=1e-12)
 
@@ -234,7 +234,7 @@ def test_loop_matches_per_quantity_reference(case):
     for name in ("sum_rate", "dual_iterations", "phase_sweeps", "iterations",
                  "converged", "final_sum_rate_true"):
         assert getattr(trace, name) == getattr(ref, name), name
-    np.testing.assert_array_equal(w.w, per_link(ref_w, cfg.l))
+    np.testing.assert_array_equal(w.w, ref_w)
     ref_theta = ref_theta if ref_theta is not None else np.zeros(0, complex)
     np.testing.assert_array_equal(theta.theta, ref_theta)
 

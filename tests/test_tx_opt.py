@@ -32,8 +32,8 @@ def pgd_reference(h, aux, p_max, iters=4000):
             if power[l] > p_max[l]:
                 blocks[:, l] *= np.sqrt(p_max[l] / power[l])
         ws = blocks.reshape(K, L * Mb, Mu)
-    w = ws.reshape(K, L, Mb, Mu).transpose(1, 0, 2, 3)
-    return BeamformerSet(w=w), form.value(ws.transpose(1, 0, 2))
+    w = ws.transpose(1, 0, 2)
+    return BeamformerSet(w=w, l=L), form.value(w)
 
 
 def _instance_with_aux(seed, **over):
@@ -114,7 +114,7 @@ def test_primal_is_lagrangian_stationary_point():
 
     def lagrangian(warr):
         val = form.value(warr)
-        power = np.sum(np.abs(per_link(warr, cfg.l)) ** 2, axis=(1, 2, 3))
+        power = BeamformerSet(w=warr, l=cfg.l).per_bs_power()
         return val + np.dot(lam, power - np.asarray(cfg.p_max))
 
     base_scale = max(1.0, abs(lagrangian(got)))
@@ -134,8 +134,7 @@ def test_power_monotone_in_own_multiplier():
         for lam_l in [0.0, 0.1, 1.0, 10.0, 100.0]:
             lam = np.full(cfg.l, 0.5)
             lam[l] = lam_l
-            wl = per_link(form.solve(lam), cfg.l)[l]
-            power = float(np.sum(np.abs(wl) ** 2))
+            power = float(BeamformerSet(w=form.solve(lam), l=cfg.l).per_bs_power()[l])
             assert power <= prev + 1e-12
             prev = power
 
@@ -155,7 +154,7 @@ def test_optimize_w_inactive_constraint():
 def test_optimize_w_active_constraint():
     cfg, ch, theta, w, h, aux = _instance_with_aux(9)
     got, lam, info = tx_opt.optimize_w(h, aux, cfg)
-    got = BeamformerSet(w=per_link(got, cfg.l))
+    got = BeamformerSet(w=got, l=cfg.l)
     power = got.per_bs_power()
     # tight budgets: every BS transmits at its cap
     np.testing.assert_allclose(power, np.asarray(cfg.p_max), rtol=1e-3)
@@ -175,7 +174,7 @@ def test_optimize_w_feasible_and_slack():
     for seed in range(5):
         cfg, ch, theta, w, h, aux = _instance_with_aux(seed + 60)
         got, lam, info = tx_opt.optimize_w(h, aux, cfg)
-        BeamformerSet(w=per_link(got, cfg.l)).validate(cfg.p_max)
+        BeamformerSet(w=got, l=cfg.l).validate(cfg.p_max)
         assert np.max(np.abs(info["slackness"])) < 1e-4 * min(cfg.p_max)
 
 
@@ -334,8 +333,8 @@ def test_form_solve_returns_the_inverse_and_the_power_jacobian():
         for m_idx in range(cfg.l):
             d = np.zeros(cfg.l)
             d[m_idx] = 1e-6 * lam[m_idx]
-            up = np.sum(np.abs(per_link(form.solve(lam + d), cfg.l)) ** 2, axis=(1, 2, 3))
-            dn = np.sum(np.abs(per_link(form.solve(lam - d), cfg.l)) ** 2, axis=(1, 2, 3))
+            up = BeamformerSet(w=form.solve(lam + d), l=cfg.l).per_bs_power()
+            dn = BeamformerSet(w=form.solve(lam - d), l=cfg.l).per_bs_power()
             fd = (up - dn) / (2.0 * d[m_idx])
             np.testing.assert_allclose(jac[:, m_idx], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
 
@@ -346,7 +345,7 @@ def test_newton_dual_meets_kkt(over):
         cfg, ch, theta, w, h, aux = _instance_with_aux(seed + 100, **over)
         got, lam, info = tx_opt.optimize_w(h, aux, cfg)
         assert info["converged"]
-        BeamformerSet(w=per_link(got, cfg.l)).validate(cfg.p_max)
+        BeamformerSet(w=got, l=cfg.l).validate(cfg.p_max)
         _assert_kkt(cfg, lam, info)
 
 
@@ -401,7 +400,7 @@ def test_newton_dual_at_one_factorization(over):
         assert info["iterations"] == 1
         assert not info["converged"]
         assert np.isfinite(got).all()
-        assert (BeamformerSet(w=per_link(got, cfg.l)).per_bs_power()
+        assert (BeamformerSet(w=got, l=cfg.l).per_bs_power()
                 <= np.asarray(cfg.p_max) * (1.0 + 1e-9)).all()
 
 
@@ -427,7 +426,7 @@ def test_optimize_w_finite_feasible_and_no_worse_than_zero(seed, log_p, log_sigm
     except np.linalg.LinAlgError:
         return
     assert np.isfinite(got).all()
-    assert (BeamformerSet(w=per_link(got, cfg.l)).per_bs_power()
+    assert (BeamformerSet(w=got, l=cfg.l).per_bs_power()
             <= np.asarray(cfg.p_max) * (1.0 + 1e-9)).all()
     form = QuadraticForm.build(h, aux, cfg.l)
     assert info["f5"] == form.value(got)
