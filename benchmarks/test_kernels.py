@@ -15,6 +15,10 @@ made (``extra_info["factorizations"]``, cold start at the draw's
 matched-filter state). ``qcr_relax`` runs twice: from the draw's random phases (a cold
 start) and on the subproblem that the QCR scheme meets after a few outer iterations of
 the same draw (a warm start, the regime most full-scale QCR calls are in).
+Beside them, ``pipeline._phase_step`` times the QCR phase step the outer
+loop takes on that warm subproblem: ``qcr_solve`` capped at
+``pipeline.QCR_BUDGET`` FISTA steps, the projection and the acceptance
+check (``extra_info["iterations"]``).
 This directory is outside the test paths; run with BLAS pinned to one
 thread for stable numbers:
 
@@ -97,6 +101,15 @@ def test_qcr_relax(benchmark, start, full_scale, full_scale_warm):
     theta, data = full_scale[4:6] if start == "cold" else full_scale_warm
     _, trace = benchmark(irs_opt.qcr_relax, theta, data)
     benchmark.extra_info["iterations"] = len(trace) - 1
+
+
+def test_qcr_phase_step(benchmark, full_scale, full_scale_warm):
+    cfg = full_scale[0]
+    theta, data = full_scale_warm
+    scheme = pipeline.SchemeSpec(solver="qcr")
+    _, iterations = benchmark(pipeline._phase_step, scheme, theta, data, cfg, None)
+    assert 0 < iterations <= pipeline.QCR_BUDGET
+    benchmark.extra_info["iterations"] = iterations
 
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])

@@ -207,13 +207,15 @@ def _run_unit(spec: ExperimentSpec, value, seed_index: int):
         if spec.sweep != "iterations":
             rows.append(row)
             continue
-        # One row per cap: the rate after that many outer iterations, and
-        # whether the base config's stop rule would have fired there.
+        # One row per cap: the rate after that many outer iterations, the
+        # time they took, and whether the base config's stop rule would have
+        # fired there.
         rates = trace.sum_rate
         for cap in map(int, spec.sweep_values):
             rel = abs(rates[cap] - rates[cap - 1]) / abs(rates[cap]) if rates[cap] else 0.0
             rows.append(dict(row, value=cap, sum_rate_bits=rates[cap] / math.log(2.0),
-                             iterations=cap, converged=rel < spec.base.eps3))
+                             iterations=cap, wall_ms=trace.elapsed_seconds[cap - 1] * 1e3,
+                             converged=rel < spec.base.eps3))
     return rows
 
 

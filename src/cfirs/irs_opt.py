@@ -119,17 +119,32 @@ def _grid_rule(alpha: float, levels: int):
     ties (1e-12 relative) go to the lower grid index.
 
     The score of grid point g is Re(conj(g) mu) = Re g Re mu + Im g Im mu,
-    taken in Python floats.
+    taken in Python floats. The best point is one of the two around arg mu,
+    k = floor(M arg mu / 2 pi) mod M and k + 1: every other point is at least
+    2 pi / M from arg mu, so its score trails the best by at least
+    alpha |mu| (cos(pi / M) - cos(2 pi / M)). Only those two are scored
+    unless that gap, with a fourfold margin for rounding, could fall within
+    the near-tie cut (mu = 0 among others); then all M points are.
     """
     grid = (alpha * np.exp(2j * np.pi * np.arange(levels) / levels)).tolist()
     parts = [(g.real, g.imag) for g in grid]
+    per_radian = levels / (2.0 * math.pi)
+    gap = alpha * (math.cos(math.pi / levels) - math.cos(2.0 * math.pi / levels))
 
     def best(mu, current):
         mr, mi = mu.real, mu.imag
-        scores = [gr * mr + gi * mi for gr, gi in parts]
-        top = max(scores)
-        cut = top - 1e-12 * max(1.0, abs(top))
-        return next(g for g, score in zip(grid, scores) if score >= cut)
+        r = abs(mu)
+        if r * gap <= 4e-12 * max(1.0, alpha * r):
+            scores = [gr * mr + gi * mi for gr, gi in parts]
+            top = max(scores)
+            cut = top - 1e-12 * max(1.0, abs(top))
+            return next(g for g, score in zip(grid, scores) if score >= cut)
+        k = math.floor(cmath.phase(mu) * per_radian) % levels
+        lo, hi = (0, k) if k == levels - 1 else (k, k + 1)
+        s_lo = parts[lo][0] * mr + parts[lo][1] * mi
+        s_hi = parts[hi][0] * mr + parts[hi][1] * mi
+        top = max(s_lo, s_hi)
+        return grid[lo] if s_lo >= top - 1e-12 * max(1.0, abs(top)) else grid[hi]
 
     return best
 
@@ -407,8 +422,8 @@ def sdr_solve(
 def discrete_sweep(theta0, data: CmcQpData, levels: int, max_sweeps: int = 200):
     """Per-coordinate exhaustive search over the discrete phase set.
 
-    Each visit evaluates all ``levels`` grid phases of cos(eta_i - phi) and
-    keeps the best, breaking exact ties toward the lower grid index. Sweeps
+    Each visit keeps the best of the ``levels`` grid phases by
+    cos(eta_i - phi), breaking exact ties toward the lower grid index. Sweeps
     repeat until one leaves f7 unchanged; a sweep that changes no coordinate
     does so exactly. Returns (theta, sweeps_used).
     """

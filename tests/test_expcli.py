@@ -299,6 +299,42 @@ def test_iterations_sweep_reads_trace(tmp_path):
     assert float(rows[1]["sum_rate_bits"]) >= float(rows[0]["sum_rate_bits"]) - 1e-9
 
 
+def test_iterations_sweep_wall_ms_is_per_cap(tmp_path, monkeypatch):
+    # A cap row's wall_ms is the time up to that cap: it never decreases
+    # with the cap and never exceeds the whole solve's wall_ms.
+    solves = []
+    real = pipeline.solve_realization
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        solves.extend(out)
+        return out
+
+    monkeypatch.setattr(pipeline, "solve_realization", spy)
+    spec = minimal_spec(
+        tmp_path,
+        sweep="iterations",
+        sweep_values=[5, 1, 3, 8],
+        schemes=[{"solver": "aso"}, {"solver": "qcr"}],
+        base={
+            "l": 1, "k": 1, "r": 1, "m_b": 2, "m_u": 1,
+            "n": 2, "n_h": 2, "n_v": 1, "max_outer": 4,
+        },
+    )
+    rows = read_rows(expcli.run(spec))
+    assert len(solves) == 2 and len(rows) == 4 * len(solves)
+    for scheme, trace, wall_ms in solves:
+        assert trace.iterations == 8 and len(trace.elapsed_seconds) == 8
+        by_cap = sorted((int(r["value"]), float(r["wall_ms"]))
+                        for r in rows if r["scheme"] == scheme.label)
+        assert [cap for cap, _ in by_cap] == [1, 3, 5, 8]
+        walls = [ms for _, ms in by_cap]
+        assert walls == sorted(walls)
+        assert walls[-1] <= wall_ms
+        for cap, ms in by_cap:
+            assert ms == pytest.approx(trace.elapsed_seconds[cap - 1] * 1e3, rel=1e-9)
+
+
 def test_threads_match_serial(tmp_path):
     spec = minimal_spec(tmp_path, sweep_values=[0.5, 1.0], n_seeds=2)
     serial = expcli.run(spec, out_dir=tmp_path / "serial", threads=1)

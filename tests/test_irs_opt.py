@@ -740,6 +740,52 @@ def test_discrete_sweep_matches_reference_loop(levels):
         assert len(again) == 2 and again[1] == again[0]
 
 
+@pytest.mark.parametrize("levels", [3, 16])
+def test_discrete_sweep_matches_reference_loop_on_more_grids(levels):
+    for theta0, data in _ascent_instances():
+        alpha = irs_opt._alpha_of(theta0)
+        out, sweeps = irs_opt.discrete_sweep(theta0, data, levels)
+        ref, trace = _reference_ascend(theta0, data, _reference_grid(alpha, levels), 0.0, 200)
+        np.testing.assert_array_equal(out, ref)
+        assert sweeps == len(trace) - 1
+
+
+def _full_scan(alpha, levels):
+    """The grid rule scoring all M points in Python floats, the lowest index
+    within the 1e-12 cut winning."""
+    grid = (alpha * np.exp(2j * np.pi * np.arange(levels) / levels)).tolist()
+
+    def best(mu, current):
+        scores = [g.real * mu.real + g.imag * mu.imag for g in grid]
+        cut = max(scores) - 1e-12 * max(1.0, abs(max(scores)))
+        return next(g for g, score in zip(grid, scores) if score >= cut)
+
+    return best
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("levels", [2, 3, 4, 8, 16])
+def test_grid_rule_matches_full_scan(levels, alpha):
+    # mu on every grid point and every bisector of two neighbours (exact
+    # ties up to rounding: the lower index wins), in every direction, and at
+    # magnitudes from 0 through the near-tie range of the cut up to 1e12.
+    # The reference scores in Python floats, as the rule does: at mu ~ 1e-12
+    # a score can sit on the cut within rounding, where numpy's complex
+    # product may round the other way.
+    rng = np.random.default_rng(levels)
+    k = np.arange(2 * levels)
+    directions = list(np.exp(1j * np.pi * k / levels))
+    directions += list(np.exp(1j * rng.uniform(-np.pi, np.pi, 200)))
+    directions += [1.0, -1.0, 1j, -1j, complex(-1.0, -0.0)]
+    mags = [0.0, 1e-16, 1e-13, 1e-12, 1e-11, 1e-9, 1e-3, 1.0, 1e3, 1e12]
+    rule, ref = irs_opt._grid_rule(alpha, levels), _full_scan(alpha, levels)
+    for mag in mags:
+        for d in directions:
+            mu = complex(mag * d)
+            assert rule(mu, None) == ref(mu, None), (mu, levels)
+    assert rule(0j, None) == alpha
+
+
 def test_aso_matches_reference_loop():
     for theta0, data in _ascent_instances():
         alpha = irs_opt._alpha_of(theta0)

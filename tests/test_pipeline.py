@@ -3,6 +3,7 @@ import pytest
 
 from cfirs import channel as chan
 from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
+from cfirs.config import full_config
 from cfirs.pipeline import SchemeSpec
 
 from conftest import build_instance, small_config
@@ -165,10 +166,12 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
     """The outer loop as a sequence of per-quantity calls, each of which
     recomputes the link matrices (and the effective channel) from (W, theta)
     on its own: sinr, the MMSE filters, optimize_w, build_cmcqp and the phase step,
-    effective_channel, sum_rate."""
+    effective_channel, sum_rate. After a QCR step that moved the phases, the
+    extrapolated phases replace them when their rate is strictly higher."""
     use_irs = scheme.solver != "none" and config.r > 0
     theta = pipeline._init_theta(config, rng) if use_irs else None
     has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
+    beta = 0.5
     opt = model.stack(opt_channels)
     h = model.effective_channel(opt, theta)
     w = model.matched_filter_init(h, config.p_max)
@@ -182,6 +185,7 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
         aux = fp_core.AuxState(u=u, y=y)
         w, lam, winfo = tx_opt.optimize_w(h, aux, config, lam=lam, w_prev=w)
         sweeps = 0
+        prev = theta
         if has_phase_step:
             data = irs_opt.build_cmcqp(opt, w, aux)
             theta, sweeps = pipeline._phase_step(scheme, theta, data, config, rng)
@@ -189,6 +193,18 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
         trace.dual_iterations.append(winfo["iterations"])
         trace.phase_sweeps.append(sweeps)
         new_rate = model.sum_rate(opt, w, theta, config.sigma2)
+        kept = False
+        if scheme.solver == "qcr" and use_irs and np.any(theta != prev):
+            cand = theta * np.exp(1j * beta * np.angle(theta * np.conj(prev)))
+            cand_rate = model.sum_rate(opt, w, cand, config.sigma2)
+            kept = cand_rate > new_rate
+            if kept:
+                theta, new_rate = cand, cand_rate
+                h = model.effective_channel(opt, theta)
+                beta = min(3.0, 1.5 * beta)
+            else:
+                beta = max(0.1, 0.5 * beta)
+        trace.extrapolated.append(kept)
         trace.sum_rate.append(new_rate)
         trace.iterations = it
         if new_rate != 0 and abs(new_rate - rate) / abs(new_rate) < config.eps3:
@@ -231,7 +247,7 @@ def test_loop_matches_per_quantity_reference(case):
     ref_w, ref_theta, ref = _reference_joint(
         ch, cfg, scheme, np.random.default_rng(8), n_starts=n_starts)
     assert trace.iterations > 1
-    for name in ("sum_rate", "dual_iterations", "phase_sweeps", "iterations",
+    for name in ("sum_rate", "dual_iterations", "phase_sweeps", "extrapolated", "iterations",
                  "converged", "final_sum_rate_true"):
         assert getattr(trace, name) == getattr(ref, name), name
     np.testing.assert_array_equal(w.w, ref_w)
@@ -243,27 +259,30 @@ def test_loop_matches_per_quantity_reference(case):
 def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
     # Per start: the effective channel at the initial phases, after every
     # phase step and on the true channels at the end; the link state at the
-    # start, after every iteration and for the final rate.
+    # start, after every iteration and for the final rate. Each attempted
+    # QCR extrapolation (after a step that moved the phases) adds one
+    # channel and one link state.
     events, starts = [], []
     real_channel, real_links = model.effective_channel, model.link_matrices
     real_step, real_once = pipeline._phase_step, pipeline._optimize_once
 
     def channel_spy(channels, theta):
-        events.append(("channel", None if theta is None else np.array(theta)))
+        events.append(("channel", None if theta is None else np.array(theta), False))
         return real_channel(channels, theta)
 
     def links_spy(h, w):
-        events.append(("links", None))
+        events.append(("links", None, False))
         return real_links(h, w)
 
     def step_spy(scheme, theta, data, config, rng):
-        events.append(("step", np.array(theta)))
-        return real_step(scheme, theta, data, config, rng)
+        out = real_step(scheme, theta, data, config, rng)
+        events.append(("step", np.array(theta), not np.array_equal(out[0], theta)))
+        return out
 
     def once_spy(*args):
         first = len(events)
         out = real_once(*args)
-        starts.append((events[first:], out[2].iterations))
+        starts.append((events[first:], out[2]))
         return out
 
     monkeypatch.setattr(model, "effective_channel", channel_spy)
@@ -275,15 +294,136 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
     pipeline.joint_optimize(ch, cfg, scheme, np.random.default_rng(9), n_starts=2)
 
     assert len(starts) == 2
-    for calls, iterations in starts:
-        kinds = [kind for kind, _ in calls]
+    for calls, trace in starts:
+        kinds = [kind for kind, _, _ in calls]
         steps = kinds.count("step")
-        assert steps == (iterations if solver in ("aso", "qcr", "discrete") else 0)
-        assert kinds.count("channel") == steps + 2
-        assert kinds.count("links") == iterations + 2
-        last_theta = None
-        for kind, theta in calls:
+        assert steps == (trace.iterations if solver in ("aso", "qcr", "discrete") else 0)
+        tried = [moved and solver == "qcr" for kind, _, moved in calls if kind == "step"]
+        assert (sum(tried) > 0) == (solver == "qcr")
+        # Only an attempted extrapolation can be kept.
+        flags = tried if steps else [False] * trace.iterations
+        assert len(trace.extrapolated) == trace.iterations
+        assert all(t or not kept for kept, t in zip(trace.extrapolated, flags))
+        assert kinds.count("channel") == steps + 2 + sum(tried)
+        assert kinds.count("links") == trace.iterations + 2 + sum(tried)
+        # Each step starts from the phases the loop kept: those of the last
+        # channel, or of the one before it after a rejected extrapolation.
+        channels, done = [], 0
+        for kind, theta, _ in calls:
             if kind == "channel":
-                last_theta = theta
+                channels.append(theta)
             elif kind == "step":
-                np.testing.assert_array_equal(last_theta, theta)
+                rejected = done and tried[done - 1] and not trace.extrapolated[done - 1]
+                np.testing.assert_array_equal(channels[-2 if rejected else -1], theta)
+                done += 1
+
+
+# ---- the extrapolated QCR phase step ----
+
+def _qcr_events(monkeypatch, cfg, ch, seed, n_starts, extrapolated=None):
+    """Run the QCR scheme and return, per start, (events, trace): the phase
+    steps, the extrapolation attempts (beta, theta+, theta-, theta_e) and
+    every rate the loop read, in order."""
+    events, starts = [], []
+    real_step, real_rate = pipeline._phase_step, model.link_rate
+    real_extra = extrapolated or pipeline._extrapolated
+    real_once, real_qcr = pipeline._optimize_once, irs_opt.qcr_solve
+
+    def step_spy(*args):
+        events.append(("step",))
+        return real_step(*args)
+
+    def extra_spy(theta, prev, beta):
+        out = real_extra(theta, prev, beta)
+        events.append(("try", beta, theta, prev, out))
+        return out
+
+    def rate_spy(link):
+        rate = real_rate(link)
+        events.append(("rate", rate))
+        return rate
+
+    def qcr_spy(theta, data, **kwargs):
+        events.append(("qcr", kwargs))
+        return real_qcr(theta, data, **kwargs)
+
+    def once_spy(*args):
+        first = len(events)
+        out = real_once(*args)
+        starts.append((events[first:], out[2]))
+        return out
+
+    monkeypatch.setattr(pipeline, "_phase_step", step_spy)
+    monkeypatch.setattr(pipeline, "_extrapolated", extra_spy)
+    monkeypatch.setattr(model, "link_rate", rate_spy)
+    monkeypatch.setattr(irs_opt, "qcr_solve", qcr_spy)
+    monkeypatch.setattr(pipeline, "_optimize_once", once_spy)
+    pipeline.joint_optimize(ch, cfg, SchemeSpec(solver="qcr"), np.random.default_rng(seed),
+                            n_starts=n_starts)
+    return starts
+
+
+def _check_attempts(calls, trace, alpha):
+    """Walk one start's events: each attempt follows the rate at theta+ and
+    precedes the rate at theta_e; it is kept exactly when that rate is
+    strictly higher, and beta follows its schedule. Returns the betas."""
+    betas, expected, it = [], 0.5, -1
+    for i, ev in enumerate(calls):
+        if ev[0] == "step":
+            it += 1
+        elif ev[0] == "try":
+            _, beta, theta, prev, out = ev
+            assert calls[i - 1][0] == "rate" and calls[i + 1][0] == "rate"
+            plus, cand = calls[i - 1][1], calls[i + 1][1]
+            kept = trace.extrapolated[it]
+            assert kept == (cand > plus)
+            assert trace.sum_rate[it + 1] == max(plus, cand)
+            assert beta == expected
+            assert np.max(np.abs(np.abs(out) - alpha)) <= 1e-12
+            expected = min(3.0, 1.5 * beta) if kept else max(0.1, 0.5 * beta)
+            betas.append(beta)
+    assert it + 1 == trace.iterations
+    return betas
+
+
+def test_qcr_extrapolation_schedule(monkeypatch):
+    # A draw on which beta reaches both of its bounds within each start.
+    cfg, ch, _, _, _ = build_instance(11, **_SMALL, max_outer=60, eps3=0.0)
+    starts = _qcr_events(monkeypatch, cfg, ch, 11, n_starts=2)
+    assert len(starts) == 2
+    betas = []
+    for calls, trace in starts:
+        betas.append(_check_attempts(calls, trace, cfg.alpha))
+        assert min(betas[-1]) == 0.1 and max(betas[-1]) == 3.0
+        # The loop's QCR steps take at most the budget of FISTA steps.
+        budgets = [ev[1].get("max_iter") for ev in calls if ev[0] == "qcr"]
+        assert budgets and set(budgets) == {pipeline.QCR_BUDGET}
+        assert max(trace.phase_sweeps) <= pipeline.QCR_BUDGET
+        assert (np.diff(trace.sum_rate) >= 0).all()
+    # beta restarts at 0.5 for the second start, not where the first ended.
+    assert betas[0][-1] != 0.5 and betas[1][0] == 0.5
+
+
+def test_qcr_extrapolation_tie_is_not_kept(monkeypatch):
+    # Phases whose rate only ties with theta+ are rejected, and beta halves
+    # down to its floor.
+    cfg, ch, _, _, _ = build_instance(10, **_SMALL, max_outer=8, eps3=0.0)
+    starts = _qcr_events(monkeypatch, cfg, ch, 10, n_starts=1,
+                         extrapolated=lambda theta, prev, beta: theta.copy())
+    calls, trace = starts[0]
+    betas = _check_attempts(calls, trace, cfg.alpha)
+    assert not any(trace.extrapolated)
+    assert betas == [0.5, 0.25, 0.125, 0.1, 0.1, 0.1, 0.1, 0.1][:len(betas)]
+    assert len(betas) >= 5
+
+
+@pytest.mark.parametrize("index, plain_bits", [(0, 22.56266), (1, 22.83271)])
+def test_qcr_full_scale_rate_floor(index, plain_bits):
+    # The full-scale QCR solves of master seed 1, realizations 0 and 1 (the
+    # benchmark's full_qcr panel), end at or above the rates the loop
+    # reached with QCR relaxed to tolerance and no extrapolation.
+    cfg = full_config()
+    ((scheme, trace, _),) = pipeline.solve_realization(
+        cfg, chan.default_geometry(cfg), [SchemeSpec(solver="qcr")], 1, index)
+    assert trace.final_sum_rate_true / np.log(2.0) >= plain_bits
+    assert max(trace.phase_sweeps) <= pipeline.QCR_BUDGET
