@@ -45,17 +45,16 @@ def _aux(h, w, sigma2):
 
 
 def _draw(cfg, seed):
-    """(cfg, h, w, aux, theta, data, stacked, channels) at random phases and
+    """(cfg, h, w, aux, theta, data, channels) at random phases and
     matched-filter precoders, the state of a first outer iteration."""
     rng = np.random.default_rng(seed)
     geo = chan.sample_ue_positions(chan.default_geometry(cfg), rng)
     ch = chan.sample_channels(cfg, geo, chan.sample_angles(cfg, rng), rng)
     theta = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
-    stacked = model.stack(ch)
-    h = model.effective_channel(stacked, theta)
+    h = model.effective_channel(ch, theta)
     w = model.matched_filter_init(h, cfg.p_max)
     aux = _aux(h, w, cfg.sigma2)
-    return cfg, h, w, aux, theta, irs_opt.build_cmcqp(stacked, w, aux), stacked, ch
+    return cfg, h, w, aux, theta, irs_opt.build_cmcqp(ch, w, aux), ch
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +75,8 @@ def desk_scale():
 
 
 def test_build_cmcqp(benchmark, full_scale):
-    _, _, w, aux, _, _, stacked, _ = full_scale
-    benchmark(irs_opt.build_cmcqp, stacked, w, aux)
+    _, _, w, aux, _, _, ch = full_scale
+    benchmark(irs_opt.build_cmcqp, ch, w, aux)
 
 
 @pytest.fixture(scope="module")
@@ -85,15 +84,15 @@ def full_scale_warm(full_scale):
     """(theta, data) of the phase subproblem in outer iteration WARM_OUTER + 1
     of the QCR scheme on the full-scale draw: U, Y and W updated at the
     phases and precoders that WARM_OUTER outer iterations left."""
-    cfg, stacked, ch = full_scale[0], full_scale[-2], full_scale[-1]
+    cfg, ch = full_scale[0], full_scale[-1]
     config = dataclasses.replace(cfg, max_outer=WARM_OUTER, eps3=0.0)
     beams, phases, trace = pipeline.joint_optimize(
         ch, config, pipeline.SchemeSpec(solver="qcr"), np.random.default_rng(2024))
     assert trace.iterations == WARM_OUTER
-    h = model.effective_channel(stacked, phases.theta)
+    h = model.effective_channel(ch, phases.theta)
     aux = _aux(h, beams.w, cfg.sigma2)
     w, _, _ = tx_opt.optimize_w(h, aux, cfg, w_prev=beams.w)
-    return phases.theta, irs_opt.build_cmcqp(stacked, w, aux)
+    return phases.theta, irs_opt.build_cmcqp(ch, w, aux)
 
 
 @pytest.mark.parametrize("start", ["cold", "warm"])
@@ -114,32 +113,32 @@ def test_qcr_phase_step(benchmark, full_scale, full_scale_warm):
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_optimize_w(benchmark, scale, request):
-    cfg, h, w, aux, _, _, _, _ = request.getfixturevalue(scale)
+    cfg, h, w, aux, _, _, _ = request.getfixturevalue(scale)
     _, _, info = benchmark(tx_opt.optimize_w, h, aux, cfg, w_prev=w)
     benchmark.extra_info["factorizations"] = info["iterations"]
 
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_effective_channel(benchmark, scale, request):
-    _, _, _, _, theta, _, stacked, _ = request.getfixturevalue(scale)
-    benchmark(model.effective_channel, stacked, theta)
+    _, _, _, _, theta, _, ch = request.getfixturevalue(scale)
+    benchmark(model.effective_channel, ch, theta)
 
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_link_state(benchmark, scale, request):
-    cfg, h, w, _, _, _, _, _ = request.getfixturevalue(scale)
+    cfg, h, w, _, _, _, _ = request.getfixturevalue(scale)
     benchmark(model.link_state, h, w, cfg.sigma2)
 
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_sum_rate(benchmark, scale, request):
-    cfg, _, w, _, theta, _, stacked, _ = request.getfixturevalue(scale)
-    benchmark(model.sum_rate, stacked, w, theta, cfg.sigma2)
+    cfg, _, w, _, theta, _, ch = request.getfixturevalue(scale)
+    benchmark(model.sum_rate, ch, w, theta, cfg.sigma2)
 
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_aso_solve(benchmark, scale, request):
-    cfg, _, _, _, theta, data, _, _ = request.getfixturevalue(scale)
+    cfg, _, _, _, theta, data, _ = request.getfixturevalue(scale)
     eps2 = cfg.eps2 * max(1.0, abs(irs_opt.eval_f7(theta, data)))
     _, trace = benchmark(irs_opt.aso_solve, theta, data, eps2=eps2, max_sweeps=cfg.max_aso)
     benchmark.extra_info["sweeps"] = len(trace) - 1
@@ -147,13 +146,13 @@ def test_aso_solve(benchmark, scale, request):
 
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_discrete_sweep(benchmark, scale, request):
-    cfg, _, _, _, theta, data, _, _ = request.getfixturevalue(scale)
+    cfg, _, _, _, theta, data, _ = request.getfixturevalue(scale)
     _, sweeps = benchmark(irs_opt.discrete_sweep, theta, data, 4, max_sweeps=cfg.max_aso)
     benchmark.extra_info["sweeps"] = sweeps
 
 
 def test_sdr_solve(benchmark, desk_scale):
-    cfg, _, _, _, _, data, _, _ = desk_scale
+    cfg, _, _, _, _, data, _ = desk_scale
     # A fresh generator per round, so every round starts the factor alike.
     _, _, certified = benchmark(
         lambda: irs_opt.sdr_solve(data, cfg.alpha, rng=np.random.default_rng(0)))

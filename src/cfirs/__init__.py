@@ -30,10 +30,8 @@ from .irs_opt import (
 from .model import (
     BeamformerSet,
     PhaseVector,
-    StackedChannels,
     effective_channel,
     sinr,
-    stack,
     sum_rate,
 )
 from .pipeline import RunTrace, SchemeSpec, aggregate, joint_optimize, monte_carlo

@@ -4,12 +4,16 @@ Direct BS-UE links are Rayleigh faded; IRS-related links (BS-IRS and IRS-UE)
 are Rician with line-of-sight components built from array steering vectors.
 Large-scale path loss enters as an amplitude factor sqrt(gain) so that
 received *power* scales with the distance-dependent gain.
+
+``ChannelSet`` is the one channel type: the sampler and the CSI-error model
+fill its per-link blocks, and the solver core reads its stacked arrays.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,16 +79,45 @@ class SteeringAngles:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One realization of the three channel families.
+    """One realization of the three channel families, per link and stacked.
 
     direct[l, k]  : (m_b, m_u)  BS l -> UE k
     irs_ue[r, k]  : (n, m_u)    IRS r -> UE k
     bs_irs[l, r]  : (n, m_b)    BS l -> IRS r
+
+    The solver core reads the same channels stacked over BSs and IRSs:
+
+    d : (L*m_b, K, m_u)   d[:, k] = Ds_k, the direct channels of user k
+                          stacked over BSs
+    g : (R*N, K, m_u)     g[:, k] = Gs_k, the IRS->UE channels of user k
+                          stacked over IRSs
+    s : (R*N, L*m_b)      s[r*N:(r+1)*N, l*m_b:(l+1)*m_b] = bs_irs[l, r]
+
+    An (L*m_b, K, m_u) array reshaped to (L*m_b, K*m_u) is the paper's
+    [Xs_1 ... Xs_K]; the effective channel H and the precoders W are held
+    the same way as d. Each stacked array is formed on first use and kept,
+    so a ``ChannelSet`` is treated as immutable: its arrays are never
+    written after construction.
     """
 
     direct: np.ndarray
     irs_ue: np.ndarray
     bs_irs: np.ndarray
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        L, K, Mb, Mu = self.direct.shape
+        return self.direct.transpose(0, 2, 1, 3).reshape(L * Mb, K, Mu)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        R, K, N, Mu = self.irs_ue.shape
+        return self.irs_ue.transpose(0, 2, 1, 3).reshape(R * N, K, Mu)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        L, R, N, Mb = self.bs_irs.shape
+        return self.bs_irs.transpose(1, 2, 0, 3).reshape(R * N, L * Mb)
 
     def validate(self, config: SystemConfig) -> None:
         want = {

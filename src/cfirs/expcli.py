@@ -212,10 +212,10 @@ def _run_unit(spec: ExperimentSpec, value, seed_index: int):
         # fired there.
         rates = trace.sum_rate
         for cap in map(int, spec.sweep_values):
-            rel = abs(rates[cap] - rates[cap - 1]) / abs(rates[cap]) if rates[cap] else 0.0
             rows.append(dict(row, value=cap, sum_rate_bits=rates[cap] / math.log(2.0),
                              iterations=cap, wall_ms=trace.elapsed_seconds[cap - 1] * 1e3,
-                             converged=rel < spec.base.eps3))
+                             converged=pipeline.stalled(rates[cap - 1], rates[cap],
+                                                        spec.base.eps3)))
     return rows
 
 

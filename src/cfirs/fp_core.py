@@ -12,10 +12,10 @@ U_k and Y_k are stored as full m_u x m_u complex matrices: the closed-form
 optimizers (the SINR matrix and the MMSE filter) are dense in general.
 
 Every quantity that depends on (W, theta) is read off one
-``model.LinkState``: ``model.link_sinr`` gives U, ``mmse_filters`` gives Y,
-``quad_terms`` and ``surrogate`` give f4 and f3. ``surrogate`` is the one
-statement of f3, the reference against which the recovery identity is
-checked; the outer loop itself never evaluates it.
+``model.LinkState``: ``model.link_sinr`` gives U and ``mmse_filters`` gives
+Y. The outer loop never evaluates f3 itself, so its one statement (with f4,
+its Y-dependent part) lives beside the tests that check the recovery
+identity against it, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -44,32 +44,3 @@ def mmse_filters(link: model.LinkState) -> np.ndarray:
     stacked solve over the users."""
     k = np.arange(link.vbar.shape[0])
     return np.linalg.solve(link.vbar, link.b[k, k])
-
-
-def quad_terms(link: model.LinkState, aux: AuxState) -> float:
-    """The Y-dependent part shared by f3 and f4 (real by construction for
-    Hermitian U)."""
-    b, vbar = link.b, link.vbar
-    ubar = aux.ubar
-    total = 0.0
-    for k in range(b.shape[0]):
-        yk = aux.y[k]
-        total += np.trace(ubar[k] @ yk.conj().T @ b[k, k]).real * 2.0
-        total -= np.trace(ubar[k] @ yk.conj().T @ vbar[k] @ yk).real
-    return total
-
-
-def aux_constant(aux: AuxState) -> float:
-    """sum_k log|I + U_k| - Tr(U_k), the part of f3 that ignores (W, theta, Y)."""
-    total = 0.0
-    for k in range(aux.u.shape[0]):
-        logdet = model._logdet_hermitian(aux.ubar[k])
-        if logdet < np.log(1e-12):
-            raise np.linalg.LinAlgError("I + U_k is numerically singular")
-        total += logdet - np.trace(aux.u[k]).real
-    return total
-
-
-def surrogate(link: model.LinkState, aux: AuxState) -> float:
-    """f3 at one link state; equals the sum rate at U = SINR, Y = MMSE."""
-    return aux_constant(aux) + quad_terms(link, aux)

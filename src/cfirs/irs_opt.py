@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
+from .channel import ChannelSet
 from .fp_core import AuxState
-from .model import StackedChannels
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class CmcQpData:
     omega: np.ndarray   # (RN,)
 
 
-def build_cmcqp(stacked: StackedChannels, w: np.ndarray, aux: AuxState) -> CmcQpData:
-    """Assemble (Zcal, omega) from the stacked system and precoders.
+def build_cmcqp(channels: ChannelSet, w: np.ndarray, aux: AuxState) -> CmcQpData:
+    """Assemble (Zcal, omega) from the stacked channels and precoders.
 
     Z  = sum_k G_k Y_k Ubar_k Y_k^H G_k^H
     Q  = S Wcov S^H with Wcov = sum_i Ws_i Ws_i^H
@@ -70,15 +70,15 @@ def build_cmcqp(stacked: StackedChannels, w: np.ndarray, aux: AuxState) -> CmcQp
     """
     wst = w.reshape(len(w), -1)
     wcov = wst @ wst.conj().T
-    nn = len(stacked.s)
+    nn = len(channels.s)
 
-    gy = model.per_user(stacked.g, aux.y)
+    gy = model.per_user(channels.g, aux.y)
     p = model.per_user(gy, aux.ubar).reshape(nn, -1)
     c = gy.reshape(nn, -1)
-    dy = model.per_user(stacked.d, aux.y).reshape(wst.shape)
-    omega = np.sum(p * (stacked.s @ (wst - wcov @ dy)).conj(), axis=1)
+    dy = model.per_user(channels.d, aux.y).reshape(wst.shape)
+    omega = np.sum(p * (channels.s @ (wst - wcov @ dy)).conj(), axis=1)
 
-    b = stacked.s @ wst
+    b = channels.s @ wst
     zcal = p @ c.conj().T
     zcal *= (b @ b.conj().T).T
     zcal += zcal.conj().T

@@ -1,12 +1,13 @@
-"""Domain types, channel stacking, and exact SINR / sum-rate evaluation.
+"""Domain types, the effective channel, and exact SINR / sum-rate evaluation.
 
 All base stations jointly serve every user through a central processor, so
 per-user signal and interference combine coherently across base stations.
 The solver core holds every channel and precoder stacked over base stations
 (and reflecting surfaces): the effective channel H = [Hs_1 ... Hs_K] and the
-precoders W = [Ws_1 ... Ws_K] are (L*m_b, K, m_u) arrays. ``stack`` is the
-one conversion from the per-link ``ChannelSet``, the only per-link type, and
-``pipeline.joint_optimize`` returns W as it holds it, in a ``BeamformerSet``.
+precoders W = [Ws_1 ... Ws_K] are (L*m_b, K, m_u) arrays. The channels come
+in as a ``channel.ChannelSet``, which carries its own stacked arrays (d, g,
+s), and ``pipeline.joint_optimize`` returns W as it holds it, in a
+``BeamformerSet``.
 The per-user link matrices are the blocks B[k, i] = Hs_k^H Ws_i of H^H W and
 
     V_k    = sum_{i != k} B[k,i] B[k,i]^H + sigma2 * I     (interference+noise)
@@ -71,52 +72,16 @@ class PhaseVector:
                 raise ValueError("phases must lie on the discrete grid")
 
 
-@dataclass(frozen=True)
-class StackedChannels:
-    """The channels stacked over BSs and IRSs, as the solver core holds them.
-
-    d : (L*m_b, K, m_u)   d[:, k] = Ds_k, the direct channels of user k
-                          stacked over BSs
-    g : (R*N, K, m_u)     g[:, k] = Gs_k, the IRS->UE channels of user k
-                          stacked over IRSs
-    s : (R*N, L*m_b)      block (r, l) holds the BS l -> IRS r channel
-
-    An (L*m_b, K, m_u) array reshaped to (L*m_b, K*m_u) is the paper's
-    [Xs_1 ... Xs_K]; the effective channel H and the precoders W are held
-    the same way as d.
-    """
-
-    d: np.ndarray
-    g: np.ndarray
-    s: np.ndarray
-
-
-def stack(channels: ChannelSet) -> StackedChannels:
-    """The one conversion from the per-link ``ChannelSet`` to the stacked
-    matrices of the solver core.
-
-    The block layout of ``s`` is pinned by the requirement that the stacked
-    effective channel reproduces the per-link one blockwise:
-    s[r*N:(r+1)*N, l*m_b:(l+1)*m_b] = bs_irs[l, r].
-    """
-    L, K, Mb, Mu = channels.direct.shape
-    R, _, N, _ = channels.irs_ue.shape
-    d = channels.direct.transpose(0, 2, 1, 3).reshape(L * Mb, K, Mu)
-    g = channels.irs_ue.transpose(0, 2, 1, 3).reshape(R * N, K, Mu)
-    s = channels.bs_irs.transpose(1, 2, 0, 3).reshape(R * N, L * Mb)
-    return StackedChannels(d=d, g=g, s=s)
-
-
-def effective_channel(stacked: StackedChannels, theta) -> np.ndarray:
+def effective_channel(channels: ChannelSet, theta) -> np.ndarray:
     """Stacked effective channels H = D + S^H diag(theta*) G, (L*m_b, K, m_u).
 
-    ``theta`` None drops the reflected term (H is then ``stacked.d``).
+    ``theta`` None drops the reflected term (H is then ``channels.d``).
     """
     if theta is None:
-        return stacked.d
-    k, mu = stacked.d.shape[1:]
-    reflected = stacked.s.conj().T @ (np.conj(theta)[:, None] * stacked.g.reshape(-1, k * mu))
-    return stacked.d + reflected.reshape(stacked.d.shape)
+        return channels.d
+    k, mu = channels.d.shape[1:]
+    reflected = channels.s.conj().T @ (np.conj(theta)[:, None] * channels.g.reshape(-1, k * mu))
+    return channels.d + reflected.reshape(channels.d.shape)
 
 
 def per_user(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -225,9 +190,9 @@ def link_rate(link: LinkState) -> float:
     return float(np.sum(logdet[0] - logdet[1]))
 
 
-def sum_rate(stacked: StackedChannels, w: np.ndarray, theta, sigma2: float) -> float:
+def sum_rate(channels: ChannelSet, w: np.ndarray, theta, sigma2: float) -> float:
     """Sum rate in nats at (W, theta): ``link_rate`` at the effective channel."""
-    return link_rate(link_state(effective_channel(stacked, theta), w, sigma2))
+    return link_rate(link_state(effective_channel(channels, theta), w, sigma2))
 
 
 def matched_filter_init(h: np.ndarray, p_max) -> np.ndarray:

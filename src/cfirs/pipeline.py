@@ -27,7 +27,9 @@ effective channel and one more link state, and a kept theta_e's link state
 is the one the next iteration reads. beta starts at 0.5 for each start,
 grows by 1.5 on a kept step up to 3 and halves on a rejected one down to
 0.1. Inside the loop QCR runs at most ``QCR_BUDGET`` FISTA steps per outer
-iteration: the next W step moves the relaxed point anyway.
+iteration: the next W step moves the relaxed point anyway. The loop stops at
+``max_outer`` or when ``stalled`` holds, the one stop rule, which the
+experiment CLI's ``iterations`` sweep also reads at every cap.
 
 ``solve_realization`` is the one experiment runner (draw, solve, time),
 ``result_row`` turns one of its solves into a results row (``ROW_COLUMNS``)
@@ -164,22 +166,28 @@ def joint_optimize(
     with the best rate on the optimizer's channels (the true channels are
     never consulted for the choice). All starts share one channel estimate.
 
-    Both channel sets are stacked once (``model.stack``), every start runs
-    in the stacked layout, and the ``BeamformerSet`` holds the stacked W.
+    Every start reads the stacked arrays of both channel sets, each formed
+    once per set (so a draw's true channels are stacked once for all the
+    schemes solved on them), and the ``BeamformerSet`` holds the stacked W.
     """
     channels.validate(config)
     # The perturbation draw happens even at rho = 0 so that sweeps over rho
     # share both the channel realization and the error direction.
     opt_channels = chan.apply_csi_error(channels, scheme.csi_error_rho, rng)
-    true, opt = model.stack(channels), model.stack(opt_channels)
     best = None
     for _ in range(max(1, n_starts)):
-        w, theta, trace = _optimize_once(true, opt, config, scheme, rng)
+        w, theta, trace = _optimize_once(channels, opt_channels, config, scheme, rng)
         if best is None or trace.sum_rate[-1] > best[2].sum_rate[-1]:
             best = (w, theta, trace)
     w, theta, trace = best
     phases = theta if theta is not None else np.zeros(0, complex)
     return BeamformerSet(w=w, l=config.l), PhaseVector(theta=phases, alpha=config.alpha), trace
+
+
+def stalled(rate: float, new_rate: float, eps3: float) -> bool:
+    """The outer stop rule: the rate moved by less than ``eps3`` relative to
+    the new rate. A zero new rate never stops the loop."""
+    return new_rate != 0 and abs(new_rate - rate) / abs(new_rate) < eps3
 
 
 def _extrapolated(theta, prev, beta):
@@ -189,9 +197,9 @@ def _extrapolated(theta, prev, beta):
 
 
 def _optimize_once(true, opt, config, scheme, rng):
-    """One start on the stacked channels ``opt``; the final rate is read on
-    the stacked true channels ``true``. Returns (W, theta, RunTrace) with W
-    stacked and theta None when the scheme uses no surfaces."""
+    """One start on the channels ``opt``; the final rate is read on the true
+    channels ``true``. Returns (W, theta, RunTrace) with W stacked and theta
+    None when the scheme uses no surfaces."""
     start = time.perf_counter()
     use_irs = scheme.solver != "none" and config.r > 0
     theta = _init_theta(config, rng) if use_irs else None
@@ -256,9 +264,8 @@ def _optimize_once(true, opt, config, scheme, rng):
         trace.sum_rate.append(new_rate)
         trace.iterations = it
         trace.elapsed_seconds.append(time.perf_counter() - start)
-        if new_rate != 0 and abs(new_rate - rate) / abs(new_rate) < config.eps3:
+        if stalled(rate, new_rate, config.eps3):
             trace.converged = True
-            rate = new_rate
             break
         rate = new_rate
 

@@ -26,7 +26,7 @@ def build_instance(seed, **over):
     ang = chan.sample_angles(cfg, rng)
     ch = chan.sample_channels(cfg, geo, ang, rng)
     theta = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
-    h = model.effective_channel(model.stack(ch), theta)
+    h = model.effective_channel(ch, theta)
     w = model.matched_filter_init(h, cfg.p_max)
     return cfg, ch, theta, w, h
 
@@ -46,17 +46,46 @@ def build_aux(cfg, h, w):
 
 
 def _link_at(w, theta, channels, sigma2):
-    return model.link_state(model.effective_channel(model.stack(channels), theta), w, sigma2)
+    return model.link_state(model.effective_channel(channels, theta), w, sigma2)
+
+
+def quad_terms(link: model.LinkState, aux: fp_core.AuxState) -> float:
+    """The Y-dependent part shared by f3 and f4 (real by construction for
+    Hermitian U)."""
+    b, vbar = link.b, link.vbar
+    ubar = aux.ubar
+    total = 0.0
+    for k in range(b.shape[0]):
+        yk = aux.y[k]
+        total += np.trace(ubar[k] @ yk.conj().T @ b[k, k]).real * 2.0
+        total -= np.trace(ubar[k] @ yk.conj().T @ vbar[k] @ yk).real
+    return total
+
+
+def aux_constant(aux: fp_core.AuxState) -> float:
+    """sum_k log|I + U_k| - Tr(U_k), the part of f3 that ignores (W, theta, Y)."""
+    total = 0.0
+    for k in range(aux.u.shape[0]):
+        logdet = model._logdet_hermitian(aux.ubar[k])
+        if logdet < np.log(1e-12):
+            raise np.linalg.LinAlgError("I + U_k is numerically singular")
+        total += logdet - np.trace(aux.u[k]).real
+    return total
+
+
+def surrogate(link: model.LinkState, aux: fp_core.AuxState) -> float:
+    """f3 at one link state; equals the sum rate at U = SINR, Y = MMSE."""
+    return aux_constant(aux) + quad_terms(link, aux)
 
 
 def f3_at(w, theta, aux, channels, sigma2):
     """The full surrogate at (W, theta); the sum rate at U = SINR, Y = MMSE."""
-    return fp_core.surrogate(_link_at(w, theta, channels, sigma2), aux)
+    return surrogate(_link_at(w, theta, channels, sigma2), aux)
 
 
 def f4_at(w, theta, aux, channels, sigma2):
     """The surrogate without its U-only constant."""
-    return fp_core.quad_terms(_link_at(w, theta, channels, sigma2), aux)
+    return quad_terms(_link_at(w, theta, channels, sigma2), aux)
 
 
 def cmcqp(zcal, omega):

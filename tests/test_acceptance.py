@@ -61,7 +61,7 @@ def test_criterion_1_recovery_identity():
         cfg, ch, theta, w, h = build_instance(seed, l=2, k=2, r=1,
                                               m_b=2, m_u=2, n=4, n_h=2, n_v=2)
         aux = build_aux(cfg, h, w)
-        rate = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
+        rate = model.sum_rate(ch, w, theta, cfg.sigma2)
         f3 = f3_at(w, theta, aux, ch, cfg.sigma2)
         worst = max(worst, abs(f3 - rate) / abs(rate))
     elapsed = time.perf_counter() - start
@@ -259,7 +259,7 @@ def test_criterion_11_relaxation_quality():
         cfg, ch, theta, w, h = build_instance(seed + 700, l=2, k=2, r=2,
                                               m_b=2, m_u=2, n=4, n_h=2, n_v=2)
         aux = build_aux(cfg, h, w)
-        data = irs_opt.build_cmcqp(model.stack(ch), w, aux)
+        data = irs_opt.build_cmcqp(ch, w, aux)
         nn = data.omega.size
         t_sdr, sdp_value, _ = irs_opt.sdr_solve(
             data, cfg.alpha, rng=np.random.default_rng(seed)

@@ -335,6 +335,23 @@ def test_iterations_sweep_wall_ms_is_per_cap(tmp_path, monkeypatch):
             assert ms == pytest.approx(trace.elapsed_seconds[cap - 1] * 1e3, rel=1e-9)
 
 
+def test_iterations_sweep_zero_rate_cap_is_not_converged(tmp_path, monkeypatch):
+    # A cap row reads the outer loop's own stop rule, under which a zero
+    # rate never stops the loop.
+    rates = [0.0, 0.0, 1.0, 1.0]
+
+    def synthetic(config, geometry, schemes, master_seed, seed_index, fixed_ue=False):
+        trace = pipeline.RunTrace(sum_rate=rates, iterations=3,
+                                  elapsed_seconds=[1e-3, 2e-3, 3e-3])
+        return [(scheme, trace, 3.0) for scheme in schemes]
+
+    monkeypatch.setattr(pipeline, "solve_realization", synthetic)
+    spec = minimal_spec(tmp_path, sweep="iterations", sweep_values=[1, 2, 3])
+    rows = read_rows(expcli.run(spec))
+    assert [(r["value"], r["converged"]) for r in rows] == [
+        ("1", "false"), ("2", "false"), ("3", "true")]
+
+
 def test_threads_match_serial(tmp_path):
     spec = minimal_spec(tmp_path, sweep_values=[0.5, 1.0], n_seeds=2)
     serial = expcli.run(spec, out_dir=tmp_path / "serial", threads=1)

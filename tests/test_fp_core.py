@@ -4,7 +4,7 @@ import pytest
 from cfirs import fp_core, model
 from cfirs.fp_core import AuxState
 
-from conftest import build_aux, build_instance, crandn, f3_at, f4_at
+from conftest import aux_constant, build_aux, build_instance, crandn, f3_at, f4_at
 
 
 def _hermitian_direction(rng, mu):
@@ -17,7 +17,7 @@ def test_recovery_identity(make_instance, make_aux):
     for seed in range(10):
         cfg, ch, theta, w, h = build_instance(seed)
         aux = build_aux(cfg, h, w)
-        rate = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
+        rate = model.sum_rate(ch, w, theta, cfg.sigma2)
         f3 = f3_at(w, theta, aux, ch, cfg.sigma2)
         assert f3 == pytest.approx(rate, rel=1e-8)
 
@@ -35,7 +35,7 @@ def test_zero_beamformers_zero_aux():
 
 def test_mmse_filter_scalar_case():
     cfg, ch, _, _, _ = build_instance(2, l=1, k=1, m_b=1, m_u=1, r=0)
-    h = model.effective_channel(model.stack(ch), None)
+    h = model.effective_channel(ch, None)
     w = np.full((1, 1, 1), 0.5 + 0.2j)
     y = fp_core.mmse_filters(model.link_state(h, w, cfg.sigma2))
     hw = h[0, 0, 0].conj() * (0.5 + 0.2j)
@@ -87,7 +87,7 @@ def test_block_ascent_of_aux_updates():
         cfg, ch, theta, w, h = build_instance(seed + 50)
         rng = np.random.default_rng(seed)
         other_theta = cfg.alpha * np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_irs_total))
-        stale = build_aux(cfg, model.effective_channel(model.stack(ch), other_theta), w)
+        stale = build_aux(cfg, model.effective_channel(ch, other_theta), w)
         before = f3_at(w, theta, stale, ch, cfg.sigma2)
 
         # exact Y step at fixed U never decreases the surrogate
@@ -99,14 +99,14 @@ def test_block_ascent_of_aux_updates():
         gamma = model.sinr(h, w, cfg.sigma2)
         after = f3_at(w, theta, AuxState(u=gamma, y=y_new), ch, cfg.sigma2)
         assert after >= mid - 1e-9 * abs(mid)
-        assert after == pytest.approx(model.sum_rate(model.stack(ch), w, theta, cfg.sigma2), rel=1e-8)
+        assert after == pytest.approx(model.sum_rate(ch, w, theta, cfg.sigma2), rel=1e-8)
 
 
 def test_surrogate_never_exceeds_rate():
     # the joint (U, Y) maximum of the surrogate IS the rate
     rng = np.random.default_rng(8)
     cfg, ch, theta, w, h = build_instance(60)
-    rate = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
+    rate = model.sum_rate(ch, w, theta, cfg.sigma2)
     for _ in range(10):
         u = np.zeros((cfg.k, cfg.m_u, cfg.m_u), complex)
         for k in range(cfg.k):
@@ -127,7 +127,7 @@ def test_const_u_independent_of_w():
     gap2 = (f3_at(other, theta, aux, ch, cfg.sigma2)
             - f4_at(other, theta, aux, ch, cfg.sigma2))
     assert gap1 == pytest.approx(gap2, rel=1e-12)
-    assert gap1 == pytest.approx(fp_core.aux_constant(aux), rel=1e-12)
+    assert gap1 == pytest.approx(aux_constant(aux), rel=1e-12)
 
 
 def test_f4_zero_filters():
@@ -154,7 +154,7 @@ def test_scalar_degenerate_transform():
     # single link, single antenna, no reflectors: the scalar auxiliary-variable
     # lift log(1+u) - u + (1+u)|hw|^2/(|hw|^2 + s2) peaks at u = |hw|^2/s2
     cfg, ch, _, _, _ = build_instance(7, l=1, k=1, m_b=1, m_u=1, r=0)
-    h = model.effective_channel(model.stack(ch), None)
+    h = model.effective_channel(ch, None)
     wval = 0.7 + 0.3j
     w = np.full((1, 1, 1), wval)
     hw2 = np.abs(h[0, 0, 0].conj() * wval) ** 2
@@ -165,7 +165,7 @@ def test_scalar_degenerate_transform():
         return np.log(1 + u) - u + (1 + u) * t
 
     u_star = hw2 / s2
-    rate = model.sum_rate(model.stack(ch), w, None, s2)
+    rate = model.sum_rate(ch, w, None, s2)
     assert f1_scalar(u_star) == pytest.approx(rate, rel=1e-10)
     grid = u_star * np.linspace(0.2, 3.0, 41)
     assert all(f1_scalar(u) <= f1_scalar(u_star) + 1e-12 for u in grid)
@@ -180,11 +180,11 @@ def test_scalar_degenerate_transform():
 def test_aux_constant_rejects_singular():
     u = -np.eye(2, dtype=complex)[None]
     with pytest.raises(np.linalg.LinAlgError):
-        fp_core.aux_constant(AuxState(u=u, y=np.zeros((1, 2, 2), complex)))
+        aux_constant(AuxState(u=u, y=np.zeros((1, 2, 2), complex)))
 
 
 def test_aux_constant_rejects_indefinite():
     # det(I + U) = -2: no log-determinant exists, so no value may come back.
     u = np.diag([-3.0, 0.0]).astype(complex)[None]
     with pytest.raises(np.linalg.LinAlgError):
-        fp_core.aux_constant(AuxState(u=u, y=np.zeros((1, 2, 2), complex)))
+        aux_constant(AuxState(u=u, y=np.zeros((1, 2, 2), complex)))

@@ -17,14 +17,14 @@ from conftest import (
 def _system_cmcqp(seed, **over):
     cfg, ch, theta, w, h = build_instance(seed, **over)
     aux = build_aux(cfg, h, w)
-    data = irs_opt.build_cmcqp(model.stack(ch), w, aux)
+    data = irs_opt.build_cmcqp(ch, w, aux)
     return cfg, ch, theta, w, aux, data
 
 
 def _dense_forms(ch, w, aux):
     """Z, Q, A and E of the build_cmcqp docstring, each formed as an RN x RN
     matrix straight from its definition."""
-    st = model.stack(ch)
+    st = ch
     warr = per_link(w, ch.direct.shape[0])
     K = warr.shape[1]
     ws = [np.vstack(warr[:, i]) for i in range(K)]  # W[:, i] stacked over BSs
@@ -60,7 +60,7 @@ def test_build_zero_beamformers():
     cfg, ch, theta, w, h = build_instance(0)
     aux = build_aux(cfg, h, w)
     zero_w = np.zeros_like(w)
-    data = irs_opt.build_cmcqp(model.stack(ch), zero_w, aux)
+    data = irs_opt.build_cmcqp(ch, zero_w, aux)
     np.testing.assert_allclose(data.zcal, 0.0, atol=1e-30)
     np.testing.assert_allclose(data.omega, 0.0, atol=1e-30)
     assert irs_opt.eval_f7(theta, data) == 0.0

@@ -55,12 +55,11 @@ def naive_sum_rate(channels, w, theta, sigma2):
     return total
 
 
-# ---- stacking ----
+# ---- the stacked arrays of a ChannelSet (d, g, s) ----
 
 def test_stack_single_block():
     cfg, ch, theta, w, h = build_instance(0, l=1, r=1)
-    st = model.stack(ch)
-    np.testing.assert_array_equal(st.s, ch.bs_irs[0, 0])
+    np.testing.assert_array_equal(ch.s, ch.bs_irs[0, 0])
 
 
 def test_stack_two_bs_layout():
@@ -71,37 +70,34 @@ def test_stack_two_bs_layout():
         irs_ue=ch.irs_ue,
         bs_irs=np.stack([a[None], a[None]]),  # both BS->IRS blocks equal
     )
-    st = model.stack(same)
-    np.testing.assert_array_equal(st.s, np.hstack([a, a]))
+    np.testing.assert_array_equal(same.s, np.hstack([a, a]))
 
 
 def test_stack_blockwise_consistency():
     cfg, ch, _, _, _ = build_instance(2, l=2, r=2, n=4, n_h=2, n_v=2)
-    st = model.stack(ch)
     N, Mb = cfg.n, cfg.m_b
     for r in range(cfg.r):
         for l in range(cfg.l):
             np.testing.assert_array_equal(
-                st.s[r * N:(r + 1) * N, l * Mb:(l + 1) * Mb], ch.bs_irs[l, r]
+                ch.s[r * N:(r + 1) * N, l * Mb:(l + 1) * Mb], ch.bs_irs[l, r]
             )
     for k in range(cfg.k):
         for l in range(cfg.l):
             np.testing.assert_array_equal(
-                st.d[l * Mb:(l + 1) * Mb, k], ch.direct[l, k]
+                ch.d[l * Mb:(l + 1) * Mb, k], ch.direct[l, k]
             )
         for r in range(cfg.r):
             np.testing.assert_array_equal(
-                st.g[r * N:(r + 1) * N, k], ch.irs_ue[r, k]
+                ch.g[r * N:(r + 1) * N, k], ch.irs_ue[r, k]
             )
 
 
 def test_stacked_form_reproduces_per_link_channel():
     # pins down the block orientation of the aggregated BS->IRS matrix
     cfg, ch, theta, _, _ = build_instance(3, l=2, r=2, n=4, n_h=2, n_v=2)
-    st = model.stack(ch)
     th = np.diag(theta)
     for k in range(cfg.k):
-        hs = st.d[:, k] + st.s.conj().T @ th.conj().T @ st.g[:, k]
+        hs = ch.d[:, k] + ch.s.conj().T @ th.conj().T @ ch.g[:, k]
         per_link = naive_effective(ch, theta)
         for l in range(cfg.l):
             np.testing.assert_allclose(
@@ -113,21 +109,21 @@ def test_stacked_form_reproduces_per_link_channel():
 
 def test_effective_channel_no_irs():
     cfg, ch, _, _, _ = build_instance(4, r=0)
-    h = model.effective_channel(model.stack(ch), None)
+    h = model.effective_channel(ch, None)
     np.testing.assert_array_equal(per_link(h, cfg.l), ch.direct)
 
 
 def test_effective_channel_zero_cascade():
     cfg, ch, theta, _, _ = build_instance(5)
     dead = ChannelSet(direct=ch.direct, irs_ue=np.zeros_like(ch.irs_ue), bs_irs=ch.bs_irs)
-    h = model.effective_channel(model.stack(dead), theta)
+    h = model.effective_channel(dead, theta)
     np.testing.assert_allclose(per_link(h, cfg.l), ch.direct)
 
 
 def test_effective_channel_matches_naive():
     for over in (dict(l=2, r=2, n=4, n_h=2, n_v=2), LAYOUT, LAYOUT_NO_IRS):
         cfg, ch, theta, _, _ = build_instance(6, **over)
-        h = model.effective_channel(model.stack(ch), theta)
+        h = model.effective_channel(ch, theta)
         np.testing.assert_allclose(per_link(h, cfg.l), naive_effective(ch, theta), rtol=1e-12)
 
 
@@ -149,7 +145,7 @@ def test_effective_channel_matches_einsum_definition(over):
     for seed in (0, 1):
         cfg, ch, theta, _, _ = build_instance(seed, **over)
         ref = einsum_effective(ch, theta)
-        got = per_link(model.effective_channel(model.stack(ch), theta), cfg.l)
+        got = per_link(model.effective_channel(ch, theta), cfg.l)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -163,7 +159,7 @@ def test_sinr_zero_beamformers():
 
 def test_sinr_scalar_case():
     cfg, ch, theta, _, h = build_instance(8, l=1, k=1, m_b=1, m_u=1, r=0)
-    h = model.effective_channel(model.stack(ch), None)
+    h = model.effective_channel(ch, None)
     w = np.full((1, 1, 1), 0.3 + 0.1j)
     gamma = model.sinr(h, w, cfg.sigma2)
     expected = np.abs(h[0, 0, 0]) ** 2 * np.abs(0.3 + 0.1j) ** 2 / cfg.sigma2
@@ -173,20 +169,20 @@ def test_sinr_scalar_case():
 def test_rate_matches_naive_loop_oracle():
     for over, seed in itertools.product((dict(k=2), LAYOUT, LAYOUT_NO_IRS), range(5)):
         cfg, ch, theta, w, h = build_instance(seed, **over)
-        got = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
+        got = model.sum_rate(ch, w, theta, cfg.sigma2)
         want = naive_sum_rate(ch, per_link(w, cfg.l), theta, cfg.sigma2)
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_rate_zero_beamformers():
     cfg, ch, theta, w, _ = build_instance(9)
-    assert model.sum_rate(model.stack(ch), np.zeros_like(w), theta, cfg.sigma2) == 0.0
+    assert model.sum_rate(ch, np.zeros_like(w), theta, cfg.sigma2) == 0.0
 
 
 def test_rate_scalar_shannon():
     cfg, ch, _, _, _ = build_instance(10, l=1, k=1, m_b=1, m_u=1, r=0)
     w = np.full((1, 1, 1), 0.2 - 0.4j)
-    got = model.sum_rate(model.stack(ch), w, None, cfg.sigma2)
+    got = model.sum_rate(ch, w, None, cfg.sigma2)
     snr = np.abs(ch.direct[0, 0, 0, 0] * (0.2 - 0.4j)) ** 2 / cfg.sigma2
     assert got == pytest.approx(np.log(1 + snr), rel=1e-12)
 
@@ -194,27 +190,27 @@ def test_rate_scalar_shannon():
 def test_rate_invariant_to_common_unitary():
     cfg, ch, theta, w, h = build_instance(11)
     rng = np.random.default_rng(0)
-    base = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
+    base = model.sum_rate(ch, w, theta, cfg.sigma2)
     m = crandn(rng, (cfg.m_u, cfg.m_u))
     q, _ = np.linalg.qr(m)
     rotated = np.array(w, copy=True)
     for k in range(cfg.k):
         rotated[:, k] = rotated[:, k] @ q
-    assert model.sum_rate(model.stack(ch), rotated, theta, cfg.sigma2) == pytest.approx(base, rel=1e-10)
+    assert model.sum_rate(ch, rotated, theta, cfg.sigma2) == pytest.approx(base, rel=1e-10)
 
 
 def test_rate_without_irs_equals_zero_cascade():
     cfg, ch, theta, w, _ = build_instance(12)
     dead = ChannelSet(direct=ch.direct, irs_ue=np.zeros_like(ch.irs_ue), bs_irs=ch.bs_irs)
-    with_dead = model.sum_rate(model.stack(dead), w, theta, cfg.sigma2)
-    without = model.sum_rate(model.stack(dead), w, None, cfg.sigma2)
+    with_dead = model.sum_rate(dead, w, theta, cfg.sigma2)
+    without = model.sum_rate(dead, w, None, cfg.sigma2)
     assert with_dead == pytest.approx(without, rel=1e-12)
 
 
 def test_logdet_identity_paths_agree():
     for seed in range(5):
         cfg, ch, theta, w, h = build_instance(seed + 20)
-        via_identity = model.sum_rate(model.stack(ch), w, theta, cfg.sigma2)
+        via_identity = model.sum_rate(ch, w, theta, cfg.sigma2)
         gamma = model.sinr(h, w, cfg.sigma2)
         via_sinr = sum(model._logdet_hermitian(np.eye(g.shape[0]) + g) for g in gamma)
         assert via_identity == pytest.approx(via_sinr, rel=1e-9)

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from cfirs import channel as chan
 from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
+from cfirs.channel import ChannelSet
 from cfirs.config import full_config
 from cfirs.pipeline import SchemeSpec
 
@@ -55,7 +58,7 @@ def test_none_scheme_returns_empty_phases():
     )
     assert theta.theta.size == 0
     assert trace.final_sum_rate_true == pytest.approx(
-        model.sum_rate(model.stack(ch), w.w, None, cfg.sigma2), rel=1e-12
+        model.sum_rate(ch, w.w, None, cfg.sigma2), rel=1e-12
     )
 
 
@@ -88,7 +91,7 @@ def test_trace_bounded_by_capacity_estimate():
     w, theta, trace = pipeline.joint_optimize(
         ch, cfg, SchemeSpec(solver="aso"), np.random.default_rng(5)
     )
-    h = model.effective_channel(model.stack(ch), theta.theta)
+    h = model.effective_channel(ch, theta.theta)
     hs = h.transpose(1, 0, 2)
     hnorm2 = max(np.linalg.norm(hs[k], 2) ** 2 for k in range(cfg.k))
     bound = cfg.k * cfg.m_u * np.log(1 + sum(cfg.p_max) * hnorm2 / cfg.sigma2)
@@ -162,7 +165,7 @@ def test_aggregate_mean_and_stderr():
 
 # ---- one evaluation of each quantity per outer iteration ----
 
-def _reference_once(channels, opt_channels, config, scheme, rng):
+def _reference_once(channels, opt, config, scheme, rng):
     """The outer loop as a sequence of per-quantity calls, each of which
     recomputes the link matrices (and the effective channel) from (W, theta)
     on its own: sinr, the MMSE filters, optimize_w, build_cmcqp and the phase step,
@@ -172,7 +175,6 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
     theta = pipeline._init_theta(config, rng) if use_irs else None
     has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
     beta = 0.5
-    opt = model.stack(opt_channels)
     h = model.effective_channel(opt, theta)
     w = model.matched_filter_init(h, config.p_max)
     trace = pipeline.RunTrace()
@@ -211,7 +213,7 @@ def _reference_once(channels, opt_channels, config, scheme, rng):
             trace.converged = True
             break
         rate = new_rate
-    trace.final_sum_rate_true = model.sum_rate(model.stack(channels), w, theta, config.sigma2)
+    trace.final_sum_rate_true = model.sum_rate(channels, w, theta, config.sigma2)
     return w, theta, trace
 
 
@@ -316,6 +318,39 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
                 rejected = done and tried[done - 1] and not trace.extrapolated[done - 1]
                 np.testing.assert_array_equal(channels[-2 if rejected else -1], theta)
                 done += 1
+
+
+def test_draw_true_channels_are_stacked_once(monkeypatch):
+    # One draw solved by four schemes at rho = 0: the true channels' stacked
+    # arrays are formed once for all of them; each scheme's estimate forms
+    # its own once.
+    formed = []
+    for name in ("d", "g", "s"):
+        real = vars(ChannelSet)[name].func
+
+        def counted(self, real=real, name=name):
+            formed.append((id(self), name))
+            return real(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(ChannelSet, name)
+        monkeypatch.setattr(ChannelSet, name, prop)
+    draws = []
+    real_realize = pipeline.realize_channels
+
+    def realize_spy(*args, **kwargs):
+        draws.append(real_realize(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(pipeline, "realize_channels", realize_spy)
+    cfg = small_config(**_SMALL)
+    schemes = [SchemeSpec(solver="aso"), SchemeSpec(solver="qcr"),
+               SchemeSpec(solver="discrete", levels=4), SchemeSpec(solver="random")]
+    out = pipeline.solve_realization(cfg, chan.default_geometry(cfg), schemes, 7, 0)
+    assert len(out) == 4 and len(draws) == 1
+    true = sorted(name for owner, name in formed if owner == id(draws[0]))
+    assert true == ["d", "g", "s"]
+    assert len(formed) == 3 * (1 + len(schemes))
 
 
 # ---- the extrapolated QCR phase step ----

@@ -63,7 +63,7 @@ def test_f5_f4_difference_identity():
 
 def test_f5_scalar_quadratic():
     cfg, ch, _, _, _ = build_instance(2, l=1, k=1, m_b=1, m_u=1, r=0)
-    h = model.effective_channel(model.stack(ch), None)
+    h = model.effective_channel(ch, None)
     aux = AuxState(u=np.array([[[0.8]]], complex), y=np.array([[[0.4 - 0.2j]]]))
     hval = h[0, 0, 0]
     ubar = 1.8
@@ -95,7 +95,7 @@ def test_primal_regularization_shrinks_norm():
 
 def test_primal_scalar_closed_form():
     cfg, ch, _, _, _ = build_instance(4, l=1, k=1, m_b=1, m_u=1, r=0)
-    h = model.effective_channel(model.stack(ch), None)
+    h = model.effective_channel(ch, None)
     y, ubar = 0.3 + 0.5j, 2.0
     aux = AuxState(u=np.array([[[ubar - 1.0]]], complex), y=np.array([[[y]]]))
     lam = 0.7
