@@ -4,7 +4,8 @@ Full scale is one fixed channel draw of the full-scale scenario (6 BSs x 4
 antennas, 4 UEs x 2 antennas, 3 x 60-element IRSs): RN = 180 reflection
 coefficients and a Zcal of rank at most (K * m_u)^2 = 64. Desk scale is
 ``desk_config`` with 32-element IRSs (3 BSs x 4 antennas, RN = 64). Times
-``build_cmcqp`` and ``qcr_relax`` at full scale; ``optimize_w``,
+``build_cmcqp`` (allocating its arrays, and into a reused workspace as the
+outer loop calls it) and ``qcr_relax`` at full scale; ``optimize_w``,
 ``effective_channel``, ``link_state`` (the link matrices and both
 covariances at one (H, W) point), ``sum_rate``, ``aso_solve`` and
 ``discrete_sweep`` (M = 4; both record their sweeps in
@@ -74,9 +75,11 @@ def desk_scale():
     return draw
 
 
-def test_build_cmcqp(benchmark, full_scale):
-    _, _, w, aux, _, _, ch = full_scale
-    benchmark(irs_opt.build_cmcqp, ch, w, aux)
+@pytest.mark.parametrize("work", ["fresh", "workspace"])
+def test_build_cmcqp(benchmark, work, full_scale):
+    _, _, w, aux, _, data, ch = full_scale
+    buf = np.empty((2, *data.zcal.shape), complex) if work == "workspace" else None
+    benchmark(irs_opt.build_cmcqp, ch, w, aux, buf)
 
 
 @pytest.fixture(scope="module")

@@ -248,15 +248,17 @@ def apply_csi_error(
     Frobenius norm rho/(1+rho) * ||H||_F, so the bound follows from the
     triangle inequality. Each family's errors are drawn in one call, block
     by block in index order, real parts before imaginary parts. rho = 0
-    returns values identical to the input (the generator is still advanced
-    by the same number of draws, so sweeps over rho stay paired).
+    returns ``channels`` itself, stacked arrays included, after the same
+    draws, so the generator advances alike and sweeps over rho stay paired.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
+    families = (channels.direct, channels.irs_ue, channels.bs_irs)
+    draws = [rng.standard_normal((*f.shape[:2], 2, *f.shape[2:])) for f in families]
+    if rho == 0:
+        return channels
     estimates = []
-    for blocks in (channels.direct, channels.irs_ue, channels.bs_irs):
-        a, b, rows, cols = blocks.shape
-        z = rng.standard_normal((a, b, 2, rows, cols))
+    for blocks, z in zip(families, draws):
         delta = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
         norm_m = np.linalg.norm(blocks, axis=(2, 3))
         norm_d = np.linalg.norm(delta, axis=(2, 3))

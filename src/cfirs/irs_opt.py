@@ -7,7 +7,11 @@ For fixed precoders and auxiliaries, the phase subproblem reduces to
 
 with Zcal = Z o Q^T (Hadamard product of two PSD matrices, hence Hermitian
 PSD, of rank at most (K * m_u)^2: 64 of RN = 180 at full scale) and omega
-the diagonal of E - A. Four solvers are provided:
+the diagonal of E - A. ``build_cmcqp`` assembles them into a caller's
+(2, RN, RN) workspace, Zcal in its first slice and its one RN x RN scratch
+in the second, and makes no strided RN x RN temporary; the outer loop
+reuses one workspace per start, so the returned Zcal is valid until the
+next build into it. Four solvers are provided:
 
 * cyclic coordinate ascent with the closed-form per-element phase update
   theta_i = alpha * exp(j * arg(mu_i)) (exact per-coordinate maximizer),
@@ -53,7 +57,9 @@ class CmcQpData:
     omega: np.ndarray   # (RN,)
 
 
-def build_cmcqp(channels: ChannelSet, w: np.ndarray, aux: AuxState) -> CmcQpData:
+def build_cmcqp(
+    channels: ChannelSet, w: np.ndarray, aux: AuxState, work: np.ndarray = None
+) -> CmcQpData:
     """Assemble (Zcal, omega) from the stacked channels and precoders.
 
     Z  = sum_k G_k Y_k Ubar_k Y_k^H G_k^H
@@ -67,6 +73,13 @@ def build_cmcqp(channels: ChannelSet, w: np.ndarray, aux: AuxState) -> CmcQpData
     and Wcov = W W^H; A and E are never formed, as omega = diag(P M^H) with
     M = S (W - Wcov [D_k Y_k]_k). Zcal is made exactly Hermitian once, in
     place.
+
+    ``work`` is a complex (2, RN, RN) workspace: Zcal is written into
+    work[0], and work[1] is the only RN x RN scratch (first Q^T, formed as
+    the contiguous product conj(B) B^T, then Zcal^H for the Hermitian
+    average), so no strided RN x RN temporary is made. The returned zcal is
+    work[0] itself and is valid until the next build into the same
+    workspace. Without ``work`` the call allocates its own.
     """
     wst = w.reshape(len(w), -1)
     wcov = wst @ wst.conj().T
@@ -78,10 +91,15 @@ def build_cmcqp(channels: ChannelSet, w: np.ndarray, aux: AuxState) -> CmcQpData
     dy = model.per_user(channels.d, aux.y).reshape(wst.shape)
     omega = np.sum(p * (channels.s @ (wst - wcov @ dy)).conj(), axis=1)
 
+    if work is None:
+        work = np.empty((2, nn, nn), complex)
+    zcal, scratch = work
     b = channels.s @ wst
-    zcal = p @ c.conj().T
-    zcal *= (b @ b.conj().T).T
-    zcal += zcal.conj().T
+    np.matmul(p, c.conj().T, out=zcal)
+    np.matmul(b.conj(), b.T, out=scratch)
+    zcal *= scratch
+    np.conjugate(zcal.T, out=scratch)
+    zcal += scratch
     zcal *= 0.5
     return CmcQpData(zcal=zcal, omega=omega)
 

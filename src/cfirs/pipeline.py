@@ -8,7 +8,10 @@ iteration: the effective channel once after the phase step, and one
 ``model.LinkState`` at the new (W, theta) that gives the new rate and the
 next iteration's U and Y (a QCR extrapolation attempt, below, adds one of
 each). An outer iteration without a phase step is the U, Y and W updates
-and that one link state.
+and that one link state. A start with a phase step allocates one
+(2, RN, RN) workspace and builds every iteration's phase subproblem into it
+(``irs_opt.build_cmcqp``), so no iteration allocates an RN x RN array of
+its own; a subproblem is not read after its phase step.
 
 The achieved sum rate is monotonically non-decreasing across iterations.
 With U and Y at their closed forms the surrogate equals the rate at the
@@ -168,7 +171,8 @@ def joint_optimize(
 
     Every start reads the stacked arrays of both channel sets, each formed
     once per set (so a draw's true channels are stacked once for all the
-    schemes solved on them), and the ``BeamformerSet`` holds the stacked W.
+    schemes solved on them; at rho = 0 the estimate is the true set itself),
+    and the ``BeamformerSet`` holds the stacked W.
     """
     channels.validate(config)
     # The perturbation draw happens even at rho = 0 so that sweeps over rho
@@ -204,6 +208,9 @@ def _optimize_once(true, opt, config, scheme, rng):
     use_irs = scheme.solver != "none" and config.r > 0
     theta = _init_theta(config, rng) if use_irs else None
     has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
+    # Every phase subproblem of this start is built into this one workspace.
+    rn = config.n_irs_total
+    work = np.empty((2, rn, rn), complex) if has_phase_step else None
     extrapolate = scheme.solver == "qcr" and use_irs
     beta = _BETA_START
 
@@ -227,11 +234,10 @@ def _optimize_once(true, opt, config, scheme, rng):
         sweeps = 0
         prev = theta
         if has_phase_step:
-            # Built inside the call so the previous iteration's subproblem is
-            # already released while this one is assembled.
-            theta, sweeps = _phase_step(
-                scheme, theta, irs_opt.build_cmcqp(opt, w, aux), config, rng
-            )
+            # Overwrites the previous iteration's subproblem, which no one
+            # holds past its phase step.
+            data = irs_opt.build_cmcqp(opt, w, aux, work)
+            theta, sweeps = _phase_step(scheme, theta, data, config, rng)
             h = model.effective_channel(opt, theta)
         t4 = time.perf_counter()
         # One link state at the new (W, theta) gives the new rate and the

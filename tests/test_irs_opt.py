@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfirs import irs_opt, model
-from cfirs.config import full_config
+from cfirs.config import desk_config, full_config
 from conftest import (
     aso_coordinate, build_aux, build_instance, cmcqp, crandn, f4_at, per_link, synthetic_cmcqp,
 )
@@ -114,6 +114,23 @@ def test_build_matches_dense_definition():
         dense_zcal = z * q.T
         assert np.linalg.norm(data.zcal - dense_zcal) <= 1e-12 * np.linalg.norm(dense_zcal)
         assert np.array_equal(data.zcal, data.zcal.conj().T)
+
+
+@pytest.mark.parametrize("over", [
+    dataclasses.asdict(desk_config(n=32, n_h=8, n_v=4)),  # RN = 64
+    FULL_SCALE,
+], ids=["desk", "full"])
+def test_build_into_workspace_matches_fresh_build(over):
+    cfg, ch, theta, w, aux, fresh = _system_cmcqp(2, **over)
+    rn = cfg.n_irs_total
+    # Stale contents, a previous subproblem's included, must not leak.
+    work = np.full((2, rn, rn), np.nan, complex)
+    for w_in in (2.0 * w, w):
+        got = irs_opt.build_cmcqp(ch, w_in, aux, work)
+    assert np.array_equal(got.zcal, fresh.zcal)
+    assert np.array_equal(got.omega, fresh.omega)
+    assert np.array_equal(got.zcal, got.zcal.conj().T)
+    assert np.shares_memory(got.zcal, work[0])
 
 
 def test_f7_nonpositive_without_linear_term(make_cmcqp):

@@ -321,9 +321,8 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
 
 
 def test_draw_true_channels_are_stacked_once(monkeypatch):
-    # One draw solved by four schemes at rho = 0: the true channels' stacked
-    # arrays are formed once for all of them; each scheme's estimate forms
-    # its own once.
+    # One draw solved by four schemes at rho = 0: every scheme's estimate is
+    # the true channel set, whose stacked arrays are formed once for all.
     formed = []
     for name in ("d", "g", "s"):
         real = vars(ChannelSet)[name].func
@@ -350,7 +349,36 @@ def test_draw_true_channels_are_stacked_once(monkeypatch):
     assert len(out) == 4 and len(draws) == 1
     true = sorted(name for owner, name in formed if owner == id(draws[0]))
     assert true == ["d", "g", "s"]
-    assert len(formed) == 3 * (1 + len(schemes))
+    assert len(formed) == 3
+
+
+@pytest.mark.parametrize("n_starts", [1, 2])
+@pytest.mark.parametrize("scheme", [
+    SchemeSpec(solver="aso"), SchemeSpec(solver="qcr"), SchemeSpec(solver="sdr"),
+    SchemeSpec(solver="discrete", levels=4),
+], ids=lambda s: s.label)
+def test_phase_subproblems_share_one_workspace_per_start(scheme, n_starts, monkeypatch):
+    # Every phase subproblem of one start is built into the same memory, not
+    # into a fresh RN x RN array per outer iteration.
+    starts = []
+    real_once, real_build = pipeline._optimize_once, irs_opt.build_cmcqp
+
+    def once_spy(*args, **kwargs):
+        starts.append([])
+        return real_once(*args, **kwargs)
+
+    def build_spy(*args, **kwargs):
+        data = real_build(*args, **kwargs)
+        starts[-1].append(data.zcal)
+        return data
+
+    monkeypatch.setattr(pipeline, "_optimize_once", once_spy)
+    monkeypatch.setattr(irs_opt, "build_cmcqp", build_spy)
+    cfg, ch, _, _, _ = build_instance(4, **_SMALL, max_outer=3, eps3=0.0)
+    pipeline.joint_optimize(ch, cfg, scheme, np.random.default_rng(4), n_starts=n_starts)
+    assert [len(zcals) for zcals in starts] == [cfg.max_outer] * n_starts
+    for zcals in starts:
+        assert all(np.shares_memory(z, zcals[0]) for z in zcals[1:])
 
 
 # ---- the extrapolated QCR phase step ----
