@@ -10,8 +10,8 @@ next iteration's U and Y (a QCR extrapolation attempt, below, adds one of
 each). An outer iteration without a phase step is the U, Y and W updates
 and that one link state. A start with a phase step allocates one
 (2, RN, RN) workspace and builds every iteration's phase subproblem into it
-(``irs_opt.build_cmcqp``), so no iteration allocates an RN x RN array of
-its own; a subproblem is not read after its phase step.
+(``irs_opt.build_cmcqp``), so building a subproblem allocates no RN x RN
+array; a subproblem is not read after its phase step.
 
 The achieved sum rate is monotonically non-decreasing across iterations.
 With U and Y at their closed forms the surrogate equals the rate at the
@@ -208,7 +208,6 @@ def _optimize_once(true, opt, config, scheme, rng):
     use_irs = scheme.solver != "none" and config.r > 0
     theta = _init_theta(config, rng) if use_irs else None
     has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
-    # Every phase subproblem of this start is built into this one workspace.
     rn = config.n_irs_total
     work = np.empty((2, rn, rn), complex) if has_phase_step else None
     extrapolate = scheme.solver == "qcr" and use_irs
