@@ -109,8 +109,8 @@ def test_qcr_phase_step(benchmark, full_scale, full_scale_warm):
     cfg = full_scale[0]
     theta, data = full_scale_warm
     scheme = pipeline.SchemeSpec(solver="qcr")
-    _, iterations = benchmark(pipeline._phase_step, scheme, theta, data, cfg, None)
-    assert 0 < iterations <= pipeline.QCR_BUDGET
+    _, iterations, refused = benchmark(pipeline._phase_step, scheme, theta, data, cfg, None)
+    assert not refused and 0 < iterations <= pipeline.QCR_BUDGET
     benchmark.extra_info["iterations"] = iterations
 
 

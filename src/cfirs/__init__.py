@@ -34,5 +34,5 @@ from .model import (
     sinr,
     sum_rate,
 )
-from .pipeline import RunTrace, SchemeSpec, aggregate, joint_optimize, monte_carlo
+from .pipeline import RunTrace, SchemeSpec, Step, aggregate, joint_optimize, monte_carlo
 from .tx_opt import optimize_w

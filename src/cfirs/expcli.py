@@ -24,7 +24,6 @@ import csv
 import dataclasses
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,8 +166,8 @@ def _sweep_config(spec: ExperimentSpec, value):
     if spec.sweep == "iterations":
         if value < 1:
             raise ValueError("iteration caps must be >= 1")
-        # One run to the largest cap with the stop rule off; the rows read
-        # the rate trace at every cap.
+        # One run to the largest cap with the stop rule off; each row is
+        # that run cut at its cap.
         horizon = max(int(v) for v in spec.sweep_values)
         return base.with_(max_outer=horizon, eps3=0.0), geometry, schemes
     if spec.sweep == "n_phase_shifts":
@@ -196,26 +195,21 @@ def _sweep_config(spec: ExperimentSpec, value):
 
 def _run_unit(spec: ExperimentSpec, value, seed_index: int):
     """All schemes on one (sweep value, realization) pair -> list of rows:
-    ``pipeline.result_row`` with the sweep parameter and value in front."""
+    ``pipeline.result_row`` with the sweep parameter and value in front. An
+    ``iterations`` sweep writes one row per cap, from the trace cut at that
+    cap under the base config's stop rule, with the time up to the cap."""
     config, geometry, schemes = _sweep_config(spec, value)
     rows = []
     for scheme, trace, wall_ms in pipeline.solve_realization(
         config, geometry, schemes, spec.master_seed, seed_index, fixed_ue=spec.fixed_ue
     ):
-        row = dict(sweep_param=spec.sweep, value=value,
-                   **pipeline.result_row(scheme, seed_index, trace, wall_ms))
-        if spec.sweep != "iterations":
-            rows.append(row)
-            continue
-        # One row per cap: the rate after that many outer iterations, the
-        # time they took, and whether the base config's stop rule would have
-        # fired there.
-        rates = trace.sum_rate
-        for cap in map(int, spec.sweep_values):
-            rows.append(dict(row, value=cap, sum_rate_bits=rates[cap] / math.log(2.0),
-                             iterations=cap, wall_ms=trace.elapsed_seconds[cap - 1] * 1e3,
-                             converged=pipeline.stalled(rates[cap - 1], rates[cap],
-                                                        spec.base.eps3)))
+        if spec.sweep == "iterations":
+            cuts = (trace.upto(cap, spec.base.eps3) for cap in map(int, spec.sweep_values))
+            solves = [(cut.iterations, cut, cut.steps[-1].elapsed * 1e3) for cut in cuts]
+        else:
+            solves = [(value, trace, wall_ms)]
+        rows.extend(dict(sweep_param=spec.sweep, value=v,
+                         **pipeline.result_row(scheme, seed_index, t, ms)) for v, t, ms in solves)
     return rows
 
 

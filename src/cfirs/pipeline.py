@@ -31,8 +31,14 @@ is the one the next iteration reads. beta starts at 0.5 for each start,
 grows by 1.5 on a kept step up to 3 and halves on a rejected one down to
 0.1. Inside the loop QCR runs at most ``QCR_BUDGET`` FISTA steps per outer
 iteration: the next W step moves the relaxed point anyway. The loop stops at
-``max_outer`` or when ``stalled`` holds, the one stop rule, which the
-experiment CLI's ``iterations`` sweep also reads at every cap.
+``max_outer`` or when ``stalled`` holds, the one stop rule.
+
+Each outer iteration leaves one ``Step`` record (its rate, time, stage
+times, dual and phase-step work); a ``RunTrace`` is the start rate, those
+steps, the stop flag and the final rate on the true channels.
+``RunTrace.upto`` cuts a trace after a number of steps, and the cut is the
+run that ``max_outer`` at that number would have made, so the experiment
+CLI's ``iterations`` sweep writes each cap's row from one cut.
 
 ``solve_realization`` is the one experiment runner (draw, solve, time),
 ``result_row`` turns one of its solves into a results row (``ROW_COLUMNS``)
@@ -44,7 +50,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,20 +108,80 @@ class SchemeSpec:
             object.__setattr__(self, "label", label)
 
 
-@dataclass
-class RunTrace:
-    """Per-iteration accounting of one joint optimization run."""
+class Step(NamedTuple):
+    """One outer iteration of a start, recorded when it ends.
 
-    sum_rate: list = field(default_factory=list)      # nats, on the channels optimized
-    dual_iterations: list = field(default_factory=list)  # factorizations per W step
-    dual_unconverged: int = 0                         # W steps that ended at max_dual
-    phase_sweeps: list = field(default_factory=list)
-    extrapolated: list = field(default_factory=list)  # extrapolated phases kept, per iteration
-    elapsed_seconds: list = field(default_factory=list)  # since the start, at each iteration's end
-    stage_seconds: dict = field(default_factory=lambda: {"u": 0.0, "y": 0.0, "w": 0.0, "theta": 0.0})
-    converged: bool = False
-    iterations: int = 0
-    final_sum_rate_true: float = 0.0                  # nats, on the true channels
+    ``rate`` is in nats on the channels optimized, at the (W, theta) the
+    iteration ends at; ``elapsed`` is seconds since the start; ``stage``
+    holds the seconds of the u, y, w and theta stages, in that order, which
+    together span the iteration (theta runs from the end of the W step
+    to the end of the iteration: the phase step, the effective channel, the
+    link state and any extrapolation). ``dual_iters`` counts the W step's
+    factorizations and ``dual_converged`` whether its dual converged before
+    ``max_dual``. ``phase_work`` is the phase step's sweeps (ASO, discrete),
+    FISTA steps (QCR) or solves (SDR), counted also when ``phase_refused``
+    says the step lowered the phase objective and was not kept.
+    ``extrapolated`` says whether QCR's extrapolated phases were kept.
+    """
+
+    rate: float
+    elapsed: float
+    stage: tuple
+    dual_iters: int
+    dual_converged: bool
+    phase_work: int
+    phase_refused: bool
+    extrapolated: bool
+
+
+@dataclass(frozen=True)
+class RunTrace:
+    """One start's run: its start rate (nats, on the channels optimized), one
+    ``Step`` per outer iteration, whether the stop rule ended it, and its
+    final rate in nats on the true channels. ``sum_rate``, ``iterations``,
+    ``dual_iterations`` and ``stage_seconds`` are read off the steps."""
+
+    start_rate: float
+    steps: tuple
+    converged: bool
+    final_sum_rate_true: float
+
+    @property
+    def sum_rate(self) -> list:
+        """The start rate, then each step's rate."""
+        return [self.start_rate] + [s.rate for s in self.steps]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.steps)
+
+    @property
+    def dual_iterations(self) -> list:
+        return [s.dual_iters for s in self.steps]
+
+    @property
+    def stage_seconds(self) -> dict:
+        """Seconds per stage, summed over the steps."""
+        names = ("u", "y", "w", "theta")
+        return {name: sum(s.stage[i] for s in self.steps) for i, name in enumerate(names)}
+
+    def upto(self, cap: int, eps3: float) -> "RunTrace":
+        """The trace cut after ``cap`` steps (1 <= cap <= iterations): its
+        ``converged`` is ``stalled`` at the cap under ``eps3`` and its final
+        rate is the rate at the cap. When ``stalled`` under ``eps3`` holds at
+        no earlier step, the cut is the run that ``max_outer = cap`` and
+        ``eps3`` make from the same generator.
+
+        The rate at the cap is read on the channels optimized. Those are the
+        true channels when ``csi_error_rho`` = 0, which the experiment CLI's
+        ``iterations`` sweep requires, so there the cut's final rate is the
+        true-channel rate.
+        """
+        if not 1 <= cap <= len(self.steps):
+            raise ValueError(f"cap {cap} is outside 1..{len(self.steps)}")
+        rates = self.sum_rate
+        return RunTrace(self.start_rate, self.steps[:cap], stalled(rates[cap - 1], rates[cap], eps3),
+                        rates[cap])
 
 
 def _init_theta(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
@@ -123,9 +190,11 @@ def _init_theta(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _phase_step(scheme, theta, data, config, rng):
-    """One phase update; returns (theta, sweeps). QCR/SDR steps are kept only
-    if they do not decrease the phase objective; QCR takes at most
-    ``QCR_BUDGET`` FISTA steps.
+    """One phase update; returns (theta, work, refused). QCR/SDR steps are
+    kept only if they do not decrease the phase objective (``refused`` says
+    one was not, and theta is returned unchanged); QCR takes at most
+    ``QCR_BUDGET`` FISTA steps. ``work`` is the sweeps, FISTA steps or SDR
+    solves the step took, refused or not.
 
     The sweep tolerance is config.eps2 scaled by the current objective
     magnitude, so the stopping rule keeps the same meaning across power and
@@ -135,20 +204,21 @@ def _phase_step(scheme, theta, data, config, rng):
     eps2 = config.eps2 * max(1.0, abs(f_old))
     if scheme.solver == "aso":
         new, trace = irs_opt.aso_solve(theta, data, eps2=eps2, max_sweeps=config.max_aso)
-        return new, len(trace) - 1
+        return new, len(trace) - 1, False
     if scheme.solver == "discrete":
-        return irs_opt.discrete_sweep(theta, data, scheme.levels, max_sweeps=config.max_aso)
+        new, sweeps = irs_opt.discrete_sweep(theta, data, scheme.levels, max_sweeps=config.max_aso)
+        return new, sweeps, False
     if scheme.solver == "qcr":
         new, _, trace = irs_opt.qcr_solve(theta, data, max_iter=QCR_BUDGET)
-        sweeps = len(trace) - 1
+        work = len(trace) - 1
     elif scheme.solver == "sdr":
         new, _, _ = irs_opt.sdr_solve(data, config.alpha, rng=rng)
-        sweeps = 1
+        work = 1
     else:
-        return theta, 0
+        return theta, 0, False
     if irs_opt.eval_f7(new, data) >= f_old:
-        return new, sweeps
-    return theta, 0
+        return new, work, False
+    return theta, work, True
 
 
 def joint_optimize(
@@ -216,12 +286,11 @@ def _optimize_once(true, opt, config, scheme, rng):
     h = model.effective_channel(opt, theta)
     w = model.matched_filter_init(h, config.p_max)
 
-    trace = RunTrace()
     link = model.link_state(h, w, config.sigma2)
-    rate = model.link_rate(link)
-    trace.sum_rate.append(rate)
+    start_rate = rate = model.link_rate(link)
+    steps, converged = [], False
     lam = None
-    for it in range(1, config.max_outer + 1):
+    for _ in range(config.max_outer):
         t0 = time.perf_counter()
         u = model.link_sinr(link)
         t1 = time.perf_counter()
@@ -230,22 +299,20 @@ def _optimize_once(true, opt, config, scheme, rng):
         t2 = time.perf_counter()
         w, lam, winfo = tx_opt.optimize_w(h, aux, config, lam=lam, w_prev=w)
         t3 = time.perf_counter()
-        sweeps = 0
+        phase_work, refused = 0, False
         prev = theta
         if has_phase_step:
             # Overwrites the previous iteration's subproblem, which no one
             # holds past its phase step.
             data = irs_opt.build_cmcqp(opt, w, aux, work)
-            theta, sweeps = _phase_step(scheme, theta, data, config, rng)
+            theta, phase_work, refused = _phase_step(scheme, theta, data, config, rng)
             h = model.effective_channel(opt, theta)
-        t4 = time.perf_counter()
         # One link state at the new (W, theta) gives the new rate and the
         # next iteration's U and Y.
         link = model.link_state(h, w, config.sigma2)
         new_rate = model.link_rate(link)
         kept = False
         if extrapolate and not np.array_equal(theta, prev):
-            t5 = time.perf_counter()
             cand = _extrapolated(theta, prev, beta)
             cand_h = model.effective_channel(opt, cand)
             cand_link = model.link_state(cand_h, w, config.sigma2)
@@ -256,26 +323,16 @@ def _optimize_once(true, opt, config, scheme, rng):
                 beta = min(_BETA_MAX, beta * _BETA_GROW)
             else:
                 beta = max(_BETA_MIN, beta * _BETA_SHRINK)
-            trace.stage_seconds["theta"] += time.perf_counter() - t5
-
-        trace.stage_seconds["u"] += t1 - t0
-        trace.stage_seconds["y"] += t2 - t1
-        trace.stage_seconds["w"] += t3 - t2
-        trace.stage_seconds["theta"] += t4 - t3
-        trace.dual_iterations.append(winfo["iterations"])
-        trace.dual_unconverged += not winfo["converged"]
-        trace.phase_sweeps.append(sweeps)
-        trace.extrapolated.append(kept)
-        trace.sum_rate.append(new_rate)
-        trace.iterations = it
-        trace.elapsed_seconds.append(time.perf_counter() - start)
+        t4 = time.perf_counter()
+        steps.append(Step(new_rate, t4 - start, (t1 - t0, t2 - t1, t3 - t2, t4 - t3),
+                          winfo["iterations"], winfo["converged"], phase_work, refused, kept))
         if stalled(rate, new_rate, config.eps3):
-            trace.converged = True
+            converged = True
             break
         rate = new_rate
 
-    trace.final_sum_rate_true = model.sum_rate(true, w, theta, config.sigma2)
-    return w, theta, trace
+    final = model.sum_rate(true, w, theta, config.sigma2)
+    return w, theta, RunTrace(start_rate, tuple(steps), converged, final)
 
 
 def scheme_seed_key(master_seed: int, seed_index: int, label: str) -> np.random.SeedSequence:

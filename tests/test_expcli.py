@@ -324,7 +324,7 @@ def test_iterations_sweep_wall_ms_is_per_cap(tmp_path, monkeypatch):
     rows = read_rows(expcli.run(spec))
     assert len(solves) == 2 and len(rows) == 4 * len(solves)
     for scheme, trace, wall_ms in solves:
-        assert trace.iterations == 8 and len(trace.elapsed_seconds) == 8
+        assert trace.iterations == 8 and len(trace.steps) == 8
         by_cap = sorted((int(r["value"]), float(r["wall_ms"]))
                         for r in rows if r["scheme"] == scheme.label)
         assert [cap for cap, _ in by_cap] == [1, 3, 5, 8]
@@ -332,7 +332,7 @@ def test_iterations_sweep_wall_ms_is_per_cap(tmp_path, monkeypatch):
         assert walls == sorted(walls)
         assert walls[-1] <= wall_ms
         for cap, ms in by_cap:
-            assert ms == pytest.approx(trace.elapsed_seconds[cap - 1] * 1e3, rel=1e-9)
+            assert ms == pytest.approx(trace.steps[cap - 1].elapsed * 1e3, rel=1e-9)
 
 
 def test_iterations_sweep_zero_rate_cap_is_not_converged(tmp_path, monkeypatch):
@@ -341,8 +341,10 @@ def test_iterations_sweep_zero_rate_cap_is_not_converged(tmp_path, monkeypatch):
     rates = [0.0, 0.0, 1.0, 1.0]
 
     def synthetic(config, geometry, schemes, master_seed, seed_index, fixed_ue=False):
-        trace = pipeline.RunTrace(sum_rate=rates, iterations=3,
-                                  elapsed_seconds=[1e-3, 2e-3, 3e-3])
+        steps = tuple(pipeline.Step(rate, it * 1e-3, (0.0,) * 4, 1, True, 0, False, False)
+                      for it, rate in enumerate(rates[1:], start=1))
+        trace = pipeline.RunTrace(start_rate=rates[0], steps=steps, converged=False,
+                                  final_sum_rate_true=rates[-1])
         return [(scheme, trace, 3.0) for scheme in schemes]
 
     monkeypatch.setattr(pipeline, "solve_realization", synthetic)

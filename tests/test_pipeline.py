@@ -6,7 +6,7 @@ import pytest
 from cfirs import channel as chan
 from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
 from cfirs.channel import ChannelSet
-from cfirs.config import full_config
+from cfirs.config import desk_config, full_config
 from cfirs.pipeline import SchemeSpec
 
 from conftest import build_instance, small_config
@@ -45,7 +45,7 @@ def test_random_scheme_skips_phase_step():
     w, theta, trace = pipeline.joint_optimize(
         ch, cfg, SchemeSpec(solver="random"), np.random.default_rng(1)
     )
-    assert all(s == 0 for s in trace.phase_sweeps)
+    assert all(s.phase_work == 0 and not s.phase_refused for s in trace.steps)
     rates = np.asarray(trace.sum_rate)
     assert (np.diff(rates) >= -1e-9 * np.abs(rates[1:])).all()
     theta.validate()
@@ -177,23 +177,20 @@ def _reference_once(channels, opt, config, scheme, rng):
     beta = 0.5
     h = model.effective_channel(opt, theta)
     w = model.matched_filter_init(h, config.p_max)
-    trace = pipeline.RunTrace()
-    rate = model.sum_rate(opt, w, theta, config.sigma2)
-    trace.sum_rate.append(rate)
+    start_rate = rate = model.sum_rate(opt, w, theta, config.sigma2)
+    steps, converged = [], False
     lam = None
-    for it in range(1, config.max_outer + 1):
+    for _ in range(config.max_outer):
         u = model.sinr(h, w, config.sigma2)
         y = fp_core.mmse_filters(model.link_state(h, w, config.sigma2))
         aux = fp_core.AuxState(u=u, y=y)
         w, lam, winfo = tx_opt.optimize_w(h, aux, config, lam=lam, w_prev=w)
-        sweeps = 0
+        work, refused = 0, False
         prev = theta
         if has_phase_step:
             data = irs_opt.build_cmcqp(opt, w, aux)
-            theta, sweeps = pipeline._phase_step(scheme, theta, data, config, rng)
+            theta, work, refused = pipeline._phase_step(scheme, theta, data, config, rng)
             h = model.effective_channel(opt, theta)
-        trace.dual_iterations.append(winfo["iterations"])
-        trace.phase_sweeps.append(sweeps)
         new_rate = model.sum_rate(opt, w, theta, config.sigma2)
         kept = False
         if scheme.solver == "qcr" and use_irs and np.any(theta != prev):
@@ -206,15 +203,15 @@ def _reference_once(channels, opt, config, scheme, rng):
                 beta = min(3.0, 1.5 * beta)
             else:
                 beta = max(0.1, 0.5 * beta)
-        trace.extrapolated.append(kept)
-        trace.sum_rate.append(new_rate)
-        trace.iterations = it
+        # Timings are not compared: elapsed and stage are left at zero.
+        steps.append(pipeline.Step(new_rate, 0.0, (0.0,) * 4, winfo["iterations"],
+                                   winfo["converged"], work, refused, kept))
         if new_rate != 0 and abs(new_rate - rate) / abs(new_rate) < config.eps3:
-            trace.converged = True
+            converged = True
             break
         rate = new_rate
-    trace.final_sum_rate_true = model.sum_rate(channels, w, theta, config.sigma2)
-    return w, theta, trace
+    final = model.sum_rate(channels, w, theta, config.sigma2)
+    return w, theta, pipeline.RunTrace(start_rate, tuple(steps), converged, final)
 
 
 def _reference_joint(channels, config, scheme, rng, n_starts=1):
@@ -249,8 +246,9 @@ def test_loop_matches_per_quantity_reference(case):
     ref_w, ref_theta, ref = _reference_joint(
         ch, cfg, scheme, np.random.default_rng(8), n_starts=n_starts)
     assert trace.iterations > 1
-    for name in ("sum_rate", "dual_iterations", "phase_sweeps", "extrapolated", "iterations",
-                 "converged", "final_sum_rate_true"):
+    # Every field of every step but the timings, exactly.
+    assert [s._replace(elapsed=0.0, stage=(0.0,) * 4) for s in trace.steps] == list(ref.steps)
+    for name in ("start_rate", "sum_rate", "iterations", "converged", "final_sum_rate_true"):
         assert getattr(trace, name) == getattr(ref, name), name
     np.testing.assert_array_equal(w.w, ref_w)
     ref_theta = ref_theta if ref_theta is not None else np.zeros(0, complex)
@@ -304,8 +302,9 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
         assert (sum(tried) > 0) == (solver == "qcr")
         # Only an attempted extrapolation can be kept.
         flags = tried if steps else [False] * trace.iterations
-        assert len(trace.extrapolated) == trace.iterations
-        assert all(t or not kept for kept, t in zip(trace.extrapolated, flags))
+        extrapolated = [s.extrapolated for s in trace.steps]
+        assert len(extrapolated) == trace.iterations
+        assert all(t or not kept for kept, t in zip(extrapolated, flags))
         assert kinds.count("channel") == steps + 2 + sum(tried)
         assert kinds.count("links") == trace.iterations + 2 + sum(tried)
         # Each step starts from the phases the loop kept: those of the last
@@ -315,7 +314,7 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
             if kind == "channel":
                 channels.append(theta)
             elif kind == "step":
-                rejected = done and tried[done - 1] and not trace.extrapolated[done - 1]
+                rejected = done and tried[done - 1] and not extrapolated[done - 1]
                 np.testing.assert_array_equal(channels[-2 if rejected else -1], theta)
                 done += 1
 
@@ -381,6 +380,58 @@ def test_phase_subproblems_share_one_workspace_per_start(scheme, n_starts, monke
         assert all(np.shares_memory(z, zcals[0]) for z in zcals[1:])
 
 
+# ---- one Step per outer iteration ----
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("solver", ["aso", "qcr", "sdr", "random", "none"])
+def test_cut_is_the_stopped_run(solver, seed):
+    # A run cut after cap steps is the run that max_outer = cap makes from
+    # the same generator, its stop flag included: False below the step the
+    # stop rule ended the whole run at, True there.
+    cfg = desk_config()
+    ch = pipeline.realize_channels(cfg, chan.default_geometry(cfg), 5, seed)
+    scheme = SchemeSpec(solver=solver)
+    _, _, trace = pipeline.joint_optimize(ch, cfg, scheme, np.random.default_rng(5))
+    n = trace.iterations
+    assert trace.converged and n >= 3
+    for cap in sorted({1, 2, n // 2, n - 1, n}):
+        _, _, stopped = pipeline.joint_optimize(
+            ch, cfg.with_(max_outer=cap), scheme, np.random.default_rng(5))
+        cut = trace.upto(cap, cfg.eps3)
+        for name in ("sum_rate", "iterations", "converged", "final_sum_rate_true"):
+            assert getattr(cut, name) == getattr(stopped, name), (cap, name)
+    for cap in (0, n + 1):
+        with pytest.raises(ValueError):
+            trace.upto(cap, cfg.eps3)
+
+
+def test_refused_phase_step_counts_its_work(monkeypatch):
+    # A QCR step that lowers the phase objective is refused: the phases stay
+    # at the start's, so the rates are those of the W steps alone (the random
+    # scheme from the same generator), and each step still counts its work.
+    real_qcr = irs_opt.qcr_solve
+
+    def worse_qcr(theta, data, **kwargs):
+        _, relaxed, trace = real_qcr(theta, data, **kwargs)
+        # The rotation of theta that turns its linear term to -2|theta^H omega|.
+        c = theta.conj() @ data.omega
+        worse = theta * (-c / abs(c))
+        assert irs_opt.eval_f7(worse, data) < irs_opt.eval_f7(theta, data)
+        return worse, relaxed, trace
+
+    monkeypatch.setattr(irs_opt, "qcr_solve", worse_qcr)
+    cfg, ch, _, _, _ = build_instance(3, **_SMALL)
+    _, theta, trace = pipeline.joint_optimize(
+        ch, cfg, SchemeSpec(solver="qcr"), np.random.default_rng(3))
+    _, ref_theta, ref = pipeline.joint_optimize(
+        ch, cfg, SchemeSpec(solver="random"), np.random.default_rng(3))
+    assert trace.iterations > 1
+    assert all(s.phase_refused and 0 < s.phase_work <= pipeline.QCR_BUDGET
+               and not s.extrapolated for s in trace.steps)
+    np.testing.assert_array_equal(theta.theta, ref_theta.theta)
+    assert trace.sum_rate == ref.sum_rate
+
+
 # ---- the extrapolated QCR phase step ----
 
 def _qcr_events(monkeypatch, cfg, ch, seed, n_starts, extrapolated=None):
@@ -438,7 +489,7 @@ def _check_attempts(calls, trace, alpha):
             _, beta, theta, prev, out = ev
             assert calls[i - 1][0] == "rate" and calls[i + 1][0] == "rate"
             plus, cand = calls[i - 1][1], calls[i + 1][1]
-            kept = trace.extrapolated[it]
+            kept = trace.steps[it].extrapolated
             assert kept == (cand > plus)
             assert trace.sum_rate[it + 1] == max(plus, cand)
             assert beta == expected
@@ -461,7 +512,7 @@ def test_qcr_extrapolation_schedule(monkeypatch):
         # The loop's QCR steps take at most the budget of FISTA steps.
         budgets = [ev[1].get("max_iter") for ev in calls if ev[0] == "qcr"]
         assert budgets and set(budgets) == {pipeline.QCR_BUDGET}
-        assert max(trace.phase_sweeps) <= pipeline.QCR_BUDGET
+        assert max(s.phase_work for s in trace.steps) <= pipeline.QCR_BUDGET
         assert (np.diff(trace.sum_rate) >= 0).all()
     # beta restarts at 0.5 for the second start, not where the first ended.
     assert betas[0][-1] != 0.5 and betas[1][0] == 0.5
@@ -475,7 +526,7 @@ def test_qcr_extrapolation_tie_is_not_kept(monkeypatch):
                          extrapolated=lambda theta, prev, beta: theta.copy())
     calls, trace = starts[0]
     betas = _check_attempts(calls, trace, cfg.alpha)
-    assert not any(trace.extrapolated)
+    assert not any(s.extrapolated for s in trace.steps)
     assert betas == [0.5, 0.25, 0.125, 0.1, 0.1, 0.1, 0.1, 0.1][:len(betas)]
     assert len(betas) >= 5
 
@@ -489,4 +540,4 @@ def test_qcr_full_scale_rate_floor(index, plain_bits):
     ((scheme, trace, _),) = pipeline.solve_realization(
         cfg, chan.default_geometry(cfg), [SchemeSpec(solver="qcr")], 1, index)
     assert trace.final_sum_rate_true / np.log(2.0) >= plain_bits
-    assert max(trace.phase_sweeps) <= pipeline.QCR_BUDGET
+    assert max(s.phase_work for s in trace.steps) <= pipeline.QCR_BUDGET
