@@ -4,8 +4,8 @@ Full scale is one fixed channel draw of the full-scale scenario (6 BSs x 4
 antennas, 4 UEs x 2 antennas, 3 x 60-element IRSs): RN = 180 reflection
 coefficients and a Zcal of rank at most (K * m_u)^2 = 64. Desk scale is
 ``desk_config`` with 32-element IRSs (3 BSs x 4 antennas, RN = 64). Times
-``build_cmcqp`` (allocating its arrays, and into a reused workspace as the
-outer loop calls it) and ``qcr_relax`` at full scale; ``optimize_w``,
+``build_cmcqp`` (into a reused workspace, as the outer loop calls it) and
+``qcr_relax`` at full scale; ``optimize_w``,
 ``effective_channel``, ``link_state`` (the link matrices and both
 covariances at one (H, W) point), ``sum_rate``, ``aso_solve`` and
 ``discrete_sweep`` (M = 4; both record their sweeps in
@@ -75,11 +75,10 @@ def desk_scale():
     return draw
 
 
-@pytest.mark.parametrize("work", ["fresh", "workspace"])
-def test_build_cmcqp(benchmark, work, full_scale):
+def test_build_cmcqp(benchmark, full_scale):
     _, _, w, aux, _, data, ch = full_scale
-    buf = np.empty((2, *data.zcal.shape), complex) if work == "workspace" else None
-    benchmark(irs_opt.build_cmcqp, ch, w, aux, buf)
+    work = np.empty((2, *data.zcal.shape), complex)
+    benchmark(irs_opt.build_cmcqp, ch, w, aux, work)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +141,7 @@ def test_sum_rate(benchmark, scale, request):
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_aso_solve(benchmark, scale, request):
     cfg, _, _, _, theta, data, _ = request.getfixturevalue(scale)
-    eps2 = cfg.eps2 * max(1.0, abs(irs_opt.eval_f7(theta, data)))
+    eps2 = pipeline.EPS2 * max(1.0, abs(irs_opt.eval_f7(theta, data)))
     _, trace = benchmark(irs_opt.aso_solve, theta, data, eps2=eps2, max_sweeps=cfg.max_aso)
     benchmark.extra_info["sweeps"] = len(trace) - 1
 

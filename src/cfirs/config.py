@@ -25,10 +25,9 @@ class SystemConfig:
     coefficient). The size of a discrete phase set belongs to the scheme
     (``SchemeSpec.levels``).
 
-    The precoder dual is solved by Newton steps in the per-BS multipliers:
-    ``eps1`` is their relative power tolerance (and its square the relative
-    duality-gap tolerance at which they stop); ``max_dual`` caps their
-    factorizations.
+    The inner solvers' settings are module constants beside their readers:
+    ``tx_opt.EPS1`` = 1e-5 and ``tx_opt.MAX_DUAL`` = 500 (precoder dual),
+    ``pipeline.EPS2`` = 1e-8 (ASO sweeps).
     """
 
     l: int
@@ -47,11 +46,8 @@ class SystemConfig:
     c0: float = 1e-3
     pathloss_direct: float = 3.75
     pathloss_irs: float = 2.2
-    eps1: float = 1e-5
-    eps2: float = 1e-8
     eps3: float = 1e-4
     max_outer: int = 50
-    max_dual: int = 500
     max_aso: int = 200
 
     def __post_init__(self):
@@ -67,8 +63,6 @@ class SystemConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.sigma2 <= 0.0:
             raise ValueError("sigma2 must be positive")
-        if self.max_dual < 1:
-            raise ValueError("max_dual must be >= 1: the precoder step needs one factorization")
         p = self.p_max
         if isinstance(p, (int, float)):
             p = (float(p),) * self.l

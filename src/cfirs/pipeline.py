@@ -69,6 +69,8 @@ ROW_COLUMNS = ("scheme", "seed", "sum_rate_bits", "iterations", "wall_ms", "conv
 # 20 lowers a full-scale draw by 3 %, and 80 and 160 end lower on average
 # than 40, 160 also slower. ``qcr_solve`` alone keeps its tolerance stop.
 QCR_BUDGET = 40
+# ASO stops after a sweep that changes f7 by at most EPS2 * max(1, |f7|).
+EPS2 = 1e-8
 # The extrapolated phase step's beta: start, growth on a kept step and cap,
 # shrink on a rejected step and floor.
 _BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 0.5, 1.5, 3.0, 0.5, 0.1
@@ -117,11 +119,11 @@ class Step(NamedTuple):
     together span the iteration (theta runs from the end of the W step
     to the end of the iteration: the phase step, the effective channel, the
     link state and any extrapolation). ``dual_iters`` counts the W step's
-    factorizations and ``dual_converged`` whether its dual converged before
-    ``max_dual``. ``phase_work`` is the phase step's sweeps (ASO, discrete),
-    FISTA steps (QCR) or solves (SDR), counted also when ``phase_refused``
-    says the step lowered the phase objective and was not kept.
-    ``extrapolated`` says whether QCR's extrapolated phases were kept.
+    factorizations and ``dual_converged`` whether its dual converged within
+    ``tx_opt.MAX_DUAL``. ``phase_work`` is the phase step's sweeps (ASO,
+    discrete), FISTA steps (QCR) or solves (SDR), counted also when
+    ``phase_refused`` says the step lowered the phase objective and was not
+    kept. ``extrapolated`` says whether QCR's extrapolated phases were kept.
     """
 
     rate: float
@@ -190,32 +192,30 @@ def _init_theta(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _phase_step(scheme, theta, data, config, rng):
-    """One phase update; returns (theta, work, refused). QCR/SDR steps are
-    kept only if they do not decrease the phase objective (``refused`` says
-    one was not, and theta is returned unchanged); QCR takes at most
-    ``QCR_BUDGET`` FISTA steps. ``work`` is the sweeps, FISTA steps or SDR
-    solves the step took, refused or not.
+    """One aso, qcr, sdr or discrete phase update; returns (theta, work,
+    refused). QCR/SDR steps are kept only if they do not decrease the phase
+    objective (``refused`` says one was not, and theta is returned
+    unchanged); QCR takes at most ``QCR_BUDGET`` FISTA steps. ``work`` is the
+    sweeps, FISTA steps or SDR solves the step took, refused or not.
 
-    The sweep tolerance is config.eps2 scaled by the current objective
+    ASO's sweep tolerance is ``EPS2`` = 1e-8 scaled by the current objective
     magnitude, so the stopping rule keeps the same meaning across power and
     array-size regimes.
     """
-    f_old = irs_opt.eval_f7(theta, data)
-    eps2 = config.eps2 * max(1.0, abs(f_old))
-    if scheme.solver == "aso":
-        new, trace = irs_opt.aso_solve(theta, data, eps2=eps2, max_sweeps=config.max_aso)
-        return new, len(trace) - 1, False
     if scheme.solver == "discrete":
         new, sweeps = irs_opt.discrete_sweep(theta, data, scheme.levels, max_sweeps=config.max_aso)
         return new, sweeps, False
+    f_old = irs_opt.eval_f7(theta, data)
+    if scheme.solver == "aso":
+        eps2 = EPS2 * max(1.0, abs(f_old))
+        new, trace = irs_opt.aso_solve(theta, data, eps2=eps2, max_sweeps=config.max_aso)
+        return new, len(trace) - 1, False
     if scheme.solver == "qcr":
         new, _, trace = irs_opt.qcr_solve(theta, data, max_iter=QCR_BUDGET)
         work = len(trace) - 1
-    elif scheme.solver == "sdr":
+    else:
         new, _, _ = irs_opt.sdr_solve(data, config.alpha, rng=rng)
         work = 1
-    else:
-        return theta, 0, False
     if irs_opt.eval_f7(new, data) >= f_old:
         return new, work, False
     return theta, work, True

@@ -48,6 +48,10 @@ _MAX_LOG_STEP = math.log(10.0)
 _SLEEP_FLOOR = 1e-14
 # Relative power excess below which a returned block is left as it is.
 _POWER_TOL = 1e-9
+# The dual's relative power tolerance; its square is the gap tolerance.
+EPS1 = 1e-5
+# Factorizations of M(lambda) per call, at most.
+MAX_DUAL = 500
 
 
 @dataclass
@@ -171,14 +175,14 @@ def optimize_w(
     more than one decade; a live multiplier that drops below 1e-14 of its
     scale sleeps (lambda_l = 0), and a sleeping BS over its budget wakes at
     its scale. A BS is over budget when its power exceeds
-    p_l (1 + ``config.eps1``).
+    p_l (1 + ``EPS1``), with ``EPS1`` = 1e-5.
 
     At each factorization W minimizes the Lagrangian, so
     f5(W) - f5* <= sum_l lambda_l |P_l - p_l| to first order in the scaling
     that puts W on its budgets. The loop stops when no BS is over budget and
-    that bound is at most ``config.eps1`` ** 2 |f5(W)|; BSs more than
-    ``eps1`` under budget are then reported with lambda_l = 0 (exact
-    complementary slackness). ``config.max_dual`` caps the factorizations.
+    that bound is at most ``EPS1`` ** 2 |f5(W)|; BSs more than ``EPS1``
+    under budget are then reported with lambda_l = 0 (exact complementary
+    slackness). ``MAX_DUAL`` = 500 caps the factorizations.
 
     Returns (W, lambda, info): the stacked precoders (L*m_b, K, m_u), the
     (L,) multipliers and info carrying "iterations" (the factorizations of
@@ -191,24 +195,24 @@ def optimize_w(
     """
     form = QuadraticForm.build(h, aux, config.l)
     p_max = np.asarray(config.p_max, float)
-    gap_tol = config.eps1 ** 2
+    gap_tol = EPS1 ** 2
     c_norm2 = (np.abs(form.c_rows) ** 2).reshape(config.l, -1).sum(axis=1)
     lam_scale = np.maximum(np.sqrt(c_norm2 / p_max), 1e-30)
     lam = lam_scale.copy() if lam is None else np.array(lam, float)
     lam[lam < _SLEEP_FLOOR * lam_scale] = 0.0
     converged = False
-    for solves in range(1, config.max_dual + 1):
+    for solves in range(1, MAX_DUAL + 1):
         w = form.solve(lam)
         rows = w.reshape(form.c_rows.shape)
         gram = rows @ rows.conj().T
         power = gram.diagonal().real.reshape(config.l, config.m_b).sum(axis=1)
-        over = power > p_max * (1.0 + config.eps1)
+        over = power > p_max * (1.0 + EPS1)
         # f5 at the Lagrangian's minimizer: -Re<C, W> - sum_l lambda_l P_l.
         f5 = -np.vdot(form.c_rows, rows).real - lam @ power
         if not over.any() and lam @ np.abs(power - p_max) <= gap_tol * abs(f5):
             converged = True
             break
-        if solves < config.max_dual:
+        if solves < MAX_DUAL:
             lam = _newton_step(form, gram, lam, power, over, p_max, lam_scale)
 
     # Scale any block over budget onto it (one left by an unconverged loop or
@@ -216,9 +220,9 @@ def optimize_w(
     scale = np.sqrt(p_max / np.where(power > p_max * (1.0 + _POWER_TOL), power, p_max))
     w = w * np.repeat(scale, config.m_b)[:, None, None]
     power = power * scale ** 2
-    # A BS more than eps1 under its budget is slack; its multiplier is
+    # A BS more than EPS1 under its budget is slack; its multiplier is
     # negligible once the gap bound closed, and zero is exact.
-    lam[power < p_max * (1.0 - config.eps1)] = 0.0
+    lam[power < p_max * (1.0 - EPS1)] = 0.0
     f5 = form.value(w)
     if w_prev is not None:
         f5_prev = form.value(w_prev)

@@ -198,6 +198,20 @@ def test_base_discrete_levels_rejected(tmp_path, field, value):
         expcli.run(spec)
 
 
+@pytest.mark.parametrize("field, value", [("eps1", 1e-5), ("eps2", 1e-8), ("max_dual", 500)])
+def test_base_solver_setting_exits_2(tmp_path, capsys, monkeypatch, field, value):
+    # The inner solvers' settings are module constants, not scenario fields.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran for a spec that should be rejected")
+
+    monkeypatch.setattr(pipeline, "joint_optimize", no_solve)
+    base = json.loads(minimal_spec(tmp_path).read_text())["base"]
+    spec = minimal_spec(tmp_path, base=dict(base, **{field: value}))
+    assert expcli.main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_discrete_levels_sweep_sets_scheme_levels(tmp_path):
     spec = expcli.ExperimentSpec.from_dict(json.loads(minimal_spec(
         tmp_path, sweep="discrete_levels", sweep_values=[2, 8],

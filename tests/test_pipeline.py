@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +86,52 @@ def test_joint_optimize_monotone_and_feasible(solver):
     assert (np.diff(rates) >= -1e-9 * np.abs(rates[1:])).all()
     w.validate(cfg.p_max)
     theta.validate(discrete_levels=4 if solver == "discrete" else 0)
+
+
+# Numerical edge cases at desk scale: the scenario change, and the error the
+# draw must raise (None: every scheme must return a solve that passes the
+# checks). p_max = 1e4 is not listed: there a discrete-M4 solve returned a BS
+# 3.5e-10 relative over its budget, within optimize_w's relative 1e-9 but
+# over BeamformerSet.validate's absolute 1e-6 W.
+EDGE_CASES = {
+    "sigma2_1e-16": (dict(sigma2=1e-16), None),
+    "p_max_1e-8": (dict(p_max=(1e-8,)), None),
+    "alpha_1e-3": (dict(alpha=1e-3), None),
+    "ue_at_irs": ({}, "distance must be positive"),
+}
+ALL_SCHEMES = [SchemeSpec(solver=s) for s in ("aso", "qcr", "sdr", "random", "none")] + [
+    SchemeSpec(solver="discrete", levels=4)]
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_case_fails_loudly_or_works(case):
+    over, error = EDGE_CASES[case]
+    cfg = desk_config(max_outer=4, **over)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        geo = chan.sample_ue_positions(chan.default_geometry(cfg), rng)
+        if case == "ue_at_irs":
+            ue = np.vstack([geo.irs_positions[:1], geo.ue_positions[1:]])
+            geo = dataclasses.replace(geo, ue_positions=ue)
+        with warnings.catch_warnings():
+            # A silent overflow or NaN in numpy is not loud enough.
+            warnings.simplefilter("error", RuntimeWarning)
+            if error is not None:
+                with pytest.raises(ValueError, match=error):
+                    chan.sample_channels(cfg, geo, chan.sample_angles(cfg, rng), rng)
+                continue
+            ch = chan.sample_channels(cfg, geo, chan.sample_angles(cfg, rng), rng)
+            for scheme in ALL_SCHEMES:
+                w, theta, trace = pipeline.joint_optimize(ch, cfg, scheme, rng)
+                # The output checks of perfbench's check_solve.
+                w.validate(cfg.p_max)
+                theta.validate(scheme.levels)
+                rates = np.asarray(trace.sum_rate)
+                assert (np.diff(rates) >= -1e-9 * np.abs(rates[1:])).all(), scheme.label
+                assert np.isfinite(trace.final_sum_rate_true)
+                # validate's absolute tolerance (1e-6 W) says nothing at a
+                # 1e-8 W budget; the precoder step's own bound is relative.
+                assert (w.per_bs_power() <= np.asarray(cfg.p_max) * (1.0 + 1e-9)).all()
 
 
 def test_trace_bounded_by_capacity_estimate():

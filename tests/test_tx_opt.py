@@ -261,7 +261,7 @@ def _reference_optimize_w(h, aux, config, lam0=None, w_prev=None):
     tau_cap = 1e9 / p_max
     prev_sign = np.zeros(config.l)
     converged = False
-    for _ in range(config.max_dual):
+    for _ in range(tx_opt.MAX_DUAL):
         lam_eff = np.where(lam > lam_floor, lam, 0.0)
         f_l = np.sum(np.abs(ref.solve(lam_eff)) ** 2, axis=(1, 2, 3)) - p_max
         sign = np.sign(f_l)
@@ -275,7 +275,7 @@ def _reference_optimize_w(h, aux, config, lam0=None, w_prev=None):
         lam_new[wake] = np.maximum(lam_new[wake], lam_scale[wake])
         lam_new = np.maximum(lam_new, lam_floor)
         new_eff = np.where(lam_new > lam_floor, lam_new, 0.0)
-        ok = all(abs(n - o) / n < config.eps1 if n > config.eps1 else abs(n - o) < config.eps1
+        ok = all(abs(n - o) / n < tx_opt.EPS1 if n > tx_opt.EPS1 else abs(n - o) < tx_opt.EPS1
                  for n, o in zip(new_eff, lam_eff))
         lam = lam_new
         if ok:
@@ -284,7 +284,7 @@ def _reference_optimize_w(h, aux, config, lam0=None, w_prev=None):
     lam = np.where(lam > lam_floor, lam, 0.0)
     if not converged:
         lam = _reference_bisection(ref, lam, p_max)
-    cutoff = np.maximum(1e-2 * lam_scale, 10.0 * config.eps1)
+    cutoff = np.maximum(1e-2 * lam_scale, 10.0 * tx_opt.EPS1)
     small = (lam > 0.0) & (lam < cutoff)
     if small.any():
         trial = np.where(small, 0.0, lam)
@@ -306,14 +306,14 @@ FULL = dataclasses.asdict(full_config())
 
 
 def _assert_kkt(cfg, lam, info):
-    """Per BS: asleep within budget, or live at its budget to eps1."""
+    """Per BS: asleep within budget, or live at its budget to EPS1."""
     p_max = np.asarray(cfg.p_max)
     ratio = info["power"] / p_max
     for l in range(cfg.l):
         if lam[l] == 0.0:
             assert ratio[l] <= 1.0 + 1e-9, (l, ratio[l])
         else:
-            assert abs(ratio[l] - 1.0) <= cfg.eps1, (l, ratio[l])
+            assert abs(ratio[l] - 1.0) <= tx_opt.EPS1, (l, ratio[l])
 
 
 # ---- Newton dual ----
@@ -393,21 +393,16 @@ def test_newton_dual_sleeps_and_wakes():
 
 
 @pytest.mark.parametrize("over", [DESK, FULL], ids=["desk", "full"])
-def test_newton_dual_at_one_factorization(over):
+def test_newton_dual_at_one_factorization(over, monkeypatch):
+    monkeypatch.setattr(tx_opt, "MAX_DUAL", 1)
     for seed in (7, 8):
         cfg, ch, theta, w, h, aux = _instance_with_aux(seed, **over)
-        got, dual, info = tx_opt.optimize_w(h, aux, cfg.with_(max_dual=1))
+        got, dual, info = tx_opt.optimize_w(h, aux, cfg)
         assert info["iterations"] == 1
         assert not info["converged"]
         assert np.isfinite(got).all()
         assert (BeamformerSet(w=got, l=cfg.l).per_bs_power()
                 <= np.asarray(cfg.p_max) * (1.0 + 1e-9)).all()
-
-
-def test_max_dual_needs_one_factorization():
-    cfg, ch, theta, w, h, aux = _instance_with_aux(0)
-    with pytest.raises(ValueError):
-        cfg.with_(max_dual=0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
