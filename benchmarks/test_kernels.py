@@ -141,8 +141,7 @@ def test_sum_rate(benchmark, scale, request):
 @pytest.mark.parametrize("scale", ["desk_scale", "full_scale"])
 def test_aso_solve(benchmark, scale, request):
     cfg, _, _, _, theta, data, _ = request.getfixturevalue(scale)
-    eps2 = pipeline.EPS2 * max(1.0, abs(irs_opt.eval_f7(theta, data)))
-    _, trace = benchmark(irs_opt.aso_solve, theta, data, eps2=eps2, max_sweeps=cfg.max_aso)
+    _, trace = benchmark(irs_opt.aso_solve, theta, data, max_sweeps=cfg.max_aso)
     benchmark.extra_info["sweeps"] = len(trace) - 1
 
 

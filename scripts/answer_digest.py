@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Write a digest of the solver's answers, so two source trees compare by ``diff``.
+
+The digest is one JSON file with three sections:
+- ``solves``: per solve, every ``RunTrace.sum_rate`` entry, the final rate
+  on the true channels (float hex), ``iterations``, ``converged`` and the
+  dual iterations per outer iteration. The solves are aso, qcr, sdr,
+  discrete-M4, random and none on ``realize_channels(desk_config(), ...,
+  5, seed)``, and full-scale qcr and aso at ``max_outer`` 6 on master 1,
+  each scheme with its ``scheme_seed_key`` generator.
+- ``sweeps``: the ``results.csv`` rows, without ``wall_ms``, of four desk CLI
+  sweeps at master 7: ``n_phase_shifts`` {8, 16} with the seven preset
+  schemes (3 seeds), ``iterations`` {1, 2, 5, 12} with aso and discrete-M2
+  (2 seeds), ``ue_center_x`` {50, 125} with aso and none (2 seeds) and
+  ``csi_error_rho`` {0, 0.1} with aso (2 seeds).
+- ``draws``: per channel configuration, sha256 of the ``direct``,
+  ``irs_ue`` and ``bs_irs`` bytes of the ``realize_channels(cfg, ..., 3,
+  seed)`` draws, of the channel generator's next draw after each, and of
+  ``apply_csi_error`` at rho = 0 and 0.1 on each draw.
+
+``--seeds`` caps every seed count above (solves and sweeps) and ``--draws``
+sets the number of channel draws per configuration. The package is imported
+from ``PYTHONPATH``, so one checkout of the script digests any source tree:
+
+    PYTHONPATH=../parent/src python scripts/answer_digest.py --out parent.json
+    PYTHONPATH=src python scripts/answer_digest.py --out change.json
+    diff parent.json change.json
+"""
+
+import argparse
+import csv
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from cfirs import channel as chan
+from cfirs import expcli, pipeline
+from cfirs.config import desk_config, full_config
+from cfirs.pipeline import SchemeSpec
+
+DESK_SCHEMES = [SchemeSpec(solver=s) for s in ("aso", "qcr", "sdr")] + [
+    SchemeSpec(solver="discrete", levels=4), SchemeSpec(solver="random"),
+    SchemeSpec(solver="none")]
+PRESET_SCHEMES = [{"solver": "aso"}, {"solver": "qcr"}, {"solver": "sdr"},
+                  {"solver": "discrete", "levels": 2}, {"solver": "discrete", "levels": 4},
+                  {"solver": "random"}, {"solver": "none"}]
+# (sweep, values, schemes, seeds)
+SWEEPS = [
+    ("n_phase_shifts", [8, 16], PRESET_SCHEMES, 3),
+    ("iterations", [1, 2, 5, 12], [{"solver": "aso"}, {"solver": "discrete", "levels": 2}], 2),
+    ("ue_center_x", [50, 125], [{"solver": "aso"}, {"solver": "none"}], 2),
+    ("csi_error_rho", [0, 0.1], [{"solver": "aso"}], 2),
+]
+
+
+def draw_configs() -> dict:
+    return {
+        "desk": desk_config(),
+        "desk_n32": desk_config(n=32, n_h=4, n_v=8),
+        "full": full_config(),
+        "r0": desk_config(r=0),
+        "rician_1e12": desk_config(beta_g=1e12, beta_s=1e12),
+        "rician_0": desk_config(beta_g=0.0, beta_s=0.0),
+        "one_link": desk_config(l=1, k=1, r=1),
+    }
+
+
+def _solve_record(trace) -> dict:
+    return {
+        "sum_rate": [float(x).hex() for x in trace.sum_rate],
+        "final_sum_rate_true": float(trace.final_sum_rate_true).hex(),
+        "iterations": trace.iterations,
+        "converged": bool(trace.converged),
+        "dual_iterations": [int(x) for x in trace.dual_iterations],
+    }
+
+
+def solves(seeds: int) -> dict:
+    out = {}
+    panels = [("desk", desk_config(), DESK_SCHEMES, 5),
+              ("full", full_config(max_outer=6),
+               [SchemeSpec(solver="qcr"), SchemeSpec(solver="aso")], 1)]
+    for name, cfg, schemes, master in panels:
+        for seed in range(seeds):
+            channels = pipeline.realize_channels(cfg, chan.default_geometry(cfg), master, seed)
+            for scheme in schemes:
+                rng = np.random.default_rng(pipeline.scheme_seed_key(master, seed, scheme.label))
+                _, _, trace = pipeline.joint_optimize(channels, cfg, scheme, rng)
+                out[f"{name} {scheme.label} seed {seed}"] = _solve_record(trace)
+    return out
+
+
+def sweeps(seeds: int) -> dict:
+    out = {}
+    base = dataclasses.asdict(desk_config())
+    with tempfile.TemporaryDirectory() as tmp:
+        for sweep, values, schemes, n_seeds in SWEEPS:
+            doc = {"base": base, "sweep": sweep, "sweep_values": values, "schemes": schemes,
+                   "n_seeds": min(n_seeds, seeds), "master_seed": 7}
+            results = expcli.run_spec(expcli.ExperimentSpec.from_dict(doc), Path(tmp) / sweep)
+            with results.open(newline="") as fh:
+                out[sweep] = [",".join(v for k, v in row.items() if k != "wall_ms")
+                              for row in csv.DictReader(fh)]
+    return out
+
+
+def draws(n_draws: int) -> dict:
+    out = {}
+    for name, cfg in draw_configs().items():
+        digests = {key: hashlib.sha256() for key in
+                   ("direct", "irs_ue", "bs_irs", "next_draw", "csi_rho_0", "csi_rho_0.1")}
+        for seed in range(n_draws):
+            # The steps of pipeline.realize_channels, so the generator is at hand.
+            rng = np.random.default_rng(pipeline.channel_seed_key(3, seed))
+            geometry = chan.sample_ue_positions(chan.default_geometry(cfg), rng)
+            channels = chan.sample_channels(cfg, geometry, chan.sample_angles(cfg, rng), rng)
+            for family in ("direct", "irs_ue", "bs_irs"):
+                digests[family].update(np.ascontiguousarray(getattr(channels, family)).tobytes())
+            digests["next_draw"].update(rng.standard_normal(4).tobytes())
+            for rho in (0, 0.1):
+                est = chan.apply_csi_error(channels, rho, np.random.default_rng(seed))
+                for blocks in (est.direct, est.irs_ue, est.bs_irs):
+                    digests[f"csi_rho_{rho}"].update(np.ascontiguousarray(blocks).tobytes())
+        out[name] = {key: h.hexdigest() for key, h in digests.items()}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", type=Path, required=True, help="the digest file to write")
+    parser.add_argument("--seeds", type=int, default=3, help="cap on every seed count")
+    parser.add_argument("--draws", type=int, default=40, help="channel draws per configuration")
+    args = parser.parse_args(argv)
+    if args.seeds < 1 or args.draws < 1:
+        parser.error("--seeds and --draws must be >= 1")
+    doc = {"solves": solves(args.seeds), "sweeps": sweeps(args.seeds), "draws": draws(args.draws)}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,9 +1,18 @@
 """Random channel synthesis for the cell-free multi-IRS scenario.
 
-Direct BS-UE links are Rayleigh faded; IRS-related links (BS-IRS and IRS-UE)
-are Rician with line-of-sight components built from array steering vectors.
-Large-scale path loss enters as an amplitude factor sqrt(gain) so that
-received *power* scales with the distance-dependent gain.
+One link model covers the three channel families. Every (tx, rx) block is
+
+    sqrt(gain) * (sqrt(beta / (1 + beta)) * LoS + sqrt(1 / (1 + beta)) * G),
+
+with gain the distance path loss (applied as sqrt, so received *power* scales
+with it), LoS the outer product of a surface's UPA steering vector and the
+conjugated ULA steering vector of the BS or UE, and G i.i.d. unit-variance
+complex Gaussian. Direct BS-UE links are the model at beta = 0 (Rayleigh
+fading); IRS-UE and BS-IRS links are Rician with ``beta_g`` and ``beta_s``.
+Each family's G is one standard-normal draw of shape (tx, rx, 2, rows,
+cols), so a realization reads the generator family by family (direct,
+IRS->UE, BS->IRS), block by block in index order, real parts before
+imaginary parts. The CSI-error model draws its error directions alike.
 
 ``ChannelSet`` is the one channel type: the sampler and the CSI-error model
 fill its per-link blocks, and the solver core reads its stacked arrays.
@@ -168,27 +177,44 @@ def upa_steering(azimuth: float, elevation: float, n_v: int, n_h: int) -> np.nda
     return np.kron(a_v, a_h)
 
 
-def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. circularly-symmetric complex Gaussian entries, unit variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 # Rician factors at or above this are treated as the pure line-of-sight limit.
 RICIAN_INFINITE = 1e9
 
 
-def _rician_mix(beta: float, los: np.ndarray, nlos: np.ndarray) -> np.ndarray:
+def _gaussian_blocks(rng: np.random.Generator, shape) -> np.ndarray:
+    """(tx, rx, rows, cols) blocks of G, from one draw of shape (tx, rx, 2, rows, cols)."""
+    tx, rx, rows, cols = shape
+    z = rng.standard_normal((tx, rx, 2, rows, cols))
+    return (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+
+
+def _gains(tx_pos, rx_pos, exponent: float, c0: float) -> np.ndarray:
+    """(tx, rx) path-loss gains, one scalar ``path_loss`` call per pair: array
+    norms and powers round differently in the last bit, and it checks distance."""
+    gains = [[path_loss(np.linalg.norm(t - r), exponent, c0) for r in rx_pos] for t in tx_pos]
+    return np.array(gains, float).reshape(len(tx_pos), len(rx_pos))
+
+
+def _upa_rows(azimuths, elevations, config: SystemConfig) -> np.ndarray:
+    """(R, N): each surface's UPA steering vector."""
+    rows = [upa_steering(az, el, config.n_v, config.n_h) for az, el in zip(azimuths, elevations)]
+    return np.reshape(rows, (config.r, config.n))
+
+
+def _link_family(rng, gain, block, beta: float = 0.0, los=0.0) -> np.ndarray:
+    """Every (tx, rx) block of one family, gain.shape + block, by the link
+    model, with ``los`` broadcast to it. From ``RICIAN_INFINITE`` on, the
+    blocks are the line of sight alone; G is still drawn."""
+    g = _gaussian_blocks(rng, gain.shape + block)
     if beta >= RICIAN_INFINITE:
-        return los.astype(complex)
-    return np.sqrt(beta / (1.0 + beta)) * los + np.sqrt(1.0 / (1.0 + beta)) * nlos
+        mix = np.broadcast_to(los, g.shape).astype(complex)
+    else:
+        mix = np.sqrt(beta / (1.0 + beta)) * los + np.sqrt(1.0 / (1.0 + beta)) * g
+    return np.sqrt(gain)[:, :, None, None] * mix
 
 
-def sample_channels(
-    config: SystemConfig,
-    geometry: Geometry,
-    angles: SteeringAngles,
-    rng: np.random.Generator,
-) -> ChannelSet:
+def sample_channels(config: SystemConfig, geometry: Geometry, angles: SteeringAngles,
+                    rng: np.random.Generator) -> ChannelSet:
     """Draw one channel realization.
 
     Deterministic for a fixed generator state; draw order is direct, then
@@ -196,70 +222,40 @@ def sample_channels(
     """
     geometry.validate(config)
     angles.validate(config)
-    L, K, R = config.l, config.k, config.r
-    Mb, Mu, N = config.m_b, config.m_u, config.n
-    bs = np.asarray(geometry.bs_positions, float)
-    irs = np.asarray(geometry.irs_positions, float)
-    ue = np.asarray(geometry.ue_positions, float)
-
-    direct = np.zeros((L, K, Mb, Mu), complex)
-    for l in range(L):
-        for k in range(K):
-            d = np.linalg.norm(bs[l] - ue[k])
-            amp = np.sqrt(path_loss(d, config.pathloss_direct, config.c0))
-            direct[l, k] = amp * _crandn(rng, (Mb, Mu))
-
-    irs_ue = np.zeros((R, K, N, Mu), complex)
-    for r in range(R):
-        a_dep = upa_steering(
-            angles.irs_azimuth_departure[r], angles.irs_elevation_departure[r],
-            config.n_v, config.n_h,
-        )
-        for k in range(K):
-            d = np.linalg.norm(irs[r] - ue[k])
-            amp = np.sqrt(path_loss(d, config.pathloss_irs, config.c0))
-            a_ue = ula_steering(angles.ue_arrival[k], Mu)
-            los = np.outer(a_dep, a_ue.conj())
-            irs_ue[r, k] = amp * _rician_mix(config.beta_g, los, _crandn(rng, (N, Mu)))
-
-    bs_irs = np.zeros((L, R, N, Mb), complex)
-    for l in range(L):
-        a_bs = ula_steering(angles.bs_departure[l], Mb)
-        for r in range(R):
-            d = np.linalg.norm(bs[l] - irs[r])
-            amp = np.sqrt(path_loss(d, config.pathloss_irs, config.c0))
-            a_arr = upa_steering(
-                angles.irs_azimuth_arrival[r], angles.irs_elevation_arrival[r],
-                config.n_v, config.n_h,
-            )
-            los = np.outer(a_arr, a_bs.conj())
-            bs_irs[l, r] = amp * _rician_mix(config.beta_s, los, _crandn(rng, (N, Mb)))
-
+    bs, irs, ue = (np.asarray(p, float) for p in
+                   (geometry.bs_positions, geometry.irs_positions, geometry.ue_positions))
+    bs_ula = np.array([ula_steering(a, config.m_b) for a in angles.bs_departure]).conj()
+    ue_ula = np.array([ula_steering(a, config.m_u) for a in angles.ue_arrival]).conj()
+    irs_dep = _upa_rows(angles.irs_azimuth_departure, angles.irs_elevation_departure, config)
+    irs_arr = _upa_rows(angles.irs_azimuth_arrival, angles.irs_elevation_arrival, config)
+    pl, c0 = config.pathloss_irs, config.c0
+    direct = _link_family(rng, _gains(bs, ue, config.pathloss_direct, c0), (config.m_b, config.m_u))
+    irs_ue = _link_family(rng, _gains(irs, ue, pl, c0), (config.n, config.m_u), config.beta_g,
+                          irs_dep[:, None, :, None] * ue_ula[None, :, None, :])
+    bs_irs = _link_family(rng, _gains(bs, irs, pl, c0), (config.n, config.m_b), config.beta_s,
+                          irs_arr[None, :, :, None] * bs_ula[:, None, None, :])
     return ChannelSet(direct=direct, irs_ue=irs_ue, bs_irs=bs_irs)
 
 
-def apply_csi_error(
-    channels: ChannelSet, rho: float, rng: np.random.Generator
-) -> ChannelSet:
+def apply_csi_error(channels: ChannelSet, rho: float, rng: np.random.Generator) -> ChannelSet:
     """Return estimated channels under the bounded error model.
 
     Each true matrix H is written H = H_hat + Delta with ||Delta||_F bounded
     by rho * ||H_hat||_F: H_hat = H - E with E Gaussian in direction and of
     Frobenius norm rho/(1+rho) * ||H||_F, so the bound follows from the
-    triangle inequality. Each family's errors are drawn in one call, block
-    by block in index order, real parts before imaginary parts. rho = 0
+    triangle inequality. Each family's error directions are one
+    ``_gaussian_blocks`` draw, in the sampler's family order. rho = 0
     returns ``channels`` itself, stacked arrays included, after the same
     draws, so the generator advances alike and sweeps over rho stay paired.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
     families = (channels.direct, channels.irs_ue, channels.bs_irs)
-    draws = [rng.standard_normal((*f.shape[:2], 2, *f.shape[2:])) for f in families]
+    deltas = [_gaussian_blocks(rng, f.shape) for f in families]
     if rho == 0:
         return channels
     estimates = []
-    for blocks, z in zip(families, draws):
-        delta = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+    for blocks, delta in zip(families, deltas):
         norm_m = np.linalg.norm(blocks, axis=(2, 3))
         norm_d = np.linalg.norm(delta, axis=(2, 3))
         # A zero block, or a zero draw, is left as it is.

@@ -27,7 +27,7 @@ class SystemConfig:
 
     The inner solvers' settings are module constants beside their readers:
     ``tx_opt.EPS1`` = 1e-5 and ``tx_opt.MAX_DUAL`` = 500 (precoder dual),
-    ``pipeline.EPS2`` = 1e-8 (ASO sweeps).
+    ``irs_opt.EPS2`` = 1e-8 (ASO sweeps, relative to the phase objective).
     """
 
     l: int

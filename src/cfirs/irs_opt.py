@@ -47,6 +47,9 @@ from . import model
 from .channel import ChannelSet
 from .fp_core import AuxState
 
+# ASO's sweep tolerance, the paper's eps2, relative to f7 (see ``aso_solve``).
+EPS2 = 1e-8
+
 
 @dataclass(frozen=True)
 class CmcQpData:
@@ -219,14 +222,17 @@ def _ascend(theta0, data: CmcQpData, best, eps2: float, max_sweeps: int):
     return theta, trace
 
 
-def aso_solve(theta0, data: CmcQpData, eps2: float = 1e-8, max_sweeps: int = 200):
-    """Cyclic coordinate ascent until the objective stalls.
+def aso_solve(theta0, data: CmcQpData, eps2: float = EPS2, max_sweeps: int = 200):
+    """Cyclic coordinate ascent until the objective stalls: it stops after a
+    sweep that changes f7 by at most eps2 * max(1, |f7(theta0)|), so the rule
+    keeps its meaning across power and array-size regimes.
 
     Returns (theta, trace) where trace[u] is the objective after sweep u
     (trace[0] is the starting value); the sequence is non-decreasing.
     """
     alpha = _alpha_of(theta0)
-    return _ascend(theta0, data, _circle_rule(alpha), eps2, max_sweeps)
+    tol = eps2 * max(1.0, abs(eval_f7(theta0, data)))
+    return _ascend(theta0, data, _circle_rule(alpha), tol, max_sweeps)
 
 
 def qcr_relax(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000):
@@ -391,12 +397,8 @@ def _mixing(zhat: np.ndarray, alpha: float, rng: np.random.Generator):
     return v, value, value + alpha**2 * n * max(0.0, -lam)
 
 
-def sdr_solve(
-    data: CmcQpData,
-    alpha: float,
-    n_randomizations: int = 200,
-    rng: np.random.Generator = None,
-):
+def sdr_solve(data: CmcQpData, alpha: float, n_randomizations: int = 200, *,
+              rng: np.random.Generator):
     """Semidefinite relaxation of the homogenized problem plus rounding.
 
     On theta_hat = [theta; alpha], theta_hat^H Zbar theta_hat = f7(theta)
@@ -413,8 +415,6 @@ def sdr_solve(
     bound on the SDP, hence on the lifted value of any feasible theta;
     converged says the bound is within 1e-6 relative of the factor's value.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     nn = data.omega.size
     if nn == 0:
         return np.zeros(0, complex), 0.0, True

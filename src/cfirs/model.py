@@ -32,6 +32,11 @@ import numpy as np
 
 from .channel import ChannelSet
 
+# ``BeamformerSet.validate`` rejects a BS over its budget by more than 1e-6 W
+# or 1e-8 relative (10x ``tx_opt._POWER_TOL``, for rounding between the two).
+_POWER_ABS_TOL = 1e-6
+_POWER_REL_TOL = 1e-8
+
 
 @dataclass
 class BeamformerSet:
@@ -45,10 +50,11 @@ class BeamformerSet:
         """Transmit power of each base station, sum_k ||W_{l,k}||_F^2."""
         return np.sum(np.abs(self.w.reshape(self.l, -1)) ** 2, axis=1)
 
-    def validate(self, p_max, tol: float = 1e-6) -> None:
+    def validate(self, p_max) -> None:
         power = self.per_bs_power()
         limit = np.asarray(p_max, float)
-        if (power > limit + tol).any():
+        over = (power > limit + _POWER_ABS_TOL) | (power > limit * (1.0 + _POWER_REL_TOL))
+        if over.any():
             raise ValueError(f"per-BS power {power} exceeds budget {limit}")
 
 

@@ -69,8 +69,6 @@ ROW_COLUMNS = ("scheme", "seed", "sum_rate_bits", "iterations", "wall_ms", "conv
 # 20 lowers a full-scale draw by 3 %, and 80 and 160 end lower on average
 # than 40, 160 also slower. ``qcr_solve`` alone keeps its tolerance stop.
 QCR_BUDGET = 40
-# ASO stops after a sweep that changes f7 by at most EPS2 * max(1, |f7|).
-EPS2 = 1e-8
 # The extrapolated phase step's beta: start, growth on a kept step and cap,
 # shrink on a rejected step and floor.
 _BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 0.5, 1.5, 3.0, 0.5, 0.1
@@ -196,20 +194,16 @@ def _phase_step(scheme, theta, data, config, rng):
     refused). QCR/SDR steps are kept only if they do not decrease the phase
     objective (``refused`` says one was not, and theta is returned
     unchanged); QCR takes at most ``QCR_BUDGET`` FISTA steps. ``work`` is the
-    sweeps, FISTA steps or SDR solves the step took, refused or not.
-
-    ASO's sweep tolerance is ``EPS2`` = 1e-8 scaled by the current objective
-    magnitude, so the stopping rule keeps the same meaning across power and
-    array-size regimes.
+    sweeps, FISTA steps or SDR solves the step took, refused or not. ASO
+    runs at its own tolerance, ``irs_opt.EPS2``.
     """
     if scheme.solver == "discrete":
         new, sweeps = irs_opt.discrete_sweep(theta, data, scheme.levels, max_sweeps=config.max_aso)
         return new, sweeps, False
-    f_old = irs_opt.eval_f7(theta, data)
     if scheme.solver == "aso":
-        eps2 = EPS2 * max(1.0, abs(f_old))
-        new, trace = irs_opt.aso_solve(theta, data, eps2=eps2, max_sweeps=config.max_aso)
+        new, trace = irs_opt.aso_solve(theta, data, max_sweeps=config.max_aso)
         return new, len(trace) - 1, False
+    f_old = irs_opt.eval_f7(theta, data)
     if scheme.solver == "qcr":
         new, _, trace = irs_opt.qcr_solve(theta, data, max_iter=QCR_BUDGET)
         work = len(trace) - 1
@@ -244,12 +238,14 @@ def joint_optimize(
     schemes solved on them; at rho = 0 the estimate is the true set itself),
     and the ``BeamformerSet`` holds the stacked W.
     """
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
     channels.validate(config)
     # The perturbation draw happens even at rho = 0 so that sweeps over rho
     # share both the channel realization and the error direction.
     opt_channels = chan.apply_csi_error(channels, scheme.csi_error_rho, rng)
     best = None
-    for _ in range(max(1, n_starts)):
+    for _ in range(n_starts):
         w, theta, trace = _optimize_once(channels, opt_channels, config, scheme, rng)
         if best is None or trace.sum_rate[-1] > best[2].sum_rate[-1]:
             best = (w, theta, trace)

@@ -222,6 +222,37 @@ def test_discrete_levels_sweep_sets_scheme_levels(tmp_path):
     assert [s.levels for s in schemes] == [8, 0]
 
 
+@pytest.mark.parametrize("sweep, values, scheme, field", [
+    ("discrete_levels", [2, 8], {"solver": "discrete", "levels": 4}, "levels"),
+    ("csi_error_rho", [0.0, 0.1], {"solver": "aso"}, "csi_error_rho"),
+])
+def test_swept_schemes_keep_their_spec_label(tmp_path, monkeypatch, sweep, values, scheme, field):
+    # The label names a scheme's rows and keys its generator. A swept scheme
+    # keeps its spec label, so every sweep value starts a seed's solve from
+    # the same generator state (the same initial phases and CSI-error
+    # direction: the sweep is paired), and a row names the spec's scheme, not
+    # the value that ran.
+    starts = []
+    original = pipeline.joint_optimize
+
+    def spy(channels, config, swept, rng, **kwargs):
+        starts.append((getattr(swept, field), swept.label, rng.bit_generator.state))
+        return original(channels, config, swept, rng, **kwargs)
+
+    monkeypatch.setattr(pipeline, "joint_optimize", spy)
+    spec = expcli.ExperimentSpec.from_dict(json.loads(minimal_spec(
+        tmp_path, sweep=sweep, sweep_values=values, n_seeds=2, schemes=[scheme],
+    ).read_text()))
+    label = spec.schemes[0].label
+    rows = read_rows(expcli.run_spec(spec, tmp_path / "out"))
+    assert [(r["value"], r["scheme"]) for r in rows] == [
+        (expcli._fmt(v), label) for v in values for _ in range(2)]
+    # Units run value-major: (v0, seed 0), (v0, seed 1), (v1, seed 0), (v1, seed 1).
+    assert [(ran, name) for ran, name, _ in starts] == [(v, label) for v in values for _ in range(2)]
+    states = [state for _, _, state in starts]
+    assert states[0] == states[2] and states[1] == states[3] and states[0] != states[1]
+
+
 def test_duplicate_scheme_labels_rejected(tmp_path):
     spec = minimal_spec(tmp_path, schemes=[{"solver": "aso"}, {"solver": "aso"}])
     with pytest.raises(expcli.SpecError):

@@ -664,7 +664,8 @@ def test_discrete_random_start_ascends_to_grid_fixed_point(levels):
 
 
 def _reference_ascend(theta0, data, best, eps2, max_sweeps):
-    """Coordinate ascent with theta, omega and Zcal read as numpy scalars."""
+    """Coordinate ascent with theta, omega and Zcal read as numpy scalars;
+    stops after a sweep that moves f7 by at most eps2 * max(1, |f7(theta0)|)."""
     theta = np.array(theta0, dtype=complex, copy=True)
     trace = [irs_opt.eval_f7(theta, data)]
     zth = data.zcal @ theta
@@ -676,7 +677,7 @@ def _reference_ascend(theta0, data, best, eps2, max_sweeps):
                 zth += data.zcal[:, i] * (new - theta[i])
                 theta[i] = new
         trace.append(irs_opt.eval_f7(theta, data))
-        if abs(trace[-1] - trace[-2]) <= eps2:
+        if abs(trace[-1] - trace[-2]) <= eps2 * max(1.0, abs(trace[0])):
             break
     return theta, trace
 
@@ -806,9 +807,9 @@ def test_grid_rule_matches_full_scan(levels, alpha):
 def test_aso_matches_reference_loop():
     for theta0, data in _ascent_instances():
         alpha = irs_opt._alpha_of(theta0)
-        eps2 = 1e-8 * max(1.0, abs(irs_opt.eval_f7(theta0, data)))
-        theta, trace = irs_opt.aso_solve(theta0, data, eps2=eps2)
-        ref, ref_trace = _reference_ascend(theta0, data, _reference_circle(alpha), eps2, 200)
+        theta, trace = irs_opt.aso_solve(theta0, data)
+        ref, ref_trace = _reference_ascend(
+            theta0, data, _reference_circle(alpha), irs_opt.EPS2, 200)
         assert len(trace) == len(ref_trace)
         assert np.max(np.abs(theta - ref)) <= 1e-12 * alpha
         scale = max(1.0, np.max(np.abs(ref_trace)))

@@ -232,6 +232,21 @@ def test_beamformer_power_accounting():
             assert power[l] == pytest.approx(manual, rel=1e-12)
 
 
+def test_beamformer_validate_rejects_relative_excess():
+    # Two one-antenna BSs and one single-antenna user: BS l's power is p[l].
+    def beams(*p):
+        return BeamformerSet(w=np.sqrt(p).astype(complex).reshape(2, 1, 1), l=2)
+
+    # At a 1e-8 W budget the absolute 1e-6 W alone would pass twice the budget.
+    beams(1e-8, 1e-8 * (1 + 1e-9)).validate((1e-8,))
+    with pytest.raises(ValueError, match="exceeds budget"):
+        beams(1e-8, 2e-8).validate((1e-8,))
+    # At 0.1 W the relative tolerance is 1e-9 W, below the absolute one.
+    beams(0.1, 0.1 * (1 + 1e-9)).validate((0.1,))
+    with pytest.raises(ValueError, match="exceeds budget"):
+        beams(0.1 * (1 + 1e-7), 0.1).validate((0.1,))
+
+
 def test_phase_vector_validation():
     theta = 0.8 * np.exp(1j * 2 * np.pi * np.array([0, 1, 2, 3]) / 4)
     model.PhaseVector(theta=theta, alpha=0.8).validate(discrete_levels=4)

@@ -30,6 +30,16 @@ def test_scheme_rejects_bad_solver():
         SchemeSpec(solver="aso", csi_error_rho=-0.1)
 
 
+@pytest.mark.parametrize("n_starts", [0, -3])
+def test_joint_optimize_rejects_bad_start_count(n_starts):
+    cfg, ch, _, _, _ = build_instance(0, l=1, k=1, r=0, m_b=4, m_u=1)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="n_starts must be >= 1"):
+        pipeline.joint_optimize(ch, cfg, SchemeSpec(solver="none"), rng, n_starts=n_starts)
+    # It fails before any draw.
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_single_user_single_bs_reaches_matched_filter_rate():
     # without reflectors and with one receive antenna, the optimum is maximum
     # ratio transmission at full power: rate = log(1 + p ||h||^2 / s2)
@@ -129,8 +139,8 @@ def test_edge_case_fails_loudly_or_works(case):
                 rates = np.asarray(trace.sum_rate)
                 assert (np.diff(rates) >= -1e-9 * np.abs(rates[1:])).all(), scheme.label
                 assert np.isfinite(trace.final_sum_rate_true)
-                # validate's absolute tolerance (1e-6 W) says nothing at a
-                # 1e-8 W budget; the precoder step's own bound is relative.
+                # The precoder step's own bound, 10x tighter than validate's
+                # relative tolerance.
                 assert (w.per_bs_power() <= np.asarray(cfg.p_max) * (1.0 + 1e-9)).all()
 
 
