@@ -28,6 +28,9 @@ class SystemConfig:
     The inner solvers' settings are module constants beside their readers:
     ``tx_opt.EPS1`` = 1e-5 and ``tx_opt.MAX_DUAL`` = 500 (precoder dual),
     ``irs_opt.EPS2`` = 1e-8 (ASO sweeps, relative to the phase objective).
+    ``max_aso`` caps only the discrete sweep's sweeps per outer iteration;
+    ASO's in-loop cap is ``pipeline.ASO_BUDGET``. It stays a field because
+    the benchmark (``perfbench``) prints it for its full-scale workloads.
     """
 
     l: int

@@ -6,7 +6,7 @@ warm-started from the previous iteration's multipliers), and the reflection
 phases (per the scheme's solver). Each quantity is evaluated once per
 iteration: the effective channel once after the phase step, and one
 ``model.LinkState`` at the new (W, theta) that gives the new rate and the
-next iteration's U and Y (a QCR extrapolation attempt, below, adds one of
+next iteration's U and Y (an extrapolation attempt, below, adds one of
 each). An outer iteration without a phase step is the U, Y and W updates
 and that one link state. A start with a phase step allocates one
 (2, RN, RN) workspace and builds every iteration's phase subproblem into it
@@ -19,19 +19,21 @@ iterate the iteration starts from; the W step maximizes it and the phase
 step does not lower it (the exact solvers by construction, the rounded ones,
 QCR and SDR, because a step is kept only when it does not decrease the
 quadratic phase objective), and the rate at (W, theta) is at least the
-surrogate there. After a QCR step that moved the phases from theta- to
-theta+, the loop also tries the extrapolated phases
-theta_e = theta+ o exp(j beta arg(theta+ o conj theta-)) (Xu & Yin, SIAM J.
-Imaging Sci. 6(3), 2013), which keep every modulus at alpha, and keeps
-theta_e only when its rate at W is strictly above that of theta+; the
-iteration then ends at the higher of the two rates, and the next one
-restarts the argument from the kept point. That attempt costs one more
+surrogate there. After a step of a solver in ``EXTRAPOLATING`` (ASO, QCR)
+that moved the phases from theta- to theta+, the loop also tries the
+extrapolated phases theta_e = theta+ o exp(j beta arg(theta+ o conj theta-))
+(Xu & Yin, SIAM J. Imaging Sci. 6(3), 2013), which keep every modulus at
+alpha, and keeps theta_e only when its rate at W is strictly above that of
+theta+; the iteration then ends at the higher of the two rates, and the next
+one restarts the argument from the kept point. That attempt costs one more
 effective channel and one more link state, and a kept theta_e's link state
 is the one the next iteration reads. beta starts at 0.5 for each start,
 grows by 1.5 on a kept step up to 3 and halves on a rejected one down to
-0.1. Inside the loop QCR runs at most ``QCR_BUDGET`` FISTA steps per outer
-iteration: the next W step moves the relaxed point anyway. The loop stops at
-``max_outer`` or when ``stalled`` holds, the one stop rule.
+0.1. Inside the loop QCR runs at most ``QCR_BUDGET`` FISTA steps and ASO at
+most ``ASO_BUDGET`` sweeps per outer iteration: the next W step moves the
+phases anyway. The discrete sweep runs to ``config.max_aso`` sweeps and is
+not extrapolated. The loop stops at ``max_outer`` or when ``stalled`` holds,
+the one stop rule.
 
 Each outer iteration leaves one ``Step`` record (its rate, time, stage
 times, dual and phase-step work); a ``RunTrace`` is the start rate, those
@@ -49,6 +51,7 @@ one mean / standard-error reduction.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -64,11 +67,19 @@ from .model import BeamformerSet, PhaseVector
 PHASE_SOLVERS = ("aso", "qcr", "sdr", "discrete", "random", "none")
 ROW_COLUMNS = ("scheme", "seed", "sum_rate_bits", "iterations", "wall_ms", "converged")
 
+# The phase solvers whose outer iteration also tries the extrapolated step.
+EXTRAPOLATING = ("aso", "qcr")
 # FISTA steps per QCR phase step inside the outer loop, picked from a curve
 # over {20, 40, 80, 160} at desk and full scale (with the extrapolated step):
 # 20 lowers a full-scale draw by 3 %, and 80 and 160 end lower on average
 # than 40, 160 also slower. ``qcr_solve`` alone keeps its tolerance stop.
 QCR_BUDGET = 40
+# Sweeps per ASO phase step inside the outer loop, picked from a curve over
+# {1, 2, 3, 5, 10} at desk and full scale (scripts/phase_budget_curve.py):
+# with the extrapolated step every budget kept the mean rate of 200 sweeps
+# to tolerance at both scales, and 1 took the least desk time (2: 8 % more).
+# ``aso_solve`` alone keeps its 200 sweeps to ``irs_opt.EPS2``.
+ASO_BUDGET = 1
 # The extrapolated phase step's beta: start, growth on a kept step and cap,
 # shrink on a rejected step and floor.
 _BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 0.5, 1.5, 3.0, 0.5, 0.1
@@ -97,8 +108,9 @@ class SchemeSpec:
             raise ValueError(f"unknown phase solver {self.solver!r}")
         if self.solver == "discrete" and self.levels < 2:
             raise ValueError("discrete scheme needs levels >= 2")
-        if self.csi_error_rho < 0:
-            raise ValueError("csi_error_rho must be >= 0")
+        # NaN fails every comparison, so it would pass a bare ">= 0" check.
+        if not math.isfinite(self.csi_error_rho) or self.csi_error_rho < 0:
+            raise ValueError(f"csi_error_rho must be finite and >= 0, got {self.csi_error_rho!r}")
         if not self.label:
             label = self.solver.upper()
             if self.solver == "discrete":
@@ -121,7 +133,8 @@ class Step(NamedTuple):
     ``tx_opt.MAX_DUAL``. ``phase_work`` is the phase step's sweeps (ASO,
     discrete), FISTA steps (QCR) or solves (SDR), counted also when
     ``phase_refused`` says the step lowered the phase objective and was not
-    kept. ``extrapolated`` says whether QCR's extrapolated phases were kept.
+    kept. ``extrapolated`` says whether the extrapolated phases were kept
+    (ASO and QCR only).
     """
 
     rate: float
@@ -195,13 +208,14 @@ def _phase_step(scheme, theta, data, config, rng):
     objective (``refused`` says one was not, and theta is returned
     unchanged); QCR takes at most ``QCR_BUDGET`` FISTA steps. ``work`` is the
     sweeps, FISTA steps or SDR solves the step took, refused or not. ASO
-    runs at its own tolerance, ``irs_opt.EPS2``.
+    takes at most ``ASO_BUDGET`` sweeps and the discrete sweep at most
+    ``config.max_aso``.
     """
     if scheme.solver == "discrete":
         new, sweeps = irs_opt.discrete_sweep(theta, data, scheme.levels, max_sweeps=config.max_aso)
         return new, sweeps, False
     if scheme.solver == "aso":
-        new, trace = irs_opt.aso_solve(theta, data, max_sweeps=config.max_aso)
+        new, trace = irs_opt.aso_solve(theta, data, max_sweeps=ASO_BUDGET)
         return new, len(trace) - 1, False
     f_old = irs_opt.eval_f7(theta, data)
     if scheme.solver == "qcr":
@@ -276,7 +290,7 @@ def _optimize_once(true, opt, config, scheme, rng):
     has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
     rn = config.n_irs_total
     work = np.empty((2, rn, rn), complex) if has_phase_step else None
-    extrapolate = scheme.solver == "qcr" and use_irs
+    extrapolate = scheme.solver in EXTRAPOLATING and use_irs
     beta = _BETA_START
 
     h = model.effective_channel(opt, theta)

@@ -98,12 +98,15 @@ def test_run_via_cli_exit_codes(tmp_path, capsys):
     {"master_seed": "x"},
     {"master_seed": -1},
     {"schemes": []},
+    {"schemes": [{"solver": "aso", "csi_error_rho": float("nan")}]},
+    {"schemes": [{"solver": "aso", "csi_error_rho": float("inf")}]},
+    {"sweep": "csi_error_rho", "sweep_values": [0.0, float("nan")]},
 ], ids=[
     "iterations_negative", "iterations_zero", "iterations_string", "iterations_csi_error",
     "n_phase_shifts_zero",
     "n_phase_shifts_fractional", "efficiency_above_one", "values_repeated",
     "center_of_fixed_ues", "n_seeds_string", "master_seed_string", "master_seed_negative",
-    "schemes_empty",
+    "schemes_empty", "csi_error_rho_nan", "csi_error_rho_inf", "csi_error_rho_sweep_nan",
 ])
 def test_bad_spec_exits_2_before_any_solve(tmp_path, monkeypatch, over):
     def no_solve(*args, **kwargs):

@@ -30,6 +30,14 @@ def test_scheme_rejects_bad_solver():
         SchemeSpec(solver="aso", csi_error_rho=-0.1)
 
 
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), float("-inf")])
+def test_scheme_rejects_non_finite_csi_error(rho):
+    # NaN would otherwise be labelled plain ASO, share the unperturbed
+    # scheme's generator and fail later inside the rate.
+    with pytest.raises(ValueError, match="csi_error_rho must be finite"):
+        SchemeSpec(solver="aso", csi_error_rho=rho)
+
+
 @pytest.mark.parametrize("n_starts", [0, -3])
 def test_joint_optimize_rejects_bad_start_count(n_starts):
     cfg, ch, _, _, _ = build_instance(0, l=1, k=1, r=0, m_b=4, m_u=1)
@@ -227,8 +235,9 @@ def _reference_once(channels, opt, config, scheme, rng):
     """The outer loop as a sequence of per-quantity calls, each of which
     recomputes the link matrices (and the effective channel) from (W, theta)
     on its own: sinr, the MMSE filters, optimize_w, build_cmcqp and the phase step,
-    effective_channel, sum_rate. After a QCR step that moved the phases, the
-    extrapolated phases replace them when their rate is strictly higher."""
+    effective_channel, sum_rate. After a step of an extrapolating solver that
+    moved the phases, the extrapolated phases replace them when their rate is
+    strictly higher."""
     use_irs = scheme.solver != "none" and config.r > 0
     theta = pipeline._init_theta(config, rng) if use_irs else None
     has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
@@ -251,7 +260,7 @@ def _reference_once(channels, opt, config, scheme, rng):
             h = model.effective_channel(opt, theta)
         new_rate = model.sum_rate(opt, w, theta, config.sigma2)
         kept = False
-        if scheme.solver == "qcr" and use_irs and np.any(theta != prev):
+        if scheme.solver in pipeline.EXTRAPOLATING and use_irs and np.any(theta != prev):
             cand = theta * np.exp(1j * beta * np.angle(theta * np.conj(prev)))
             cand_rate = model.sum_rate(opt, w, cand, config.sigma2)
             kept = cand_rate > new_rate
@@ -318,7 +327,7 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
     # Per start: the effective channel at the initial phases, after every
     # phase step and on the true channels at the end; the link state at the
     # start, after every iteration and for the final rate. Each attempted
-    # QCR extrapolation (after a step that moved the phases) adds one
+    # extrapolation (ASO or QCR, after a step that moved the phases) adds one
     # channel and one link state.
     events, starts = [], []
     real_channel, real_links = model.effective_channel, model.link_matrices
@@ -356,8 +365,9 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
         kinds = [kind for kind, _, _ in calls]
         steps = kinds.count("step")
         assert steps == (trace.iterations if solver in ("aso", "qcr", "discrete") else 0)
-        tried = [moved and solver == "qcr" for kind, _, moved in calls if kind == "step"]
-        assert (sum(tried) > 0) == (solver == "qcr")
+        extrapolates = solver in pipeline.EXTRAPOLATING
+        tried = [moved and extrapolates for kind, _, moved in calls if kind == "step"]
+        assert (sum(tried) > 0) == extrapolates
         # Only an attempted extrapolation can be kept.
         flags = tried if steps else [False] * trace.iterations
         extrapolated = [s.extrapolated for s in trace.steps]
@@ -490,16 +500,21 @@ def test_refused_phase_step_counts_its_work(monkeypatch):
     assert trace.sum_rate == ref.sum_rate
 
 
-# ---- the extrapolated QCR phase step ----
+# ---- the extrapolated phase step ----
 
-def _qcr_events(monkeypatch, cfg, ch, seed, n_starts, extrapolated=None):
-    """Run the QCR scheme and return, per start, (events, trace): the phase
-    steps, the extrapolation attempts (beta, theta+, theta-, theta_e) and
-    every rate the loop read, in order."""
+_SOLVE = {"aso": "aso_solve", "qcr": "qcr_solve"}
+
+
+def _extrapolation_events(monkeypatch, cfg, ch, seed, n_starts, solver="qcr",
+                          extrapolated=None):
+    """Run the scheme of an extrapolating solver and return, per start,
+    (events, trace): the phase steps, the solver's calls with their keyword
+    arguments, the extrapolation attempts (beta, theta+, theta-, theta_e)
+    and every rate the loop read, in order."""
     events, starts = [], []
     real_step, real_rate = pipeline._phase_step, model.link_rate
     real_extra = extrapolated or pipeline._extrapolated
-    real_once, real_qcr = pipeline._optimize_once, irs_opt.qcr_solve
+    real_once, real_solve = pipeline._optimize_once, getattr(irs_opt, _SOLVE[solver])
 
     def step_spy(*args):
         events.append(("step",))
@@ -515,9 +530,9 @@ def _qcr_events(monkeypatch, cfg, ch, seed, n_starts, extrapolated=None):
         events.append(("rate", rate))
         return rate
 
-    def qcr_spy(theta, data, **kwargs):
-        events.append(("qcr", kwargs))
-        return real_qcr(theta, data, **kwargs)
+    def solve_spy(theta, data, **kwargs):
+        events.append(("solve", kwargs))
+        return real_solve(theta, data, **kwargs)
 
     def once_spy(*args):
         first = len(events)
@@ -528,9 +543,9 @@ def _qcr_events(monkeypatch, cfg, ch, seed, n_starts, extrapolated=None):
     monkeypatch.setattr(pipeline, "_phase_step", step_spy)
     monkeypatch.setattr(pipeline, "_extrapolated", extra_spy)
     monkeypatch.setattr(model, "link_rate", rate_spy)
-    monkeypatch.setattr(irs_opt, "qcr_solve", qcr_spy)
+    monkeypatch.setattr(irs_opt, _SOLVE[solver], solve_spy)
     monkeypatch.setattr(pipeline, "_optimize_once", once_spy)
-    pipeline.joint_optimize(ch, cfg, SchemeSpec(solver="qcr"), np.random.default_rng(seed),
+    pipeline.joint_optimize(ch, cfg, SchemeSpec(solver=solver), np.random.default_rng(seed),
                             n_starts=n_starts)
     return starts
 
@@ -561,14 +576,14 @@ def _check_attempts(calls, trace, alpha):
 def test_qcr_extrapolation_schedule(monkeypatch):
     # A draw on which beta reaches both of its bounds within each start.
     cfg, ch, _, _, _ = build_instance(11, **_SMALL, max_outer=60, eps3=0.0)
-    starts = _qcr_events(monkeypatch, cfg, ch, 11, n_starts=2)
+    starts = _extrapolation_events(monkeypatch, cfg, ch, 11, n_starts=2)
     assert len(starts) == 2
     betas = []
     for calls, trace in starts:
         betas.append(_check_attempts(calls, trace, cfg.alpha))
         assert min(betas[-1]) == 0.1 and max(betas[-1]) == 3.0
         # The loop's QCR steps take at most the budget of FISTA steps.
-        budgets = [ev[1].get("max_iter") for ev in calls if ev[0] == "qcr"]
+        budgets = [ev[1].get("max_iter") for ev in calls if ev[0] == "solve"]
         assert budgets and set(budgets) == {pipeline.QCR_BUDGET}
         assert max(s.phase_work for s in trace.steps) <= pipeline.QCR_BUDGET
         assert (np.diff(trace.sum_rate) >= 0).all()
@@ -576,12 +591,45 @@ def test_qcr_extrapolation_schedule(monkeypatch):
     assert betas[0][-1] != 0.5 and betas[1][0] == 0.5
 
 
+def test_aso_extrapolation_schedule(monkeypatch):
+    # ASO takes the extrapolated step on QCR's beta schedule, and each of its
+    # steps in the loop sweeps at most ASO_BUDGET times.
+    cfg, ch, _, _, _ = build_instance(11, **_SMALL, max_outer=60, eps3=0.0)
+    starts = _extrapolation_events(monkeypatch, cfg, ch, 11, n_starts=2, solver="aso")
+    assert len(starts) == 2
+    for calls, trace in starts:
+        assert _check_attempts(calls, trace, cfg.alpha)
+        assert any(s.extrapolated for s in trace.steps)
+        budgets = [ev[1].get("max_sweeps") for ev in calls if ev[0] == "solve"]
+        assert len(budgets) == trace.iterations and set(budgets) == {pipeline.ASO_BUDGET}
+        assert max(s.phase_work for s in trace.steps) <= pipeline.ASO_BUDGET
+        assert (np.diff(trace.sum_rate) >= 0).all()
+
+
+def test_discrete_sweep_keeps_the_config_cap(monkeypatch):
+    # The discrete sweep runs to config.max_aso sweeps, not to ASO's budget,
+    # and takes no extrapolated step.
+    caps, real = [], irs_opt.discrete_sweep
+
+    def sweep_spy(theta, data, levels, **kwargs):
+        caps.append(kwargs.get("max_sweeps"))
+        return real(theta, data, levels, **kwargs)
+
+    monkeypatch.setattr(irs_opt, "discrete_sweep", sweep_spy)
+    cfg, ch, _, _, _ = build_instance(4, **_SMALL, max_aso=pipeline.ASO_BUDGET + 2)
+    _, _, trace = pipeline.joint_optimize(
+        ch, cfg, SchemeSpec(solver="discrete", levels=4), np.random.default_rng(4))
+    assert len(caps) == trace.iterations > 1
+    assert set(caps) == {cfg.max_aso}
+    assert not any(s.extrapolated for s in trace.steps)
+
+
 def test_qcr_extrapolation_tie_is_not_kept(monkeypatch):
     # Phases whose rate only ties with theta+ are rejected, and beta halves
     # down to its floor.
     cfg, ch, _, _, _ = build_instance(10, **_SMALL, max_outer=8, eps3=0.0)
-    starts = _qcr_events(monkeypatch, cfg, ch, 10, n_starts=1,
-                         extrapolated=lambda theta, prev, beta: theta.copy())
+    starts = _extrapolation_events(monkeypatch, cfg, ch, 10, n_starts=1,
+                                   extrapolated=lambda theta, prev, beta: theta.copy())
     calls, trace = starts[0]
     betas = _check_attempts(calls, trace, cfg.alpha)
     assert not any(s.extrapolated for s in trace.steps)
