@@ -108,7 +108,7 @@ def test_qcr_phase_step(benchmark, full_scale, full_scale_warm):
     cfg = full_scale[0]
     theta, data = full_scale_warm
     scheme = pipeline.SchemeSpec(solver="qcr")
-    _, iterations, refused = benchmark(pipeline._phase_step, scheme, theta, data, cfg, None)
+    _, iterations, refused, _ = benchmark(pipeline._phase_step, scheme, theta, data, cfg, None)
     assert not refused and 0 < iterations <= pipeline.QCR_BUDGET
     benchmark.extra_info["iterations"] = iterations
 

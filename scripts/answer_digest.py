@@ -3,11 +3,14 @@
 
 The digest is one JSON file with three sections:
 - ``solves``: per solve, every ``RunTrace.sum_rate`` entry, the final rate
-  on the true channels (float hex), ``iterations``, ``converged`` and the
-  dual iterations per outer iteration. The solves are aso, qcr, sdr,
-  discrete-M4, random and none on ``realize_channels(desk_config(), ...,
-  5, seed)``, and full-scale qcr and aso at ``max_outer`` 6 on master 1,
-  each scheme with its ``scheme_seed_key`` generator.
+  on the true channels (float hex), ``iterations``, ``converged``, and per
+  outer iteration the dual iterations, whether the dual converged, the phase
+  step's work, whether it was refused and whether the extrapolated phases
+  were kept, so equal digests mean the same answers from the same work. The
+  solves are aso, qcr, sdr, discrete-M4, random and none on
+  ``realize_channels(desk_config(), ..., 5, seed)``, and full-scale qcr and
+  aso at ``max_outer`` 6 on master 1, each scheme with its
+  ``scheme_seed_key`` generator.
 - ``sweeps``: the ``results.csv`` rows, without ``wall_ms``, of four desk CLI
   sweeps at master 7: ``n_phase_shifts`` {8, 16} with the seven preset
   schemes (3 seeds), ``iterations`` {1, 2, 5, 12} with aso and discrete-M2
@@ -77,6 +80,10 @@ def _solve_record(trace) -> dict:
         "iterations": trace.iterations,
         "converged": bool(trace.converged),
         "dual_iterations": [int(x) for x in trace.dual_iterations],
+        "dual_converged": [bool(s.dual_converged) for s in trace.steps],
+        "phase_work": [int(s.phase_work) for s in trace.steps],
+        "phase_refused": [bool(s.phase_refused) for s in trace.steps],
+        "extrapolated": [bool(s.extrapolated) for s in trace.steps],
     }
 
 

@@ -3,37 +3,31 @@
 One outer iteration updates, in order: the auxiliary matrices U (SINR) and Y
 (MMSE filters), the transmit precoders (Newton steps on the per-BS dual,
 warm-started from the previous iteration's multipliers), and the reflection
-phases (per the scheme's solver). Each quantity is evaluated once per
-iteration: the effective channel once after the phase step, and one
-``model.LinkState`` at the new (W, theta) that gives the new rate and the
-next iteration's U and Y (an extrapolation attempt, below, adds one of
-each). An outer iteration without a phase step is the U, Y and W updates
-and that one link state. A start with a phase step allocates one
+phases by the solver's row of ``PHASE_STEPS``, which states each phase
+solver's call, budget, guard, extrapolation and unit of work. Each quantity
+is evaluated once per iteration: the effective channel once after the phase
+step, and one ``model.LinkState`` at the new (W, theta) that gives the new
+rate and the next iteration's U and Y (an extrapolation attempt, below, adds
+one of each). An outer iteration without a phase step is the U, Y and W
+updates and that one link state. A start with a phase step allocates one
 (2, RN, RN) workspace and builds every iteration's phase subproblem into it
 (``irs_opt.build_cmcqp``), so building a subproblem allocates no RN x RN
 array; a subproblem is not read after its phase step.
 
 The achieved sum rate is monotonically non-decreasing across iterations.
 With U and Y at their closed forms the surrogate equals the rate at the
-iterate the iteration starts from; the W step maximizes it and the phase
-step does not lower it (the exact solvers by construction, the rounded ones,
-QCR and SDR, because a step is kept only when it does not decrease the
-quadratic phase objective), and the rate at (W, theta) is at least the
-surrogate there. After a step of a solver in ``EXTRAPOLATING`` (ASO, QCR)
-that moved the phases from theta- to theta+, the loop also tries the
-extrapolated phases theta_e = theta+ o exp(j beta arg(theta+ o conj theta-))
-(Xu & Yin, SIAM J. Imaging Sci. 6(3), 2013), which keep every modulus at
-alpha, and keeps theta_e only when its rate at W is strictly above that of
-theta+; the iteration then ends at the higher of the two rates, and the next
-one restarts the argument from the kept point. That attempt costs one more
-effective channel and one more link state, and a kept theta_e's link state
-is the one the next iteration reads. beta starts at 0.5 for each start,
-grows by 1.5 on a kept step up to 3 and halves on a rejected one down to
-0.1. Inside the loop QCR runs at most ``QCR_BUDGET`` FISTA steps and ASO at
-most ``ASO_BUDGET`` sweeps per outer iteration: the next W step moves the
-phases anyway. The discrete sweep runs to ``config.max_aso`` sweeps and is
-not extrapolated. The loop stops at ``max_outer`` or when ``stalled`` holds,
-the one stop rule.
+iterate the iteration starts from; the W step maximizes it, the phase step
+does not lower it (``PHASE_STEPS``), and the rate at (W, theta) is at least
+the surrogate there. After a step of an extrapolating row that moved the
+phases from theta- to theta+, the loop also tries the extrapolated phases
+theta_e = theta+ o exp(j beta arg(theta+ o conj theta-)) (Xu & Yin, SIAM J.
+Imaging Sci. 6(3), 2013), which keep every modulus at alpha, and keeps
+theta_e only when its rate at W is strictly above that of theta+; the
+iteration then ends at the higher of the two rates, and a kept theta_e's
+link state is the one the next iteration reads. beta starts at 0.5 for each
+start, grows by 1.5 on a kept step up to 3 and halves on a rejected one down
+to 0.1. The loop stops at ``max_outer`` or when ``stalled`` holds, the one
+stop rule.
 
 Each outer iteration leaves one ``Step`` record (its rate, time, stage
 times, dual and phase-step work); a ``RunTrace`` is the start rate, those
@@ -54,7 +48,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,25 +58,45 @@ from .channel import ChannelSet, Geometry
 from .config import SystemConfig
 from .model import BeamformerSet, PhaseVector
 
-PHASE_SOLVERS = ("aso", "qcr", "sdr", "discrete", "random", "none")
 ROW_COLUMNS = ("scheme", "seed", "sum_rate_bits", "iterations", "wall_ms", "converged")
 
-# The phase solvers whose outer iteration also tries the extrapolated step.
-EXTRAPOLATING = ("aso", "qcr")
 # FISTA steps per QCR phase step inside the outer loop, picked from a curve
 # over {20, 40, 80, 160} at desk and full scale (with the extrapolated step):
 # 20 lowers a full-scale draw by 3 %, and 80 and 160 end lower on average
 # than 40, 160 also slower. ``qcr_solve`` alone keeps its tolerance stop.
 QCR_BUDGET = 40
-# Sweeps per ASO phase step inside the outer loop, picked from a curve over
-# {1, 2, 3, 5, 10} at desk and full scale (scripts/phase_budget_curve.py):
-# with the extrapolated step every budget kept the mean rate of 200 sweeps
-# to tolerance at both scales, and 1 took the least desk time (2: 8 % more).
-# ``aso_solve`` alone keeps its 200 sweeps to ``irs_opt.EPS2``.
+# Sweeps per ASO phase step inside the outer loop: of {1, 2, 3, 5, 10}, every
+# budget kept the mean rate of 200 sweeps to tolerance at desk and full scale
+# and 1 took the least desk time (scripts/phase_budget_curve.py). ``aso_solve``
+# alone keeps its 200 sweeps to ``irs_opt.EPS2``.
 ASO_BUDGET = 1
 # The extrapolated phase step's beta: start, growth on a kept step and cap,
 # shrink on a rejected step and floor.
 _BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 0.5, 1.5, 3.0, 0.5, 0.1
+
+# One row per solver with a phase step (``random`` keeps its initial phases
+# and ``none`` has no surfaces). A row's ``call(theta, data, scheme, config,
+# rng)`` takes one in-loop step and returns (theta, work, bound_open), with
+# ``work`` counted in ``unit``; it reads its ``irs_opt`` solver and its budget
+# when it runs, so a wrapper or budget set there takes effect. ASO and QCR
+# stop at their budgets, where the paper runs both to tolerance, and the
+# discrete sweep at ``config.max_aso`` sweeps. The ascents never lower f7; a
+# ``guarded`` step, whose rounded point can, is kept only when it does not.
+# One that ``extrapolates`` is followed by the extrapolated phase step.
+PhaseStep = NamedTuple("PhaseStep", [("call", Callable), ("guarded", bool),
+                                     ("extrapolates", bool), ("unit", str)])
+PHASE_STEPS = {  # solver: PhaseStep(call, guarded, extrapolates, unit)
+    "aso": PhaseStep(lambda theta, data, scheme, config, rng: _traced(
+        *irs_opt.aso_solve(theta, data, max_sweeps=ASO_BUDGET)), False, True, "sweeps"),
+    "qcr": PhaseStep(lambda theta, data, scheme, config, rng: _traced(
+        *irs_opt.qcr_solve(theta, data, max_iter=QCR_BUDGET)), True, True, "FISTA steps"),
+    "sdr": PhaseStep(lambda theta, data, scheme, config, rng: _rounded(
+        *irs_opt.sdr_solve(data, config.alpha, rng=rng)), True, False, "solves"),
+    "discrete": PhaseStep(lambda theta, data, scheme, config, rng: (*irs_opt.discrete_sweep(
+        theta, data, scheme.levels, max_sweeps=config.max_aso), False),
+        False, False, "sweeps"),
+}
+PHASE_SOLVERS = (*PHASE_STEPS, "random", "none")
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,8 @@ class SchemeSpec:
 
     solver:
       aso / qcr / sdr  - optimize phases each outer iteration
-      discrete         - ASO-style sweep restricted to ``levels`` grid phases
+      discrete         - ASO-style sweep over ``levels`` grid phases, the only
+                         solver that reads ``levels``
       random           - keep the random initial phases, optimize W only
       none             - no reflected path at all (IRS-free baseline)
     csi_error_rho: bounded channel-estimation error ratio; optimization runs
@@ -106,8 +121,8 @@ class SchemeSpec:
     def __post_init__(self):
         if self.solver not in PHASE_SOLVERS:
             raise ValueError(f"unknown phase solver {self.solver!r}")
-        if self.solver == "discrete" and self.levels < 2:
-            raise ValueError("discrete scheme needs levels >= 2")
+        if self.levels < 2 if self.solver == "discrete" else self.levels != 0:
+            raise ValueError(f"levels must be >= 2 for discrete and 0 for {self.solver!r}")
         # NaN fails every comparison, so it would pass a bare ">= 0" check.
         if not math.isfinite(self.csi_error_rho) or self.csi_error_rho < 0:
             raise ValueError(f"csi_error_rho must be finite and >= 0, got {self.csi_error_rho!r}")
@@ -130,11 +145,11 @@ class Step(NamedTuple):
     to the end of the iteration: the phase step, the effective channel, the
     link state and any extrapolation). ``dual_iters`` counts the W step's
     factorizations and ``dual_converged`` whether its dual converged within
-    ``tx_opt.MAX_DUAL``. ``phase_work`` is the phase step's sweeps (ASO,
-    discrete), FISTA steps (QCR) or solves (SDR), counted also when
-    ``phase_refused`` says the step lowered the phase objective and was not
-    kept. ``extrapolated`` says whether the extrapolated phases were kept
-    (ASO and QCR only).
+    ``tx_opt.MAX_DUAL``. The phase step's fields follow its solver's row of
+    ``PHASE_STEPS``: ``phase_work`` is in the row's unit, counted also when
+    ``phase_refused`` says a guarded step lowered the phase objective and was
+    not kept; ``extrapolated`` says whether the extrapolated phases were kept
+    and ``bound_open`` whether an SDR step's bound did not close.
     """
 
     rate: float
@@ -145,6 +160,7 @@ class Step(NamedTuple):
     phase_work: int
     phase_refused: bool
     extrapolated: bool
+    bound_open: bool
 
 
 @dataclass(frozen=True)
@@ -197,45 +213,37 @@ class RunTrace:
                         rates[cap])
 
 
-def _init_theta(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+def _init_theta(config: SystemConfig, scheme: SchemeSpec, rng: np.random.Generator):
+    """A start's random phases, or None when the scheme uses no surfaces."""
+    if scheme.solver == "none" or config.r == 0:
+        return None
     phases = rng.uniform(0.0, 2.0 * np.pi, config.n_irs_total)
     return config.alpha * np.exp(1j * phases)
 
 
+def _traced(theta, *rest):
+    """(theta, work, False) from a solver whose last output is its f7 trace."""
+    return theta, len(rest[-1]) - 1, False
+
+
+def _rounded(theta, bound, closed):
+    """(theta, 1, bound_open) from one ``sdr_solve``."""
+    return theta, 1, not closed
+
+
 def _phase_step(scheme, theta, data, config, rng):
-    """One aso, qcr, sdr or discrete phase update; returns (theta, work,
-    refused). QCR/SDR steps are kept only if they do not decrease the phase
-    objective (``refused`` says one was not, and theta is returned
-    unchanged); QCR takes at most ``QCR_BUDGET`` FISTA steps. ``work`` is the
-    sweeps, FISTA steps or SDR solves the step took, refused or not. ASO
-    takes at most ``ASO_BUDGET`` sweeps and the discrete sweep at most
-    ``config.max_aso``.
-    """
-    if scheme.solver == "discrete":
-        new, sweeps = irs_opt.discrete_sweep(theta, data, scheme.levels, max_sweeps=config.max_aso)
-        return new, sweeps, False
-    if scheme.solver == "aso":
-        new, trace = irs_opt.aso_solve(theta, data, max_sweeps=ASO_BUDGET)
-        return new, len(trace) - 1, False
-    f_old = irs_opt.eval_f7(theta, data)
-    if scheme.solver == "qcr":
-        new, _, trace = irs_opt.qcr_solve(theta, data, max_iter=QCR_BUDGET)
-        work = len(trace) - 1
-    else:
-        new, _, _ = irs_opt.sdr_solve(data, config.alpha, rng=rng)
-        work = 1
-    if irs_opt.eval_f7(new, data) >= f_old:
-        return new, work, False
-    return theta, work, True
+    """One step of the scheme's ``PHASE_STEPS`` row; returns (theta, work,
+    refused, bound_open). A guarded step that lowers the phase objective is
+    refused: theta comes back unchanged, and its work is still counted."""
+    row = PHASE_STEPS[scheme.solver]
+    f_old = irs_opt.eval_f7(theta, data) if row.guarded else None
+    new, work, bound_open = row.call(theta, data, scheme, config, rng)
+    refused = row.guarded and not irs_opt.eval_f7(new, data) >= f_old
+    return (theta if refused else new), work, refused, bound_open
 
 
-def joint_optimize(
-    channels: ChannelSet,
-    config: SystemConfig,
-    scheme: SchemeSpec,
-    rng: np.random.Generator,
-    n_starts: int = 1,
-):
+def joint_optimize(channels: ChannelSet, config: SystemConfig, scheme: SchemeSpec,
+                   rng: np.random.Generator, n_starts: int = 1):
     """Run the alternating optimizer for one channel realization.
 
     Returns (BeamformerSet, PhaseVector, RunTrace). The trace's rate sequence
@@ -285,12 +293,9 @@ def _optimize_once(true, opt, config, scheme, rng):
     channels ``true``. Returns (W, theta, RunTrace) with W stacked and theta
     None when the scheme uses no surfaces."""
     start = time.perf_counter()
-    use_irs = scheme.solver != "none" and config.r > 0
-    theta = _init_theta(config, rng) if use_irs else None
-    has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
-    rn = config.n_irs_total
-    work = np.empty((2, rn, rn), complex) if has_phase_step else None
-    extrapolate = scheme.solver in EXTRAPOLATING and use_irs
+    theta = _init_theta(config, scheme, rng)
+    row = PHASE_STEPS.get(scheme.solver) if theta is not None else None
+    work = np.empty((2, theta.size, theta.size), complex) if row is not None else None
     beta = _BETA_START
 
     h = model.effective_channel(opt, theta)
@@ -309,20 +314,20 @@ def _optimize_once(true, opt, config, scheme, rng):
         t2 = time.perf_counter()
         w, lam, winfo = tx_opt.optimize_w(h, aux, config, lam=lam, w_prev=w)
         t3 = time.perf_counter()
-        phase_work, refused = 0, False
+        phase_work, refused, bound_open = 0, False, False
         prev = theta
-        if has_phase_step:
+        if row is not None:
             # Overwrites the previous iteration's subproblem, which no one
             # holds past its phase step.
             data = irs_opt.build_cmcqp(opt, w, aux, work)
-            theta, phase_work, refused = _phase_step(scheme, theta, data, config, rng)
+            theta, phase_work, refused, bound_open = _phase_step(scheme, theta, data, config, rng)
             h = model.effective_channel(opt, theta)
         # One link state at the new (W, theta) gives the new rate and the
         # next iteration's U and Y.
         link = model.link_state(h, w, config.sigma2)
         new_rate = model.link_rate(link)
         kept = False
-        if extrapolate and not np.array_equal(theta, prev):
+        if row is not None and row.extrapolates and not np.array_equal(theta, prev):
             cand = _extrapolated(theta, prev, beta)
             cand_h = model.effective_channel(opt, cand)
             cand_link = model.link_state(cand_h, w, config.sigma2)
@@ -335,7 +340,8 @@ def _optimize_once(true, opt, config, scheme, rng):
                 beta = max(_BETA_MIN, beta * _BETA_SHRINK)
         t4 = time.perf_counter()
         steps.append(Step(new_rate, t4 - start, (t1 - t0, t2 - t1, t3 - t2, t4 - t3),
-                          winfo["iterations"], winfo["converged"], phase_work, refused, kept))
+                          winfo["iterations"], winfo["converged"], phase_work, refused, kept,
+                          bound_open))
         if stalled(rate, new_rate, config.eps3):
             converged = True
             break
@@ -398,14 +404,8 @@ def result_row(scheme: SchemeSpec, seed_index: int, trace: RunTrace, wall_ms: fl
     )))
 
 
-def monte_carlo(
-    config: SystemConfig,
-    geometry: Geometry,
-    schemes,
-    n_seeds: int,
-    master_seed: int = 0,
-    n_starts: int = 1,
-):
+def monte_carlo(config: SystemConfig, geometry: Geometry, schemes, n_seeds: int,
+                master_seed: int = 0, n_starts: int = 1):
     """Run every scheme on the same channel realizations.
 
     Returns one ``result_row`` per (seed, scheme). Rows for one seed share

@@ -35,6 +35,10 @@ def test_one_seed_panel(tmp_path):
     assert float.fromhex(record["final_sum_rate_true"]) == trace.final_sum_rate_true
     assert (record["iterations"], record["converged"]) == (trace.iterations, trace.converged)
     assert record["dual_iterations"] == trace.dual_iterations
+    # The work of every step: the dual, the phase step and the extrapolation.
+    for name in ("dual_converged", "phase_work", "phase_refused", "extrapolated"):
+        assert record[name] == [getattr(s, name) for s in trace.steps], name
+    assert sum(record["phase_work"]) > 0 and any(record["extrapolated"])
     full = doc["solves"]["full QCR seed 0"]
     assert full["iterations"] == len(full["dual_iterations"]) <= 6
     # One seed per sweep: n_phase_shifts 2 values x 7 schemes, iterations

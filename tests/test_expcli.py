@@ -101,12 +101,14 @@ def test_run_via_cli_exit_codes(tmp_path, capsys):
     {"schemes": [{"solver": "aso", "csi_error_rho": float("nan")}]},
     {"schemes": [{"solver": "aso", "csi_error_rho": float("inf")}]},
     {"sweep": "csi_error_rho", "sweep_values": [0.0, float("nan")]},
+    {"schemes": [{"solver": "aso", "levels": 4}]},
 ], ids=[
     "iterations_negative", "iterations_zero", "iterations_string", "iterations_csi_error",
     "n_phase_shifts_zero",
     "n_phase_shifts_fractional", "efficiency_above_one", "values_repeated",
     "center_of_fixed_ues", "n_seeds_string", "master_seed_string", "master_seed_negative",
     "schemes_empty", "csi_error_rho_nan", "csi_error_rho_inf", "csi_error_rho_sweep_nan",
+    "levels_on_aso",
 ])
 def test_bad_spec_exits_2_before_any_solve(tmp_path, monkeypatch, over):
     def no_solve(*args, **kwargs):
@@ -389,7 +391,8 @@ def test_iterations_sweep_zero_rate_cap_is_not_converged(tmp_path, monkeypatch):
     rates = [0.0, 0.0, 1.0, 1.0]
 
     def synthetic(config, geometry, schemes, master_seed, seed_index, fixed_ue=False):
-        steps = tuple(pipeline.Step(rate, it * 1e-3, (0.0,) * 4, 1, True, 0, False, False)
+        steps = tuple(pipeline.Step(rate, it * 1e-3, (0.0,) * 4, 1, True, 0, False, False,
+                                    False)
                       for it, rate in enumerate(rates[1:], start=1))
         trace = pipeline.RunTrace(start_rate=rates[0], steps=steps, converged=False,
                                   final_sum_rate_true=rates[-1])

@@ -28,6 +28,10 @@ def test_scheme_rejects_bad_solver():
         SchemeSpec(solver="discrete", levels=1)
     with pytest.raises(ValueError):
         SchemeSpec(solver="aso", csi_error_rho=-0.1)
+    # Only the discrete sweep reads levels; elsewhere they would be ignored
+    # yet change the label and the generator key.
+    with pytest.raises(ValueError, match="levels"):
+        SchemeSpec(solver="aso", levels=4)
 
 
 @pytest.mark.parametrize("rho", [float("nan"), float("inf"), float("-inf")])
@@ -238,9 +242,8 @@ def _reference_once(channels, opt, config, scheme, rng):
     effective_channel, sum_rate. After a step of an extrapolating solver that
     moved the phases, the extrapolated phases replace them when their rate is
     strictly higher."""
-    use_irs = scheme.solver != "none" and config.r > 0
-    theta = pipeline._init_theta(config, rng) if use_irs else None
-    has_phase_step = scheme.solver in ("aso", "qcr", "sdr", "discrete") and use_irs
+    theta = pipeline._init_theta(config, scheme, rng)
+    row = pipeline.PHASE_STEPS.get(scheme.solver) if theta is not None else None
     beta = 0.5
     h = model.effective_channel(opt, theta)
     w = model.matched_filter_init(h, config.p_max)
@@ -252,15 +255,16 @@ def _reference_once(channels, opt, config, scheme, rng):
         y = fp_core.mmse_filters(model.link_state(h, w, config.sigma2))
         aux = fp_core.AuxState(u=u, y=y)
         w, lam, winfo = tx_opt.optimize_w(h, aux, config, lam=lam, w_prev=w)
-        work, refused = 0, False
+        work, refused, bound_open = 0, False, False
         prev = theta
-        if has_phase_step:
+        if row is not None:
             data = irs_opt.build_cmcqp(opt, w, aux)
-            theta, work, refused = pipeline._phase_step(scheme, theta, data, config, rng)
+            theta, work, refused, bound_open = pipeline._phase_step(
+                scheme, theta, data, config, rng)
             h = model.effective_channel(opt, theta)
         new_rate = model.sum_rate(opt, w, theta, config.sigma2)
         kept = False
-        if scheme.solver in pipeline.EXTRAPOLATING and use_irs and np.any(theta != prev):
+        if row is not None and row.extrapolates and np.any(theta != prev):
             cand = theta * np.exp(1j * beta * np.angle(theta * np.conj(prev)))
             cand_rate = model.sum_rate(opt, w, cand, config.sigma2)
             kept = cand_rate > new_rate
@@ -272,7 +276,7 @@ def _reference_once(channels, opt, config, scheme, rng):
                 beta = max(0.1, 0.5 * beta)
         # Timings are not compared: elapsed and stage are left at zero.
         steps.append(pipeline.Step(new_rate, 0.0, (0.0,) * 4, winfo["iterations"],
-                                   winfo["converged"], work, refused, kept))
+                                   winfo["converged"], work, refused, kept, bound_open))
         if new_rate != 0 and abs(new_rate - rate) / abs(new_rate) < config.eps3:
             converged = True
             break
@@ -364,8 +368,9 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
     for calls, trace in starts:
         kinds = [kind for kind, _, _ in calls]
         steps = kinds.count("step")
-        assert steps == (trace.iterations if solver in ("aso", "qcr", "discrete") else 0)
-        extrapolates = solver in pipeline.EXTRAPOLATING
+        row = pipeline.PHASE_STEPS.get(solver)
+        assert steps == (trace.iterations if row else 0)
+        extrapolates = bool(row and row.extrapolates)
         tried = [moved and extrapolates for kind, _, moved in calls if kind == "step"]
         assert (sum(tried) > 0) == extrapolates
         # Only an attempted extrapolation can be kept.
@@ -502,7 +507,8 @@ def test_refused_phase_step_counts_its_work(monkeypatch):
 
 # ---- the extrapolated phase step ----
 
-_SOLVE = {"aso": "aso_solve", "qcr": "qcr_solve"}
+# The irs_opt solver each row of pipeline.PHASE_STEPS calls.
+_SOLVE = {"aso": "aso_solve", "qcr": "qcr_solve", "sdr": "sdr_solve", "discrete": "discrete_sweep"}
 
 
 def _extrapolation_events(monkeypatch, cfg, ch, seed, n_starts, solver="qcr",
@@ -606,22 +612,51 @@ def test_aso_extrapolation_schedule(monkeypatch):
         assert (np.diff(trace.sum_rate) >= 0).all()
 
 
-def test_discrete_sweep_keeps_the_config_cap(monkeypatch):
-    # The discrete sweep runs to config.max_aso sweeps, not to ASO's budget,
-    # and takes no extrapolated step.
-    caps, real = [], irs_opt.discrete_sweep
+@pytest.mark.parametrize("solver", sorted(pipeline.PHASE_STEPS))
+def test_row_calls_its_solver_once_per_outer_iteration(solver, monkeypatch):
+    # Each row calls its irs_opt solver, looked up when the step runs, once
+    # per outer iteration with the row's budget: ASO_BUDGET sweeps,
+    # QCR_BUDGET FISTA steps, config.max_aso sweeps for the discrete sweep
+    # (not ASO's budget), and for SDR the scheme's generator. A row that does
+    # not extrapolate keeps no extrapolated step, and only SDR opens a bound.
+    calls, real = [], getattr(irs_opt, _SOLVE[solver])
 
-    def sweep_spy(theta, data, levels, **kwargs):
-        caps.append(kwargs.get("max_sweeps"))
-        return real(theta, data, levels, **kwargs)
+    def solve_spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(irs_opt, "discrete_sweep", sweep_spy)
-    cfg, ch, _, _, _ = build_instance(4, **_SMALL, max_aso=pipeline.ASO_BUDGET + 2)
+    monkeypatch.setattr(irs_opt, _SOLVE[solver], solve_spy)
+    over = dict(n=2, n_h=2, n_v=1, max_outer=4) if solver == "sdr" else _SMALL
+    cfg, ch, _, _, _ = build_instance(4, **over, max_aso=pipeline.ASO_BUDGET + 2)
+    rng = np.random.default_rng(4)
+    scheme = SchemeSpec(solver=solver, levels=4 if solver == "discrete" else 0)
+    _, _, trace = pipeline.joint_optimize(ch, cfg, scheme, rng)
+    key, budget = {"aso": ("max_sweeps", pipeline.ASO_BUDGET),
+                   "qcr": ("max_iter", pipeline.QCR_BUDGET),
+                   "sdr": ("rng", rng),
+                   "discrete": ("max_sweeps", cfg.max_aso)}[solver]
+    assert len(calls) == trace.iterations > 1
+    assert all(kwargs[key] is budget for kwargs in calls)
+    if not pipeline.PHASE_STEPS[solver].extrapolates:
+        assert not any(s.extrapolated for s in trace.steps)
+    if solver != "sdr":
+        assert not any(s.bound_open for s in trace.steps)
+
+
+def test_open_sdr_bound_flags_its_step(monkeypatch):
+    # An SDR solve whose bound did not close is recorded on its step.
+    real_sdr = irs_opt.sdr_solve
+
+    def open_sdr(*args, **kwargs):
+        theta, bound, _ = real_sdr(*args, **kwargs)
+        return theta, bound, False
+
+    monkeypatch.setattr(irs_opt, "sdr_solve", open_sdr)
+    cfg, ch, _, _, _ = build_instance(8, n=2, n_h=2, n_v=1, max_outer=4)
     _, _, trace = pipeline.joint_optimize(
-        ch, cfg, SchemeSpec(solver="discrete", levels=4), np.random.default_rng(4))
-    assert len(caps) == trace.iterations > 1
-    assert set(caps) == {cfg.max_aso}
-    assert not any(s.extrapolated for s in trace.steps)
+        ch, cfg, SchemeSpec(solver="sdr"), np.random.default_rng(8))
+    assert trace.iterations > 1
+    assert all(s.bound_open and s.phase_work == 1 for s in trace.steps)
 
 
 def test_qcr_extrapolation_tie_is_not_kept(monkeypatch):
