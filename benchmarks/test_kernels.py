@@ -6,8 +6,9 @@ coefficients and a Zcal of rank at most (K * m_u)^2 = 64. Desk scale is
 ``desk_config`` with 32-element IRSs (3 BSs x 4 antennas, RN = 64). Times
 ``build_cmcqp`` (into a reused workspace, as the outer loop calls it) and
 ``qcr_relax`` at full scale; ``optimize_w``,
-``effective_channel``, ``link_state`` (the link matrices and both
-covariances at one (H, W) point), ``sum_rate``, ``aso_solve`` and
+``effective_channel``, ``link_state`` (the link matrices, the full
+covariances and the Cholesky factors of both covariances at one (H, W)
+point), ``sum_rate``, ``aso_solve`` and
 ``discrete_sweep`` (M = 4; both record their sweeps in
 ``extra_info["sweeps"]``) at both scales; and ``sdr_solve`` (the
 mixing-method SDP, its certificate and the rounding) at desk scale.
@@ -42,7 +43,7 @@ WARM_OUTER = 5
 def _aux(h, w, sigma2):
     """Both closed-form auxiliaries at (H, W), read off one link state."""
     link = model.link_state(h, w, sigma2)
-    return fp_core.AuxState(u=model.link_sinr(link), y=fp_core.mmse_filters(link))
+    return fp_core.AuxState(u=model.link_sinr(link), y=model.mmse_filters(link))
 
 
 def _draw(cfg, seed):

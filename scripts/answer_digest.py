@@ -28,6 +28,14 @@ from ``PYTHONPATH``, so one checkout of the script digests any source tree:
     PYTHONPATH=../parent/src python scripts/answer_digest.py --out parent.json
     PYTHONPATH=src python scripts/answer_digest.py --out change.json
     diff parent.json change.json
+
+For a change meant to move rates at rounding level only,
+``--compare parent.json change.json --rtol R`` allows the rates (the solves'
+``sum_rate`` and ``final_sum_rate_true``, the sweep rows' ``sum_rate_bits``)
+to differ by R relative, and every other field must be equal. A sweep row's
+rate is printed to 12 significant digits, so it may also differ by one unit
+in its last digit. It prints the largest relative rate difference and exits
+0, or prints the first mismatch and exits 1.
 """
 
 import argparse
@@ -35,6 +43,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -137,15 +146,78 @@ def draws(n_draws: int) -> dict:
     return out
 
 
+RATE_FIELDS = ("sum_rate", "final_sum_rate_true")
+# The digest's sweep rows are the results.csv columns without wall_ms.
+SWEEP_RATE = [c for c in expcli.RESULT_COLUMNS if c != "wall_ms"].index("sum_rate_bits")
+
+
+def _fields(doc: dict):
+    """(rates, others) of a digest, each keyed by where the field sits. A
+    rate maps to (its float, the absolute slack of its printing)."""
+    rates, others = {}, {"draws": doc["draws"]}
+    for name, record in doc["solves"].items():
+        for field, value in record.items():
+            if field in RATE_FIELDS:
+                for i, x in enumerate(value if isinstance(value, list) else [value]):
+                    rates[f"solves/{name}/{field}/{i}"] = (float.fromhex(x), 0.0)
+            else:
+                others[f"solves/{name}/{field}"] = value
+    for sweep, rows in doc["sweeps"].items():
+        for i, row in enumerate(rows):
+            cells = row.split(",")
+            rate = float(cells.pop(SWEEP_RATE))
+            others[f"sweeps/{sweep}/{i}"] = cells
+            # One unit in the last digit of "%.12g".
+            slack = 10.0 ** (math.floor(math.log10(abs(rate))) - 11) if rate else 0.0
+            rates[f"sweeps/{sweep}/{i}/sum_rate_bits"] = (rate, slack)
+    return rates, others
+
+
+def compare(a: dict, b: dict, rtol: float):
+    """(first mismatch or None, largest relative rate difference) between
+    two digests: rates within ``rtol`` relative, every other field equal."""
+    (rates_a, others_a), (rates_b, others_b) = _fields(a), _fields(b)
+    for fa, fb in ((others_a, others_b), (rates_a, rates_b)):
+        if fa.keys() != fb.keys():
+            return f"{sorted(fa.keys() ^ fb.keys())[0]}: in one digest only", math.nan
+    for where, x in others_a.items():
+        if x != others_b[where]:
+            return f"{where}: {x!r} != {others_b[where]!r}", math.nan
+    worst = 0.0
+    for where, (x, slack) in rates_a.items():
+        y = rates_b[where][0]
+        scale = max(abs(x), abs(y))
+        rel = abs(x - y) / scale if scale else 0.0
+        if abs(x - y) > rtol * scale + slack:
+            return f"{where}: {x!r} and {y!r} differ by {rel:.3g} relative", worst
+        worst = max(worst, rel)
+    return None, worst
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", type=Path, required=True, help="the digest file to write")
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", type=Path, help="the digest file to write")
+    action.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two digest files")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="relative rate tolerance of --compare")
     parser.add_argument("--seeds", type=int, default=3, help="cap on every seed count")
     parser.add_argument("--draws", type=int, default=40, help="channel draws per configuration")
     args = parser.parse_args(argv)
     if args.seeds < 1 or args.draws < 1:
         parser.error("--seeds and --draws must be >= 1")
+    if not 0.0 <= args.rtol < math.inf:
+        parser.error("--rtol must be >= 0 and finite")
+    if args.compare:
+        a, b = (json.loads(path.read_text()) for path in args.compare)
+        mismatch, worst = compare(a, b, args.rtol)
+        if mismatch is not None:
+            print(f"mismatch: {mismatch}")
+            return 1
+        print(f"digests agree; largest relative rate difference {worst:.3g}")
+        return 0
     doc = {"solves": solves(args.seeds), "sweeps": sweeps(args.seeds), "draws": draws(args.draws)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

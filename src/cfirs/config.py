@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 def db2lin(x_db: float) -> float:
@@ -23,7 +24,9 @@ class SystemConfig:
     / ``beta_s`` the linear Rician factors of the reflector-related channels,
     ``alpha`` the reflecting efficiency (modulus of every reflection
     coefficient). The size of a discrete phase set belongs to the scheme
-    (``SchemeSpec.levels``).
+    (``SchemeSpec.levels``). Construction rejects NaN in any field and an
+    infinite ``sigma2``, ``p_max`` entry, ``c0`` or ``eps3``; an infinite
+    Rician factor (pure line of sight) or path-loss exponent is kept.
 
     The inner solvers' settings are module constants beside their readers:
     ``tx_opt.EPS1`` = 1e-5 and ``tx_opt.MAX_DUAL`` = 500 (precoder dual),
@@ -64,8 +67,14 @@ class SystemConfig:
             raise ValueError(f"n = {self.n} must equal n_h * n_v = {self.n_h * self.n_v}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be positive and finite")
+        if not math.isfinite(self.c0):
+            raise ValueError("c0 must be finite")
+        if not 0.0 <= self.eps3 < math.inf:
+            raise ValueError("eps3 must be >= 0 and finite")
+        if min(self.max_outer, self.max_aso) < 1:
+            raise ValueError("max_outer and max_aso must be >= 1")
         p = self.p_max
         if isinstance(p, (int, float)):
             p = (float(p),) * self.l
@@ -75,9 +84,14 @@ class SystemConfig:
                 p = p * self.l
         if len(p) != self.l:
             raise ValueError(f"p_max needs {self.l} entries, got {len(p)}")
-        if min(p) <= 0.0:
-            raise ValueError("p_max entries must be positive")
+        if not all(0.0 < v < math.inf for v in p):
+            raise ValueError("p_max entries must be positive and finite")
         object.__setattr__(self, "p_max", p)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and math.isnan(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must not be NaN")
 
     @property
     def n_irs_total(self) -> int:

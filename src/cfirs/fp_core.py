@@ -12,9 +12,9 @@ U_k and Y_k are stored as full m_u x m_u complex matrices: the closed-form
 optimizers (the SINR matrix and the MMSE filter) are dense in general.
 
 Every quantity that depends on (W, theta) is read off one
-``model.LinkState``: ``model.link_sinr`` gives U and ``mmse_filters`` gives
-Y. The outer loop never evaluates f3 itself, so its one statement (with f4,
-its Y-dependent part) lives beside the tests that check the recovery
+``model.LinkState``: ``model.link_sinr`` gives U and ``model.mmse_filters``
+gives Y. The outer loop never evaluates f3 itself, so its one statement (with
+f4, its Y-dependent part) lives beside the tests that check the recovery
 identity against it, in ``tests/conftest.py``.
 """
 
@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import model
 
 
 @dataclass
@@ -38,9 +36,3 @@ class AuxState:
     def ubar(self) -> np.ndarray:
         return self.u + np.eye(self.u.shape[1])[None, :, :]
 
-
-def mmse_filters(link: model.LinkState) -> np.ndarray:
-    """The MMSE receive filters Y_k = Vbar_k^{-1} B_k of one link state, one
-    stacked solve over the users."""
-    k = np.arange(link.vbar.shape[0])
-    return np.linalg.solve(link.vbar, link.b[k, k])

@@ -17,10 +17,11 @@ The SINR matrix is kept in the Hermitian PSD orientation
 Gamma_k = B[k,k]^H V_k^{-1} B[k,k]; log det(I + Gamma_k) is unchanged by the
 orientation and the Hermitian form keeps every downstream quadratic form PSD.
 
-(B, V, Vbar) at one (H, W, sigma2) point is a ``LinkState``: ``link_state``
-forms it once, and the rate, the SINR matrices (here) and the MMSE filters
-and surrogate terms (``fp_core``) are read off it. ``sum_rate`` and ``sinr``
-are those readings composed with ``link_state``, so each formula exists once.
+(B, Vbar) at one (H, W, sigma2) point, with the Cholesky factors of every
+user's (Vbar_k, V_k) from one stacked call (the one positive-definiteness
+check), is a ``LinkState``. Every reading of it lives here: the rate, the
+SINR matrices U and the MMSE filters Y. ``sum_rate`` and ``sinr`` are those
+readings composed with ``link_state``, so each formula exists once.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import numpy as np
 
 from .channel import ChannelSet
 
-# ``BeamformerSet.validate`` rejects a BS over its budget by more than 1e-6 W
-# or 1e-8 relative (10x ``tx_opt._POWER_TOL``, for rounding between the two).
-_POWER_ABS_TOL = 1e-6
+# ``BeamformerSet.validate`` rejects a BS over its budget by more than 1e-8
+# relative (10x ``tx_opt._POWER_TOL``, for rounding between the two).
 _POWER_REL_TOL = 1e-8
 
 
@@ -53,8 +53,7 @@ class BeamformerSet:
     def validate(self, p_max) -> None:
         power = self.per_bs_power()
         limit = np.asarray(p_max, float)
-        over = (power > limit + _POWER_ABS_TOL) | (power > limit * (1.0 + _POWER_REL_TOL))
-        if over.any():
+        if (power > limit * (1.0 + _POWER_REL_TOL)).any():
             raise ValueError(f"per-BS power {power} exceeds budget {limit}")
 
 
@@ -114,45 +113,61 @@ def noise_plus_interference(b: np.ndarray, sigma2: float):
 
 
 class LinkState(NamedTuple):
-    """Link matrices and the two covariances of every user at one (H, W)."""
+    """Link matrices, full covariances and the Cholesky factors of both
+    covariances of every user at one (H, W)."""
 
     b: np.ndarray     # (K, K, m_u, m_u), B[k, i]
-    v: np.ndarray     # (K, m_u, m_u), interference plus noise
     vbar: np.ndarray  # (K, m_u, m_u), full receive covariance
+    chol: np.ndarray  # (2, K, m_u, m_u), lower factors of (Vbar_k, V_k)
 
 
 def link_state(h: np.ndarray, w: np.ndarray, sigma2: float) -> LinkState:
-    """(B, V, Vbar) at one (H, W, sigma2) point."""
+    """(B, Vbar) and the factors of (Vbar, V) at one (H, W, sigma2) point."""
     b = link_matrices(h, w)
     v, vbar = noise_plus_interference(b, sigma2)
-    return LinkState(b=b, v=v, vbar=vbar)
+    return LinkState(b=b, vbar=vbar, chol=_cholesky(vbar, v))
+
+
+_COVARIANCES = ("receive covariance", "interference covariance")
+
+
+def _cholesky(vbar: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of (Vbar_k, V_k) for every user, one stacked
+    call; names the first user, and which of its covariances, that is not
+    positive definite (indefinite, singular or not finite)."""
+    cov = np.stack((vbar, v))
+    # LAPACK passes a NaN through without an error.
+    if np.isfinite(cov).all():
+        try:
+            return np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            pass
+    k, j = next((k, j) for k in range(cov.shape[1]) for j in range(2) if not _is_pd(cov[j, k]))
+    raise np.linalg.LinAlgError(f"{_COVARIANCES[j]} of user {k} is not positive definite")
+
+
+def _is_pd(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(a).all())
 
 
 def link_sinr(link: LinkState) -> np.ndarray:
-    """Per-user SINR matrices Gamma_k = B_k^H V_k^{-1} B_k (Hermitian PSD).
-
-    With V_k = L_k L_k^H (Cholesky), Gamma_k = Z_k^H Z_k for Z_k = L_k^{-1} B_k,
-    one stacked factorization and one stacked solve over the users.
-    """
-    k = np.arange(link.v.shape[0])
-    z = np.linalg.solve(_cholesky(link.v), link.b[k, k])
+    """Per-user SINR matrices Gamma_k = B_k^H V_k^{-1} B_k (Hermitian PSD):
+    Gamma_k = Z_k^H Z_k for Z_k = L_k^{-1} B_k, with V_k = L_k L_k^H
+    factored by ``link_state``; one stacked solve over the users."""
+    k = np.arange(link.b.shape[0])
+    z = np.linalg.solve(link.chol[1], link.b[k, k])
     return z.conj().transpose(0, 2, 1) @ z
 
 
-def _cholesky(v: np.ndarray) -> np.ndarray:
-    """Stacked Cholesky factors of the users' interference covariances;
-    names the first user whose covariance is not positive definite."""
-    try:
-        return np.linalg.cholesky(v)
-    except np.linalg.LinAlgError as exc:
-        for k in range(v.shape[0]):
-            try:
-                np.linalg.cholesky(v[k])
-            except np.linalg.LinAlgError:
-                raise np.linalg.LinAlgError(
-                    f"interference covariance of user {k} is not positive definite"
-                ) from exc
-        raise
+def mmse_filters(link: LinkState) -> np.ndarray:
+    """The MMSE receive filters Y_k = Vbar_k^{-1} B_k of one link state, one
+    stacked solve over the users."""
+    k = np.arange(link.b.shape[0])
+    return np.linalg.solve(link.vbar, link.b[k, k])
 
 
 def sinr(h: np.ndarray, w: np.ndarray, sigma2: float) -> np.ndarray:
@@ -160,40 +175,12 @@ def sinr(h: np.ndarray, w: np.ndarray, sigma2: float) -> np.ndarray:
     return link_sinr(link_state(h, w, sigma2))
 
 
-# slogdet's sign for a Hermitian PD matrix differs from +1 by rounding only:
-# below 1e-15 on the desk and full-scale scenarios.
-_SIGN_TOL = 1e-6
-
-
-def _logdet_hermitian(a: np.ndarray):
-    """log det of a Hermitian positive-definite matrix, or of each matrix
-    of a stack (one ``slogdet`` call).
-
-    The determinant of a Hermitian matrix is real, so slogdet's sign is +1,
-    -1 or 0 up to rounding; anything but +1 means the matrix is not PD and
-    its log-determinant would be a wrong rate, so it raises LinAlgError.
-    """
-    sign, logabs = np.linalg.slogdet(a)
-    # A singular matrix comes back with sign 0 (log-determinant -inf); the
-    # negated test also rejects a NaN sign.
-    bad = ~(np.abs(sign - 1.0) <= _SIGN_TOL)
-    if bad.any():
-        raise np.linalg.LinAlgError(
-            "log-determinant of a matrix that is not positive definite "
-            f"(sign {np.asarray(sign)[bad].flat[0]})"
-        )
-    return logabs
-
-
 def link_rate(link: LinkState) -> float:
-    """Achievable sum rate in nats, sum_k [log det Vbar_k - log det V_k].
-
-    Evaluated through the determinant identity rather than an explicit SINR
-    inverse, with one ``slogdet`` over both covariances of every user;
-    base-2 conversion happens only at reporting boundaries.
-    """
-    logdet = _logdet_hermitian(np.stack((link.vbar, link.v)))
-    return float(np.sum(logdet[0] - logdet[1]))
+    """Achievable sum rate in nats, sum_k [log det Vbar_k - log det V_k],
+    with log det A = 2 sum log diag L for A = L L^H read off the factors.
+    Base-2 conversion happens only at reporting boundaries."""
+    logdiag = np.log(np.diagonal(link.chol, axis1=-2, axis2=-1).real)
+    return float(2.0 * np.sum(logdiag[0] - logdiag[1]))
 
 
 def sum_rate(channels: ChannelSet, w: np.ndarray, theta, sigma2: float) -> float:

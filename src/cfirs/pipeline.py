@@ -309,7 +309,7 @@ def _optimize_once(true, opt, config, scheme, rng):
         t0 = time.perf_counter()
         u = model.link_sinr(link)
         t1 = time.perf_counter()
-        y = fp_core.mmse_filters(link)
+        y = model.mmse_filters(link)
         aux = fp_core.AuxState(u=u, y=y)
         t2 = time.perf_counter()
         w, lam, winfo = tx_opt.optimize_w(h, aux, config, lam=lam, w_prev=w)

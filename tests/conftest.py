@@ -42,7 +42,7 @@ def per_link(x, l):
 def build_aux(cfg, h, w):
     """Both closed-form auxiliaries at (H, W): U = SINR, Y = MMSE."""
     link = model.link_state(h, w, cfg.sigma2)
-    return fp_core.AuxState(u=model.link_sinr(link), y=fp_core.mmse_filters(link))
+    return fp_core.AuxState(u=model.link_sinr(link), y=model.mmse_filters(link))
 
 
 def _link_at(w, theta, channels, sigma2):
@@ -66,9 +66,9 @@ def aux_constant(aux: fp_core.AuxState) -> float:
     """sum_k log|I + U_k| - Tr(U_k), the part of f3 that ignores (W, theta, Y)."""
     total = 0.0
     for k in range(aux.u.shape[0]):
-        logdet = model._logdet_hermitian(aux.ubar[k])
-        if logdet < np.log(1e-12):
-            raise np.linalg.LinAlgError("I + U_k is numerically singular")
+        sign, logdet = np.linalg.slogdet(aux.ubar[k])
+        if not (abs(sign - 1.0) <= 1e-6 and logdet >= np.log(1e-12)):
+            raise np.linalg.LinAlgError("I + U_k is not numerically positive definite")
         total += logdet - np.trace(aux.u[k]).real
     return total
 

@@ -55,3 +55,44 @@ def test_one_seed_panel(tmp_path):
     empty = hashlib.sha256(b"").hexdigest()
     assert doc["draws"]["r0"]["irs_ue"] == doc["draws"]["r0"]["bs_irs"] == empty
     assert len({d["direct"] for d in doc["draws"].values()}) > 1
+
+
+def _digest(rates=(4.5, 4.9), row_rate="4.92000000001", work=3, draws="ab"):
+    """A synthetic digest: one solve, one sweep row and one draw."""
+    return {
+        "solves": {"desk ASO seed 0": {
+            "sum_rate": [float(x).hex() for x in rates],
+            "final_sum_rate_true": float(rates[-1]).hex(),
+            "iterations": len(rates) - 1, "phase_work": [work]}},
+        "sweeps": {"n_phase_shifts": [f"n_phase_shifts,8,ASO,0,{row_rate},1,true"]},
+        "draws": {"desk": {"direct": draws}},
+    }
+
+
+def _compare(tmp_path, a, b, *rtol):
+    paths = []
+    for name, doc in (("a.json", a), ("b.json", b)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(doc))
+    return answer_digest.main(["--compare", *paths, *(["--rtol", rtol[0]] if rtol else [])])
+
+
+def test_compare_within_tolerance(tmp_path, capsys):
+    base = _digest()
+    assert _compare(tmp_path, base, base) == 0
+    # Rates 2.9e-15 apart agree at rtol 1e-12 and not exactly.
+    near = _digest(rates=(4.5, 4.9 + 2.0 ** -46))
+    assert _compare(tmp_path, base, near, "1e-12") == 0
+    assert "largest relative rate difference 2.9e-15" in capsys.readouterr().out
+    assert _compare(tmp_path, base, near) == 1
+    assert "mismatch: solves/desk ASO seed 0/sum_rate/1" in capsys.readouterr().out
+    assert _compare(tmp_path, base, _digest(rates=(4.5, 4.9 * (1 + 1e-10))), "1e-12") == 1
+    # A sweep row's rate is printed to 12 digits: its last digit may move.
+    assert _compare(tmp_path, base, _digest(row_rate="4.92000000002"), "1e-12") == 0
+    assert _compare(tmp_path, base, _digest(row_rate="4.92000000004"), "1e-12") == 1
+    assert "sweeps/n_phase_shifts/0/sum_rate_bits" in capsys.readouterr().out
+    # Every other field must be equal, at any tolerance.
+    for other in (_digest(work=4), _digest(draws="cd"), _digest(rates=(4.5, 4.9, 4.9))):
+        assert _compare(tmp_path, base, other, "1") == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "mismatch: solves/desk ASO seed 0/sum_rate/2: in one digest only")

@@ -132,6 +132,18 @@ def test_strong_rician_factor_gives_rank_one():
             assert s[1] < 1e-6 * s[0]
 
 
+def test_infinite_rician_factor_and_exponent_are_kept():
+    # SystemConfig rejects NaN and most infinities, but +inf is the pure
+    # line-of-sight limit of a Rician factor and a valid path-loss exponent.
+    dims = dict(n=9, n_h=3, n_v=3)
+    inf = _draw(small_config(beta_g=np.inf, beta_s=np.inf, **dims), 7)
+    limit = _draw(small_config(beta_g=chan.RICIAN_INFINITE, beta_s=chan.RICIAN_INFINITE, **dims), 7)
+    np.testing.assert_array_equal(inf.irs_ue, limit.irs_ue)
+    np.testing.assert_array_equal(inf.bs_irs, limit.bs_irs)
+    ch = _draw(small_config(pathloss_irs=np.inf, **dims), 7)
+    assert not ch.irs_ue.any() and not ch.bs_irs.any()
+
+
 def test_zero_rician_factor_ignores_steering():
     # with no line-of-sight weight the angles cannot matter
     cfg = small_config(beta_g=0.0, beta_s=0.0)

@@ -10,12 +10,13 @@ from cfirs import channel as chan
 from cfirs import expcli, pipeline
 
 
+MINIMAL_BASE = {"l": 1, "k": 1, "r": 1, "m_b": 2, "m_u": 1, "n": 2, "n_h": 2, "n_v": 1,
+                "max_outer": 5}
+
+
 def minimal_spec(tmp_path, **over):
     doc = {
-        "base": {
-            "l": 1, "k": 1, "r": 1, "m_b": 2, "m_u": 1,
-            "n": 2, "n_h": 2, "n_v": 1, "max_outer": 5,
-        },
+        "base": dict(MINIMAL_BASE),
         "sweep": "reflecting_efficiency",
         "sweep_values": [1.0],
         "schemes": [{"solver": "aso"}],
@@ -83,6 +84,19 @@ def test_run_via_cli_exit_codes(tmp_path, capsys):
     assert expcli.main(["run", str(missing_field)]) == 2
 
 
+# Base configurations that fail inside a solve, or solve without meaning,
+# unless SystemConfig rejects them.
+NAN, INF = float("nan"), float("inf")
+BAD_BASES = {
+    "sigma2_nan": {"sigma2": NAN}, "sigma2_inf": {"sigma2": INF},
+    "p_max_nan": {"p_max": [NAN]}, "p_max_inf": {"p_max": [INF]},
+    "c0_nan": {"c0": NAN}, "c0_inf": {"c0": INF},
+    "eps3_nan": {"eps3": NAN}, "eps3_inf": {"eps3": INF}, "eps3_negative": {"eps3": -1e-4},
+    "beta_g_nan": {"beta_g": NAN}, "pathloss_irs_nan": {"pathloss_irs": NAN},
+    "max_outer_zero": {"max_outer": 0}, "max_aso_zero": {"max_aso": 0},
+}
+
+
 @pytest.mark.parametrize("over", [
     {"sweep": "iterations", "sweep_values": [-1, 0, 2]},
     {"sweep": "iterations", "sweep_values": [0, 2]},
@@ -102,13 +116,14 @@ def test_run_via_cli_exit_codes(tmp_path, capsys):
     {"schemes": [{"solver": "aso", "csi_error_rho": float("inf")}]},
     {"sweep": "csi_error_rho", "sweep_values": [0.0, float("nan")]},
     {"schemes": [{"solver": "aso", "levels": 4}]},
+    *({"base": dict(MINIMAL_BASE, **bad)} for bad in BAD_BASES.values()),
 ], ids=[
     "iterations_negative", "iterations_zero", "iterations_string", "iterations_csi_error",
     "n_phase_shifts_zero",
     "n_phase_shifts_fractional", "efficiency_above_one", "values_repeated",
     "center_of_fixed_ues", "n_seeds_string", "master_seed_string", "master_seed_negative",
     "schemes_empty", "csi_error_rho_nan", "csi_error_rho_inf", "csi_error_rho_sweep_nan",
-    "levels_on_aso",
+    "levels_on_aso", *BAD_BASES,
 ])
 def test_bad_spec_exits_2_before_any_solve(tmp_path, monkeypatch, over):
     def no_solve(*args, **kwargs):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfirs import fp_core, model
+from cfirs import model
 from cfirs.fp_core import AuxState
 
 from conftest import aux_constant, build_aux, build_instance, crandn, f3_at, f4_at
@@ -37,7 +37,7 @@ def test_mmse_filter_scalar_case():
     cfg, ch, _, _, _ = build_instance(2, l=1, k=1, m_b=1, m_u=1, r=0)
     h = model.effective_channel(ch, None)
     w = np.full((1, 1, 1), 0.5 + 0.2j)
-    y = fp_core.mmse_filters(model.link_state(h, w, cfg.sigma2))
+    y = model.mmse_filters(model.link_state(h, w, cfg.sigma2))
     hw = h[0, 0, 0].conj() * (0.5 + 0.2j)
     expected = hw / (np.abs(hw) ** 2 + cfg.sigma2)
     assert y[0, 0, 0] == pytest.approx(expected, rel=1e-12)
@@ -46,7 +46,7 @@ def test_mmse_filter_scalar_case():
 def test_mmse_filter_zero_for_zero_w():
     cfg, ch, theta, w, h = build_instance(3)
     zero_w = np.zeros_like(w)
-    y = fp_core.mmse_filters(model.link_state(h, zero_w, cfg.sigma2))
+    y = model.mmse_filters(model.link_state(h, zero_w, cfg.sigma2))
     np.testing.assert_allclose(y, 0.0, atol=1e-30)
 
 
@@ -91,7 +91,7 @@ def test_block_ascent_of_aux_updates():
         before = f3_at(w, theta, stale, ch, cfg.sigma2)
 
         # exact Y step at fixed U never decreases the surrogate
-        y_new = fp_core.mmse_filters(model.link_state(h, w, cfg.sigma2))
+        y_new = model.mmse_filters(model.link_state(h, w, cfg.sigma2))
         mid = f3_at(w, theta, AuxState(u=stale.u, y=y_new), ch, cfg.sigma2)
         assert mid >= before - 1e-9 * abs(before)
 
@@ -170,7 +170,7 @@ def test_scalar_degenerate_transform():
     grid = u_star * np.linspace(0.2, 3.0, 41)
     assert all(f1_scalar(u) <= f1_scalar(u_star) + 1e-12 for u in grid)
     # the full evaluation path agrees with the scalar formula on the grid
-    y_star = fp_core.mmse_filters(model.link_state(h, w, s2))
+    y_star = model.mmse_filters(model.link_state(h, w, s2))
     for u in grid[::8]:
         aux = AuxState(u=np.array([[[u]]], complex), y=y_star)
         got = f3_at(w, None, aux, ch, s2)

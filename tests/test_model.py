@@ -212,7 +212,9 @@ def test_logdet_identity_paths_agree():
         cfg, ch, theta, w, h = build_instance(seed + 20)
         via_identity = model.sum_rate(ch, w, theta, cfg.sigma2)
         gamma = model.sinr(h, w, cfg.sigma2)
-        via_sinr = sum(model._logdet_hermitian(np.eye(g.shape[0]) + g) for g in gamma)
+        sign, logdet = np.linalg.slogdet(np.eye(cfg.m_u) + gamma)
+        np.testing.assert_allclose(sign, 1.0, atol=1e-12)
+        via_sinr = np.sum(logdet)
         assert via_identity == pytest.approx(via_sinr, rel=1e-9)
         for g in gamma:
             assert np.linalg.eigvalsh(g).min() > -1e-10
@@ -237,14 +239,17 @@ def test_beamformer_validate_rejects_relative_excess():
     def beams(*p):
         return BeamformerSet(w=np.sqrt(p).astype(complex).reshape(2, 1, 1), l=2)
 
-    # At a 1e-8 W budget the absolute 1e-6 W alone would pass twice the budget.
+    # The tolerance is relative (1e-8) at every budget.
     beams(1e-8, 1e-8 * (1 + 1e-9)).validate((1e-8,))
     with pytest.raises(ValueError, match="exceeds budget"):
         beams(1e-8, 2e-8).validate((1e-8,))
-    # At 0.1 W the relative tolerance is 1e-9 W, below the absolute one.
     beams(0.1, 0.1 * (1 + 1e-9)).validate((0.1,))
     with pytest.raises(ValueError, match="exceeds budget"):
         beams(0.1 * (1 + 1e-7), 0.1).validate((0.1,))
+    # 3.5e-6 W over a 1e4 W budget is 3.5e-10 relative.
+    beams(1e4, 1e4 * (1 + 3.5e-10)).validate((1e4,))
+    with pytest.raises(ValueError, match="exceeds budget"):
+        beams(1e4, 1e4 * (1 + 1e-7)).validate((1e4,))
 
 
 def test_phase_vector_validation():
@@ -258,33 +263,27 @@ def test_phase_vector_validation():
         model.PhaseVector(theta=bad, alpha=0.8).validate(discrete_levels=4)
 
 
-# ---- log-determinant guard ----
+# ---- the one positive-definiteness check ----
 
-def test_logdet_rejects_indefinite_matrix():
+# (covariance, user, matrix): one covariance of three users that is not
+# positive definite; every other covariance is the identity.
+NOT_PD = {
     # det = -3: slogdet returns sign -1 and log 3, which would read as a rate.
-    a = np.array([[2.0, 1j], [-1j, -1.0]])
-    assert np.linalg.eigvalsh(a).min() < 0
-    with pytest.raises(np.linalg.LinAlgError):
-        model._logdet_hermitian(a)
+    "indefinite": ("interference", 2, [[2.0, 1j], [-1j, -1.0]]),
+    "real_indefinite": ("interference", 2, [[1.0, 2.0], [2.0, 1.0]]),
+    # det = +1: a sign test cannot see an even count of negative eigenvalues.
+    "two_negative_eigenvalues": ("interference", 1, [[-1.0, 0.0], [0.0, -1.0]]),
+    "singular": ("interference", 2, np.outer([1.0, 1j], [1.0, -1j])),
+    "nan": ("interference", 0, [[1.0, np.nan], [np.nan, 1.0]]),
+    "receive": ("receive", 2, [[2.0, 1j], [-1j, -1.0]]),
+}
 
 
-def test_link_sinr_names_the_user_whose_covariance_is_not_pd():
-    b = np.ones((3, 3, 2, 2), complex)
-    v = np.stack([np.eye(2), np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])]).astype(complex)
-    with pytest.raises(np.linalg.LinAlgError, match="user 2 is not positive definite"):
-        model.link_sinr(model.LinkState(b=b, v=v, vbar=v))
-
-
-def test_link_rate_rejects_a_covariance_that_is_not_pd():
-    b = np.ones((2, 2, 2, 2), complex)
-    good = np.stack([np.eye(2), 2.0 * np.eye(2)]).astype(complex)
-    bad = good.copy()
-    bad[1] = np.array([[2.0, 1j], [-1j, -1.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        model.link_rate(model.LinkState(b=b, v=bad, vbar=good))
-
-
-def test_logdet_rejects_singular_matrix():
-    v = np.array([1.0, 1j, 0.5])
-    with pytest.raises(np.linalg.LinAlgError):
-        model._logdet_hermitian(np.outer(v, v.conj()))
+@pytest.mark.parametrize("case", sorted(NOT_PD))
+def test_cholesky_names_a_covariance_that_is_not_pd(case):
+    which, user, bad = NOT_PD[case]
+    vbar, v = (np.stack([np.eye(2, dtype=complex)] * 3) for _ in range(2))
+    (v if which == "interference" else vbar)[user] = bad
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=f"{which} covariance of user {user} is not positive definite"):
+        model._cholesky(vbar, v)

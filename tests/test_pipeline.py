@@ -112,12 +112,11 @@ def test_joint_optimize_monotone_and_feasible(solver):
 
 # Numerical edge cases at desk scale: the scenario change, and the error the
 # draw must raise (None: every scheme must return a solve that passes the
-# checks). p_max = 1e4 is not listed: there a discrete-M4 solve returned a BS
-# 3.5e-10 relative over its budget, within optimize_w's relative 1e-9 but
-# over BeamformerSet.validate's absolute 1e-6 W.
+# checks).
 EDGE_CASES = {
     "sigma2_1e-16": (dict(sigma2=1e-16), None),
     "p_max_1e-8": (dict(p_max=(1e-8,)), None),
+    "p_max_1e4": (dict(p_max=(1e4,)), None),
     "alpha_1e-3": (dict(alpha=1e-3), None),
     "ue_at_irs": ({}, "distance must be positive"),
 }
@@ -154,6 +153,18 @@ def test_edge_case_fails_loudly_or_works(case):
                 # The precoder step's own bound, 10x tighter than validate's
                 # relative tolerance.
                 assert (w.per_bs_power() <= np.asarray(cfg.p_max) * (1.0 + 1e-9)).all()
+
+
+def test_power_check_accepts_what_the_precoder_step_returns():
+    # One BS ends 3.5e-10 relative over its 1e4 W budget: within the W
+    # step's relative 1e-9, and 3.5e-6 W over in absolute terms.
+    cfg = desk_config(max_outer=4, p_max=(1e4,))
+    rng = np.random.default_rng(0)
+    geo = chan.sample_ue_positions(chan.default_geometry(cfg), rng)
+    ch = chan.sample_channels(cfg, geo, chan.sample_angles(cfg, rng), rng)
+    w, _, _ = pipeline.joint_optimize(ch, cfg, SchemeSpec(solver="discrete", levels=4), rng)
+    assert (w.per_bs_power() - 1e4).max() > 1e-6
+    w.validate(cfg.p_max)
 
 
 def test_trace_bounded_by_capacity_estimate():
@@ -252,7 +263,7 @@ def _reference_once(channels, opt, config, scheme, rng):
     lam = None
     for _ in range(config.max_outer):
         u = model.sinr(h, w, config.sigma2)
-        y = fp_core.mmse_filters(model.link_state(h, w, config.sigma2))
+        y = model.mmse_filters(model.link_state(h, w, config.sigma2))
         aux = fp_core.AuxState(u=u, y=y)
         w, lam, winfo = tx_opt.optimize_w(h, aux, config, lam=lam, w_prev=w)
         work, refused, bound_open = 0, False, False
