@@ -268,8 +268,6 @@ def test_phase_vector_validation():
 # (covariance, user, matrix): one covariance of three users that is not
 # positive definite; every other covariance is the identity.
 NOT_PD = {
-    # det = -3: slogdet returns sign -1 and log 3, which would read as a rate.
-    "indefinite": ("interference", 2, [[2.0, 1j], [-1j, -1.0]]),
     "real_indefinite": ("interference", 2, [[1.0, 2.0], [2.0, 1.0]]),
     # det = +1: a sign test cannot see an even count of negative eigenvalues.
     "two_negative_eigenvalues": ("interference", 1, [[-1.0, 0.0], [0.0, -1.0]]),
@@ -287,3 +285,29 @@ def test_cholesky_names_a_covariance_that_is_not_pd(case):
     with pytest.raises(np.linalg.LinAlgError,
                        match=f"{which} covariance of user {user} is not positive definite"):
         model._cholesky(vbar, v)
+
+
+def test_logdet_rejects_indefinite_matrix():
+    # det = -3: slogdet returns sign -1 and log 3, which would read as a rate;
+    # the log-determinants are read off Cholesky factors, which do not exist.
+    a = np.array([[2.0, 1j], [-1j, -1.0]])
+    assert np.linalg.slogdet(a) == pytest.approx((-1.0, np.log(3.0)))
+    eye = np.stack([np.eye(2, dtype=complex)] * 3)
+    v = eye.copy()
+    v[2] = a
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="interference covariance of user 2 is not positive definite"):
+        model._cholesky(eye, v)
+
+
+def test_link_rate_rejects_a_covariance_that_is_not_pd():
+    # Without noise and with user 1 silent, user 0 hears no interference:
+    # V_0 = 0 while Vbar_0 = B_00 B_00^H is PD. link_state refuses the point,
+    # so link_rate never reads a log-determinant of a singular covariance.
+    rng = np.random.default_rng(5)
+    h = crandn(rng, (4, 2, 2))
+    w = crandn(rng, (4, 2, 2))
+    w[:, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="interference covariance of user 0 is not positive definite"):
+        model.link_rate(model.link_state(h, w, 0.0))
