@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 
@@ -24,9 +25,13 @@ class SystemConfig:
     / ``beta_s`` the linear Rician factors of the reflector-related channels,
     ``alpha`` the reflecting efficiency (modulus of every reflection
     coefficient). The size of a discrete phase set belongs to the scheme
-    (``SchemeSpec.levels``). Construction rejects NaN in any field and an
-    infinite ``sigma2``, ``p_max`` entry, ``c0`` or ``eps3``; an infinite
-    Rician factor (pure line of sight) or path-loss exponent is kept.
+    (``SchemeSpec.levels``). Construction rejects NaN in any field, a
+    non-integer (or ``bool``) count or cap, an infinite ``sigma2``, ``p_max``
+    entry, ``c0`` or ``eps3``, ``c0`` <= 0 and a negative Rician factor or
+    path-loss exponent; an infinite Rician factor (pure line of sight) or
+    path-loss exponent is kept. ``c0`` is supported up to 1e5 (rates rise
+    about 13 bits per decade of it at desk scale); from 1e6 on, rounding
+    decides whether a draw fails to factor or returns a rate flat in c0.
 
     The inner solvers' settings are module constants beside their readers:
     ``tx_opt.EPS1`` = 1e-5 and ``tx_opt.MAX_DUAL`` = 500 (precoder dual),
@@ -57,6 +62,11 @@ class SystemConfig:
     max_aso: int = 200
 
     def __post_init__(self):
+        for f in fields(self):
+            # f.type is the annotation's text (postponed annotations).
+            value = getattr(self, f.name)
+            if f.type == "int" and (type(value) is bool or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if min(self.l, self.k, self.m_b, self.m_u) < 1:
             raise ValueError("l, k, m_b, m_u must all be >= 1")
         if self.r < 0:
@@ -69,8 +79,12 @@ class SystemConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 < self.sigma2 < math.inf:
             raise ValueError("sigma2 must be positive and finite")
-        if not math.isfinite(self.c0):
-            raise ValueError("c0 must be finite")
+        if not 0.0 < self.c0 < math.inf:
+            raise ValueError("c0 must be positive and finite")
+        # Every float field's range check is written so that NaN fails it.
+        if not all(x >= 0.0 for x in (self.beta_g, self.beta_s,
+                                      self.pathloss_direct, self.pathloss_irs)):
+            raise ValueError("Rician factors and path-loss exponents must be >= 0")
         if not 0.0 <= self.eps3 < math.inf:
             raise ValueError("eps3 must be >= 0 and finite")
         if min(self.max_outer, self.max_aso) < 1:
@@ -87,11 +101,6 @@ class SystemConfig:
         if not all(0.0 < v < math.inf for v in p):
             raise ValueError("p_max entries must be positive and finite")
         object.__setattr__(self, "p_max", p)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if any(isinstance(v, float) and math.isnan(v)
-                   for v in (value if isinstance(value, tuple) else (value,))):
-                raise ValueError(f"{f.name} must not be NaN")
 
     @property
     def n_irs_total(self) -> int:

@@ -139,6 +139,8 @@ class ExperimentSpec:
 def _parse_geometry(doc, base: SystemConfig):
     if doc is None:
         return chan.default_geometry(base), False
+    if not isinstance(doc, dict):
+        raise SpecError("spec.geometry: must be an object")
     try:
         center = float(doc.get("ue_center_x", 100.0))
         radius = float(doc.get("ue_radius", 10.0))

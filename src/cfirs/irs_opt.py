@@ -27,12 +27,8 @@ next build into it. Four solvers are provided:
 * exhaustive per-coordinate search over a discrete phase grid.
 
 The first and the last share one coordinate-ascent loop and differ only in
-the per-coordinate rule (best point of the circle or of the grid). The loop
-visits the coordinates in blocks of ceil(sqrt(RN)) with theta, omega and the
-block's diagonal sub-block of Zcal as Python complex numbers, and keeps Zcal
-theta as a numpy vector, updated once per block by the block's columns of
-Zcal; f7 after each sweep is read off that vector. The circle rule is
-cmath.rect(alpha, arg mu_i), within one ulp of alpha * exp(j arg mu_i).
+the per-coordinate rule (best point of the circle or of the grid). All
+solvers read f7 as ``eval_f7`` does: Re theta^H (2 omega - Zcal theta).
 """
 
 from __future__ import annotations
@@ -74,15 +70,15 @@ def build_cmcqp(
     with P = [G_k Y_k Ubar_k]_k and C = [G_k Y_k]_k (both RN x K*m_u) and
     W = [Ws_1 ... Ws_K] (L*m_b x K*m_u), Z = P C^H, Q = B B^H with B = S W,
     and Wcov = W W^H; A and E are never formed, as omega = diag(P M^H) with
-    M = S (W - Wcov [D_k Y_k]_k). Zcal is made exactly Hermitian once, in
-    place.
+    M = S (W - Wcov [D_k Y_k]_k). Zcal is Hermitian up to rounding, as the
+    two products give it; no reader needs exact symmetry.
 
     ``work`` is a complex (2, RN, RN) workspace: Zcal is written into
-    work[0], and work[1] is the only RN x RN scratch (first Q^T, formed as
-    the contiguous product conj(B) B^T, then Zcal^H for the Hermitian
-    average), so no strided RN x RN temporary is made. The returned zcal is
-    work[0] itself and is valid until the next build into the same
-    workspace. Without ``work`` the call allocates its own.
+    work[0], and work[1] is the only RN x RN scratch (Q^T, formed as the
+    contiguous product conj(B) B^T), so no strided RN x RN temporary is
+    made. The returned zcal is work[0] itself and is valid until the next
+    build into the same workspace. Without ``work`` the call allocates its
+    own.
     """
     wst = w.reshape(len(w), -1)
     wcov = wst @ wst.conj().T
@@ -101,17 +97,13 @@ def build_cmcqp(
     np.matmul(p, c.conj().T, out=zcal)
     np.matmul(b.conj(), b.T, out=scratch)
     zcal *= scratch
-    np.conjugate(zcal.T, out=scratch)
-    zcal += scratch
-    zcal *= 0.5
     return CmcQpData(zcal=zcal, omega=omega)
 
 
 def eval_f7(theta: np.ndarray, data: CmcQpData) -> float:
-    """Quadratic phase objective; concave over the torus (Zcal is PSD)."""
-    quad = np.real(theta.conj() @ data.zcal @ theta)
-    lin = 2.0 * np.real(theta.conj() @ data.omega)
-    return float(lin - quad)
+    """f7 = Re theta^H (2 omega - Zcal theta), the form every solver's trace
+    reads; concave over the torus (Zcal is PSD)."""
+    return float(np.vdot(theta, 2.0 * data.omega - data.zcal @ theta).real)
 
 
 def _alpha_of(theta: np.ndarray) -> float:
@@ -173,8 +165,8 @@ def _grid_rule(alpha: float, levels: int):
 def _ascend(theta0, data: CmcQpData, best, eps2: float, max_sweeps: int):
     """Cyclic coordinate ascent: each visit sets theta_i <- best(mu_i, theta_i)
     with mu_i = omega_i - sum_{n != i} Zcal[i, n] theta_n, keeping Zcal theta
-    up to date. Stops after a sweep whose f7 change is at most eps2.
-    Returns (theta, trace), trace[u] being f7 after sweep u.
+    up to date. Stops after a sweep whose f7 change is at most eps2 *
+    max(1, |trace[0]|). Returns (theta, trace), trace[u] the f7 after sweep u.
 
     A sweep visits the coordinates in order, in consecutive blocks of
     b = ceil(sqrt(RN)). theta, omega and the block's b x b diagonal sub-block
@@ -192,6 +184,7 @@ def _ascend(theta0, data: CmcQpData, best, eps2: float, max_sweeps: int):
     zcal, two_omega = data.zcal, 2.0 * data.omega
     zth = zcal @ theta
     trace = [float(np.vdot(theta, two_omega - zth).real)]
+    tol = eps2 * max(1.0, abs(trace[0]))
     size = math.isqrt(nn - 1) + 1
     blocks = []
     for s in range(0, nn, size):
@@ -217,7 +210,7 @@ def _ascend(theta0, data: CmcQpData, best, eps2: float, max_sweeps: int):
                 zth += cols @ np.array(deltas)
         theta = np.array(th)
         trace.append(float(np.vdot(theta, two_omega - zth).real))
-        if abs(trace[-1] - trace[-2]) <= eps2:
+        if abs(trace[-1] - trace[-2]) <= tol:
             break
     return theta, trace
 
@@ -230,9 +223,7 @@ def aso_solve(theta0, data: CmcQpData, eps2: float = EPS2, max_sweeps: int = 200
     Returns (theta, trace) where trace[u] is the objective after sweep u
     (trace[0] is the starting value); the sequence is non-decreasing.
     """
-    alpha = _alpha_of(theta0)
-    tol = eps2 * max(1.0, abs(eval_f7(theta0, data)))
-    return _ascend(theta0, data, _circle_rule(alpha), tol, max_sweeps)
+    return _ascend(theta0, data, _circle_rule(_alpha_of(theta0)), eps2, max_sweeps)
 
 
 def qcr_relax(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000):
@@ -338,14 +329,8 @@ def qcr_solve(theta0, data: CmcQpData, tol: float = 1e-10, max_iter: int = 5000)
     rate evaluation uses the feasible (projected) vector.
     """
     relaxed, trace = qcr_relax(theta0, data, tol=tol, max_iter=max_iter)
-    if relaxed.size == 0:
-        return relaxed.copy(), relaxed, trace
     alpha = _alpha_of(theta0)
-    projected = np.where(
-        relaxed != 0,
-        alpha * np.exp(1j * np.angle(relaxed)),
-        theta0,
-    )
+    projected = np.where(relaxed != 0, alpha * np.exp(1j * np.angle(relaxed)), theta0)
     return projected, relaxed, trace
 
 
@@ -409,7 +394,7 @@ def sdr_solve(data: CmcQpData, alpha: float, n_randomizations: int = 200, *,
     candidates are V's top left singular vector and V zeta for standard
     complex Gaussian zeta in C^p (V zeta ~ CN(0, X) up to a scale); each is
     scored by f7 at its projection (phases relative to its last entry,
-    modulus alpha), and the best projection is returned.
+    modulus alpha) in ``eval_f7``'s form, and the best projection is kept.
 
     Returns (theta, sdp_value, converged): sdp_value is the certified upper
     bound on the SDP, hence on the lifted value of any feasible theta;
@@ -431,8 +416,8 @@ def sdr_solve(data: CmcQpData, alpha: float, n_randomizations: int = 200, *,
     cands = np.concatenate([lead, v @ (zeta[0] + 1j * zeta[1])], axis=1)
     ref = cands[nn]
     thetas = alpha * np.exp(1j * np.angle(cands[:nn] * np.where(ref != 0, ref.conj(), 1.0)))
-    scores = (2.0 * (data.omega.conj() @ thetas).real
-              - np.einsum("ij,ij->j", thetas.conj(), data.zcal @ thetas).real)
+    resid = 2.0 * data.omega[:, None] - data.zcal @ thetas
+    scores = np.einsum("ij,ij->j", thetas.conj(), resid).real
     theta = thetas[:, int(np.argmax(scores))]
     return theta, bound, bound - value <= _GAP_TOL * max(1.0, abs(bound))
 

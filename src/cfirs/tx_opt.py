@@ -63,10 +63,11 @@ class QuadraticForm:
     L*m_b x K*m_u matrix ``c_rows``, the right-hand side [C | I], diag(A) and
     one L*m_b x L*m_b buffer holding A off the diagonal, so ``solve`` only
     writes a_ii + lambda_l into the buffer's diagonal before each
-    factorization. After a solve, ``inverse`` holds M(lambda)^{-1}.
+    factorization. After a solve, ``inverse`` holds M(lambda)^{-1}. ``a`` is
+    Hermitian up to rounding, as its product gives it; no reader needs more.
     """
 
-    a: np.ndarray        # (L*m_b, L*m_b) Hermitian PSD
+    a: np.ndarray        # (L*m_b, L*m_b) Hermitian PSD up to rounding
     c: np.ndarray        # (L*m_b, K, m_u)
     l: int
     m_b: int
@@ -88,7 +89,6 @@ class QuadraticForm:
         c = model.per_user(hy, aux.ubar)
         # A = sum_k C_k (Hs_k Y_k)^H, one product over the users stacked.
         a = c.reshape(len(h), -1) @ hy.reshape(len(h), -1).conj().T
-        a = 0.5 * (a + a.conj().T)
         return cls(a=a, c=c, l=l, m_b=len(h) // l)
 
     def value(self, w: np.ndarray) -> float:

@@ -37,6 +37,12 @@ tracer.restore()
 print(json.dumps(layers.missing_metrics(tracer)))
 """
 
+_FULL_PRESET_MATCHES = """
+import workloads
+from cfirs.config import SystemConfig, full_config
+print(SystemConfig(**workloads.FULL_BASE) == full_config())
+"""
+
 
 def _run(*args, path=()):
     env = dict(os.environ)
@@ -68,3 +74,11 @@ def test_benchmark_reads_every_per_layer_metric():
     out = _run("-c", _MISSING_METRICS, path=(str(ROOT / "perfbench"),))
     missing = json.loads(out.strip().splitlines()[-1])
     assert set(missing) <= KNOWN_MISSING, sorted(set(missing) - KNOWN_MISSING)
+
+
+def test_benchmark_full_preset_is_full_config():
+    # The benchmark keeps its own copy of the full-scale preset; a change to
+    # either copy alone would make the full-scale workloads measure another
+    # scenario than the package's full_config.
+    out = _run("-c", _FULL_PRESET_MATCHES, path=(str(ROOT / "perfbench"),))
+    assert out.strip().splitlines()[-1] == "True"

@@ -94,6 +94,14 @@ BAD_BASES = {
     "eps3_nan": {"eps3": NAN}, "eps3_inf": {"eps3": INF}, "eps3_negative": {"eps3": -1e-4},
     "beta_g_nan": {"beta_g": NAN}, "pathloss_irs_nan": {"pathloss_irs": NAN},
     "max_outer_zero": {"max_outer": 0}, "max_aso_zero": {"max_aso": 0},
+    "c0_zero": {"c0": 0.0}, "c0_negative": {"c0": -1e-3},
+    "beta_g_negative": {"beta_g": -1.0}, "beta_s_negative": {"beta_s": -1.0},
+    "pathloss_direct_negative": {"pathloss_direct": -1.0},
+    "pathloss_irs_negative": {"pathloss_irs": -2.2},
+    "k_fractional": {"k": 2.5}, "k_float": {"k": 2.0},
+    "l_float": {"l": 2.0, "p_max": [0.1, 0.1]},
+    "r_fractional": {"r": 1.5}, "m_u_bool": {"m_u": True},
+    "max_outer_fractional": {"max_outer": 3.5},
 }
 
 
@@ -116,6 +124,7 @@ BAD_BASES = {
     {"schemes": [{"solver": "aso", "csi_error_rho": float("inf")}]},
     {"sweep": "csi_error_rho", "sweep_values": [0.0, float("nan")]},
     {"schemes": [{"solver": "aso", "levels": 4}]},
+    {"geometry": [1, 2]},
     *({"base": dict(MINIMAL_BASE, **bad)} for bad in BAD_BASES.values()),
 ], ids=[
     "iterations_negative", "iterations_zero", "iterations_string", "iterations_csi_error",
@@ -123,7 +132,7 @@ BAD_BASES = {
     "n_phase_shifts_fractional", "efficiency_above_one", "values_repeated",
     "center_of_fixed_ues", "n_seeds_string", "master_seed_string", "master_seed_negative",
     "schemes_empty", "csi_error_rho_nan", "csi_error_rho_inf", "csi_error_rho_sweep_nan",
-    "levels_on_aso", *BAD_BASES,
+    "levels_on_aso", "geometry_not_object", *BAD_BASES,
 ])
 def test_bad_spec_exits_2_before_any_solve(tmp_path, monkeypatch, over):
     def no_solve(*args, **kwargs):

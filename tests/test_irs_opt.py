@@ -98,6 +98,11 @@ def test_f7_trace_form_oracle():
     assert irs_opt.eval_f7(theta, data) == pytest.approx(expected, rel=1e-9)
 
 
+def _assert_hermitian_to_rounding(zcal):
+    # build_cmcqp leaves Zcal as its two products give it.
+    assert np.max(np.abs(zcal - zcal.conj().T)) <= 1e-14 * np.max(np.abs(zcal))
+
+
 # The full-scale scenario: 6 BSs x 4 antennas, 4 UEs x 2 antennas, 3 x 60
 # elements (RN = 180).
 FULL_SCALE = dataclasses.asdict(full_config())
@@ -113,7 +118,21 @@ def test_build_matches_dense_definition():
         assert np.linalg.norm(data.omega - dense_omega) <= 1e-12 * np.linalg.norm(dense_omega)
         dense_zcal = z * q.T
         assert np.linalg.norm(data.zcal - dense_zcal) <= 1e-12 * np.linalg.norm(dense_zcal)
-        assert np.array_equal(data.zcal, data.zcal.conj().T)
+        _assert_hermitian_to_rounding(data.zcal)
+
+
+@pytest.mark.parametrize("over", [
+    dataclasses.asdict(desk_config(n=32, n_h=8, n_v=4)),  # RN = 64
+    FULL_SCALE,
+], ids=["desk", "full"])
+def test_f7_is_every_solver_first_trace_entry(over):
+    # One formula: the f7 a caller (the outer loop's guard) reads at the
+    # start equals each solver's own starting value, bit for bit.
+    for seed in range(3):
+        _, _, theta, _, _, data = _system_cmcqp(seed, **over)
+        f7 = irs_opt.eval_f7(theta, data)
+        assert irs_opt.aso_solve(theta, data, max_sweeps=1)[1][0] == f7
+        assert irs_opt.qcr_relax(theta, data, max_iter=1)[1][0] == f7
 
 
 @pytest.mark.parametrize("over", [
@@ -129,7 +148,7 @@ def test_build_into_workspace_matches_fresh_build(over):
         got = irs_opt.build_cmcqp(ch, w_in, aux, work)
     assert np.array_equal(got.zcal, fresh.zcal)
     assert np.array_equal(got.omega, fresh.omega)
-    assert np.array_equal(got.zcal, got.zcal.conj().T)
+    _assert_hermitian_to_rounding(got.zcal)
     assert np.shares_memory(got.zcal, work[0])
 
 
