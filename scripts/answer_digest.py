@@ -7,10 +7,10 @@ The digest is one JSON file with three sections:
   outer iteration the dual iterations, whether the dual converged, the phase
   step's work, whether it was refused and whether the extrapolated phases
   were kept, so equal digests mean the same answers from the same work. The
-  solves are aso, qcr, sdr, discrete-M4, random and none on
-  ``realize_channels(desk_config(), ..., 5, seed)``, and full-scale qcr and
-  aso at ``max_outer`` 6 on master 1, each scheme with its
-  ``scheme_seed_key`` generator.
+  solves are aso, qcr, sdr, discrete-M4, random and none on the desk draws
+  of master 5, full-scale qcr and aso at ``max_outer`` 6 on master 1, and
+  desk aso and qcr at ``n_starts`` 3 on master 5 (2 seeds), each drawn and
+  solved by ``pipeline.solve_realization``.
 - ``sweeps``: the ``results.csv`` rows, without ``wall_ms``, of four desk CLI
   sweeps at master 7: ``n_phase_shifts`` {8, 16} with the seven preset
   schemes (3 seeds), ``iterations`` {1, 2, 5, 12} with aso and discrete-M2
@@ -98,15 +98,15 @@ def _solve_record(trace) -> dict:
 
 def solves(seeds: int) -> dict:
     out = {}
-    panels = [("desk", desk_config(), DESK_SCHEMES, 5),
-              ("full", full_config(max_outer=6),
-               [SchemeSpec(solver="qcr"), SchemeSpec(solver="aso")], 1)]
-    for name, cfg, schemes, master in panels:
-        for seed in range(seeds):
-            channels = pipeline.realize_channels(cfg, chan.default_geometry(cfg), master, seed)
-            for scheme in schemes:
-                rng = np.random.default_rng(pipeline.scheme_seed_key(master, seed, scheme.label))
-                _, _, trace = pipeline.joint_optimize(channels, cfg, scheme, rng)
+    aso, qcr = SchemeSpec(solver="aso"), SchemeSpec(solver="qcr")
+    # (name, config, schemes, master seed, starts, seeds)
+    panels = [("desk", desk_config(), DESK_SCHEMES, 5, 1, seeds),
+              ("full", full_config(max_outer=6), [qcr, aso], 1, 1, seeds),
+              ("desk n_starts=3", desk_config(), [aso, qcr], 5, 3, min(2, seeds))]
+    for name, cfg, schemes, master, n_starts, n_seeds in panels:
+        for seed in range(n_seeds):
+            for scheme, trace, _ in pipeline.solve_realization(
+                    cfg, chan.default_geometry(cfg), schemes, master, seed, n_starts=n_starts):
                 out[f"{name} {scheme.label} seed {seed}"] = _solve_record(trace)
     return out
 

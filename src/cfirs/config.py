@@ -26,12 +26,14 @@ class SystemConfig:
     ``alpha`` the reflecting efficiency (modulus of every reflection
     coefficient). The size of a discrete phase set belongs to the scheme
     (``SchemeSpec.levels``). Construction rejects NaN in any field, a
-    non-integer (or ``bool``) count or cap, an infinite ``sigma2``, ``p_max``
-    entry, ``c0`` or ``eps3``, ``c0`` <= 0 and a negative Rician factor or
-    path-loss exponent; an infinite Rician factor (pure line of sight) or
-    path-loss exponent is kept. ``c0`` is supported up to 1e5 (rates rise
-    about 13 bits per decade of it at desk scale); from 1e6 on, rounding
-    decides whether a draw fails to factor or returns a rate flat in c0.
+    ``bool`` in any field or ``p_max`` entry, a non-integer count or cap, an
+    infinite ``sigma2``, ``p_max`` entry, ``c0`` or ``eps3``, ``c0`` <= 0 and
+    a negative Rician factor or path-loss exponent; an infinite Rician factor
+    (pure line of sight) or path-loss exponent is kept. ``c0`` is supported
+    up to 1e5 at desk scale (rates rise about 13 bits per decade of it) and
+    up to 1e3 at full scale; above, sigma2 falls below the rounding of the
+    receive power, which grows as c0^2 through the surfaces, and
+    ``model.link_state`` raises ``LinAlgError``.
 
     The inner solvers' settings are module constants beside their readers:
     ``tx_opt.EPS1`` = 1e-5 and ``tx_opt.MAX_DUAL`` = 500 (precoder dual),
@@ -65,7 +67,9 @@ class SystemConfig:
         for f in fields(self):
             # f.type is the annotation's text (postponed annotations).
             value = getattr(self, f.name)
-            if f.type == "int" and (type(value) is bool or not isinstance(value, numbers.Integral)):
+            if type(value) is bool and f.type != "tuple":
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "int" and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if min(self.l, self.k, self.m_b, self.m_u) < 1:
             raise ValueError("l, k, m_b, m_u must all be >= 1")
@@ -89,13 +93,12 @@ class SystemConfig:
             raise ValueError("eps3 must be >= 0 and finite")
         if min(self.max_outer, self.max_aso) < 1:
             raise ValueError("max_outer and max_aso must be >= 1")
-        p = self.p_max
-        if isinstance(p, (int, float)):
-            p = (float(p),) * self.l
-        else:
-            p = tuple(float(v) for v in p)
-            if len(p) == 1:
-                p = p * self.l
+        p = tuple((self.p_max,) if isinstance(self.p_max, (int, float)) else self.p_max)
+        if any(type(v) is bool for v in p):
+            raise ValueError(f"p_max entries must be numbers, got {self.p_max!r}")
+        p = tuple(float(v) for v in p)
+        if len(p) == 1:
+            p = p * self.l
         if len(p) != self.l:
             raise ValueError(f"p_max needs {self.l} entries, got {len(p)}")
         if not all(0.0 < v < math.inf for v in p):

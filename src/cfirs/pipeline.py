@@ -26,15 +26,17 @@ theta_e only when its rate at W is strictly above that of theta+; the
 iteration then ends at the higher of the two rates, and a kept theta_e's
 link state is the one the next iteration reads. beta starts at 0.5 for each
 start, grows by 1.5 on a kept step up to 3 and halves on a rejected one down
-to 0.1. The loop stops at ``max_outer`` or when ``stalled`` holds, the one
-stop rule.
+to 0.1.
 
-Each outer iteration leaves one ``Step`` record (its rate, time, stage
-times, dual and phase-step work); a ``RunTrace`` is the start rate, those
-steps, the stop flag and the final rate on the true channels.
-``RunTrace.upto`` cuts a trace after a number of steps, and the cut is the
-run that ``max_outer`` at that number would have made, so the experiment
-CLI's ``iterations`` sweep writes each cap's row from one cut.
+A start (``_start``) runs these iterations on the estimated channels alone
+and yields one ``Step`` per iteration (its rate, time, stage times, dual and
+phase-step work). ``joint_optimize`` resumes each start until ``max_outer``
+or ``stalled``, the one stop rule, keeps the start with the best rate on the
+estimate and reads the true channels once, for that start's final rate. A
+``RunTrace`` holds the start rate, the steps, the stop flag and that rate;
+``RunTrace.upto`` cuts it after a number of steps into the run that
+``max_outer`` at that number would have made, so the experiment CLI's
+``iterations`` sweep writes each cap's row from one cut.
 
 ``solve_realization`` is the one experiment runner (draw, solve, time),
 ``result_row`` turns one of its solves into a results row (``ROW_COLUMNS``)
@@ -45,6 +47,7 @@ one mean / standard-error reduction.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -121,11 +124,14 @@ class SchemeSpec:
     def __post_init__(self):
         if self.solver not in PHASE_SOLVERS:
             raise ValueError(f"unknown phase solver {self.solver!r}")
+        if type(self.levels) is bool or not isinstance(self.levels, (int, np.integer)):
+            raise ValueError(f"levels must be an integer, got {self.levels!r}")
         if self.levels < 2 if self.solver == "discrete" else self.levels != 0:
             raise ValueError(f"levels must be >= 2 for discrete and 0 for {self.solver!r}")
         # NaN fails every comparison, so it would pass a bare ">= 0" check.
-        if not math.isfinite(self.csi_error_rho) or self.csi_error_rho < 0:
-            raise ValueError(f"csi_error_rho must be finite and >= 0, got {self.csi_error_rho!r}")
+        rho = self.csi_error_rho
+        if type(rho) is bool or not math.isfinite(rho) or rho < 0:
+            raise ValueError(f"csi_error_rho must be finite, >= 0 and not a bool, got {rho!r}")
         if not self.label:
             label = self.solver.upper()
             if self.solver == "discrete":
@@ -246,19 +252,13 @@ def joint_optimize(channels: ChannelSet, config: SystemConfig, scheme: SchemeSpe
                    rng: np.random.Generator, n_starts: int = 1):
     """Run the alternating optimizer for one channel realization.
 
-    Returns (BeamformerSet, PhaseVector, RunTrace). The trace's rate sequence
-    refers to the channels the optimizer saw (perturbed when
-    scheme.csi_error_rho > 0); ``final_sum_rate_true`` is always evaluated on
-    the true channels.
+    Returns (BeamformerSet, PhaseVector, RunTrace), W stacked. Every start
+    runs on one channel estimate (perturbed when scheme.csi_error_rho > 0),
+    and the trace's rates are on it; ``final_sum_rate_true`` is read on the
+    true channels once, at the kept start's (W, theta).
 
     ``n_starts`` > 1 restarts from fresh random phases and keeps the start
-    with the best rate on the optimizer's channels (the true channels are
-    never consulted for the choice). All starts share one channel estimate.
-
-    Every start reads the stacked arrays of both channel sets, each formed
-    once per set (so a draw's true channels are stacked once for all the
-    schemes solved on them; at rho = 0 the estimate is the true set itself),
-    and the ``BeamformerSet`` holds the stacked W.
+    with the best rate on the estimate.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -268,10 +268,20 @@ def joint_optimize(channels: ChannelSet, config: SystemConfig, scheme: SchemeSpe
     opt_channels = chan.apply_csi_error(channels, scheme.csi_error_rho, rng)
     best = None
     for _ in range(n_starts):
-        w, theta, trace = _optimize_once(channels, opt_channels, config, scheme, rng)
-        if best is None or trace.sum_rate[-1] > best[2].sum_rate[-1]:
-            best = (w, theta, trace)
-    w, theta, trace = best
+        start = _start(opt_channels, config, scheme, rng)
+        w, theta, start_rate = next(start)
+        rate, steps, converged = start_rate, [], False
+        for w, theta, step in itertools.islice(start, config.max_outer):
+            steps.append(step)
+            converged = stalled(rate, step.rate, config.eps3)
+            if converged:
+                break
+            rate = step.rate
+        if best is None or steps[-1].rate > best[3][-1].rate:
+            best = (w, theta, start_rate, tuple(steps), converged)
+    w, theta, start_rate, steps, converged = best
+    final = model.sum_rate(channels, w, theta, config.sigma2)
+    trace = RunTrace(start_rate, steps, converged, final)
     phases = theta if theta is not None else np.zeros(0, complex)
     return BeamformerSet(w=w, l=config.l), PhaseVector(theta=phases, alpha=config.alpha), trace
 
@@ -288,24 +298,21 @@ def _extrapolated(theta, prev, beta):
     return theta * np.exp(1j * beta * np.angle(theta * prev.conj()))
 
 
-def _optimize_once(true, opt, config, scheme, rng):
-    """One start on the channels ``opt``; the final rate is read on the true
-    channels ``true``. Returns (W, theta, RunTrace) with W stacked and theta
-    None when the scheme uses no surfaces."""
+def _start(opt, config, scheme, rng):
+    """One start on the channels ``opt``, resumed by its caller: yields its
+    start point (W, theta, rate), then (W, theta, Step) after each outer
+    iteration. W is stacked and theta None when the scheme uses no surfaces."""
     start = time.perf_counter()
     theta = _init_theta(config, scheme, rng)
     row = PHASE_STEPS.get(scheme.solver) if theta is not None else None
     work = np.empty((2, theta.size, theta.size), complex) if row is not None else None
     beta = _BETA_START
-
     h = model.effective_channel(opt, theta)
     w = model.matched_filter_init(h, config.p_max)
-
     link = model.link_state(h, w, config.sigma2)
-    start_rate = rate = model.link_rate(link)
-    steps, converged = [], False
+    yield w, theta, model.link_rate(link)
     lam = None
-    for _ in range(config.max_outer):
+    while True:
         t0 = time.perf_counter()
         u = model.link_sinr(link)
         t1 = time.perf_counter()
@@ -339,16 +346,9 @@ def _optimize_once(true, opt, config, scheme, rng):
             else:
                 beta = max(_BETA_MIN, beta * _BETA_SHRINK)
         t4 = time.perf_counter()
-        steps.append(Step(new_rate, t4 - start, (t1 - t0, t2 - t1, t3 - t2, t4 - t3),
-                          winfo["iterations"], winfo["converged"], phase_work, refused, kept,
-                          bound_open))
-        if stalled(rate, new_rate, config.eps3):
-            converged = True
-            break
-        rate = new_rate
-
-    final = model.sum_rate(true, w, theta, config.sigma2)
-    return w, theta, RunTrace(start_rate, tuple(steps), converged, final)
+        yield w, theta, Step(new_rate, t4 - start, (t1 - t0, t2 - t1, t3 - t2, t4 - t3),
+                             winfo["iterations"], winfo["converged"], phase_work, refused, kept,
+                             bound_open)
 
 
 def scheme_seed_key(master_seed: int, seed_index: int, label: str) -> np.random.SeedSequence:

@@ -23,7 +23,8 @@ def test_one_seed_panel(tmp_path):
     doc = json.loads(out.read_text())
     assert sorted(doc["solves"]) == sorted(
         [f"desk {label} seed 0" for label in ("ASO", "QCR", "SDR", "DISCRETE-M4", "RANDOM", "NONE")]
-        + ["full QCR seed 0", "full ASO seed 0"])
+        + ["full QCR seed 0", "full ASO seed 0"]
+        + ["desk n_starts=3 ASO seed 0", "desk n_starts=3 QCR seed 0"])
     # The record is the solve's own trace, at float hex.
     cfg = desk_config()
     scheme = pipeline.SchemeSpec(solver="aso")
@@ -39,6 +40,12 @@ def test_one_seed_panel(tmp_path):
     for name in ("dual_converged", "phase_work", "phase_refused", "extrapolated"):
         assert record[name] == [getattr(s, name) for s in trace.steps], name
     assert sum(record["phase_work"]) > 0 and any(record["extrapolated"])
+    # The 3-start panel records the kept start of a 3-start solve.
+    rng = np.random.default_rng(pipeline.scheme_seed_key(5, 0, scheme.label))
+    best = pipeline.joint_optimize(channels, cfg, scheme, rng, n_starts=3)[2]
+    record = doc["solves"]["desk n_starts=3 ASO seed 0"]
+    assert [float.fromhex(x) for x in record["sum_rate"]] == best.sum_rate
+    assert float.fromhex(record["final_sum_rate_true"]) == best.final_sum_rate_true
     full = doc["solves"]["full QCR seed 0"]
     assert full["iterations"] == len(full["dual_iterations"]) <= 6
     # One seed per sweep: n_phase_shifts 2 values x 7 schemes, iterations

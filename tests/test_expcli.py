@@ -102,6 +102,8 @@ BAD_BASES = {
     "l_float": {"l": 2.0, "p_max": [0.1, 0.1]},
     "r_fractional": {"r": 1.5}, "m_u_bool": {"m_u": True},
     "max_outer_fractional": {"max_outer": 3.5},
+    "alpha_bool": {"alpha": True}, "sigma2_bool": {"sigma2": True},
+    "c0_bool": {"c0": True}, "p_max_bool": {"p_max": [True]},
 }
 
 
@@ -124,6 +126,9 @@ BAD_BASES = {
     {"schemes": [{"solver": "aso", "csi_error_rho": float("inf")}]},
     {"sweep": "csi_error_rho", "sweep_values": [0.0, float("nan")]},
     {"schemes": [{"solver": "aso", "levels": 4}]},
+    {"schemes": [{"solver": "discrete", "levels": 2.5}]},
+    {"schemes": [{"solver": "discrete", "levels": 4.0}]},
+    {"schemes": [{"solver": "aso", "csi_error_rho": True}]},
     {"geometry": [1, 2]},
     *({"base": dict(MINIMAL_BASE, **bad)} for bad in BAD_BASES.values()),
 ], ids=[
@@ -132,7 +137,8 @@ BAD_BASES = {
     "n_phase_shifts_fractional", "efficiency_above_one", "values_repeated",
     "center_of_fixed_ues", "n_seeds_string", "master_seed_string", "master_seed_negative",
     "schemes_empty", "csi_error_rho_nan", "csi_error_rho_inf", "csi_error_rho_sweep_nan",
-    "levels_on_aso", "geometry_not_object", *BAD_BASES,
+    "levels_on_aso", "levels_fractional", "levels_float", "csi_error_rho_bool",
+    "geometry_not_object", *BAD_BASES,
 ])
 def test_bad_spec_exits_2_before_any_solve(tmp_path, monkeypatch, over):
     def no_solve(*args, **kwargs):

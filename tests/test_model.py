@@ -311,3 +311,19 @@ def test_link_rate_rejects_a_covariance_that_is_not_pd():
     with pytest.raises(np.linalg.LinAlgError,
                        match="interference covariance of user 0 is not positive definite"):
         model.link_rate(model.link_state(h, w, 0.0))
+
+
+def test_link_state_refuses_noise_lost_in_rounding():
+    # User 1 receives about 1e11 W: a noise power below eps times that is
+    # lost from V_1, and the point is refused naming the user; above, not.
+    rng = np.random.default_rng(5)
+    h = crandn(rng, (4, 2, 2))
+    w = crandn(rng, (4, 2, 2))
+    h[:, 1] *= 1e5
+    power = np.diagonal(model.link_state(h, w, 1.0).vbar, axis1=-2, axis2=-1).real
+    assert power[1].max() > 1e10 and power[0].max() < 1e3
+    lost = np.finfo(float).eps * power.max()
+    model.link_state(h, w, 2.0 * lost)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="noise power .* of user 1 is below the rounding of its receive power"):
+        model.link_state(h, w, 0.5 * lost)

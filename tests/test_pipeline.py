@@ -34,6 +34,14 @@ def test_scheme_rejects_bad_solver():
         SchemeSpec(solver="aso", levels=4)
 
 
+def test_spec_numbers_accept_numpy_scalars():
+    # A spec's numbers must be numbers, and numpy's count as such.
+    assert SchemeSpec(solver="discrete", levels=np.int64(4)).label == "DISCRETE-M4"
+    assert SchemeSpec(solver="aso", csi_error_rho=np.float64(0.1)).label == "ASO rho=0.1"
+    cfg = desk_config(max_outer=np.int64(3), alpha=np.float64(0.5), p_max=(np.float64(0.2),))
+    assert (cfg.max_outer, cfg.alpha, cfg.p_max) == (3, 0.5, (0.2,) * cfg.l)
+
+
 @pytest.mark.parametrize("rho", [float("nan"), float("inf"), float("-inf")])
 def test_scheme_rejects_non_finite_csi_error(rho):
     # NaN would otherwise be labelled plain ASO, share the unperturbed
@@ -119,6 +127,8 @@ EDGE_CASES = {
     "p_max_1e4": (dict(p_max=(1e4,)), None),
     "alpha_1e-3": (dict(alpha=1e-3), None),
     "ue_at_irs": ({}, "distance must be positive"),
+    # Gains 1e11 above the default: sigma2 is lost in the rounding of V.
+    "c0_1e8": (dict(c0=1e8), "below the rounding of its receive power"),
 }
 ALL_SCHEMES = [SchemeSpec(solver=s) for s in ("aso", "qcr", "sdr", "random", "none")] + [
     SchemeSpec(solver="discrete", levels=4)]
@@ -138,8 +148,10 @@ def test_edge_case_fails_loudly_or_works(case):
             # A silent overflow or NaN in numpy is not loud enough.
             warnings.simplefilter("error", RuntimeWarning)
             if error is not None:
+                # The draw fails, or else the first solve on it.
                 with pytest.raises(ValueError, match=error):
-                    chan.sample_channels(cfg, geo, chan.sample_angles(cfg, rng), rng)
+                    ch = chan.sample_channels(cfg, geo, chan.sample_angles(cfg, rng), rng)
+                    pipeline.joint_optimize(ch, cfg, ALL_SCHEMES[0], rng)
                 continue
             ch = chan.sample_channels(cfg, geo, chan.sample_angles(cfg, rng), rng)
             for scheme in ALL_SCHEMES:
@@ -337,16 +349,37 @@ def test_loop_matches_per_quantity_reference(case):
     np.testing.assert_array_equal(theta.theta, ref_theta)
 
 
+def _spy_starts(monkeypatch, events):
+    """Wrap ``pipeline._start``. Returns a list that gets one [calls, trace,
+    end] per start: its ``events`` from its first resumption to its last
+    yield, a ``RunTrace`` of what it yielded (stop flag and true-channel rate
+    left None) and the index in ``events`` where its last yield stood."""
+    starts, real_start = [], pipeline._start
+
+    def start_spy(*args):
+        record, first, yielded = [], len(events), []
+        starts.append(record)
+        for out in real_start(*args):
+            yielded.append(out[2])
+            trace = pipeline.RunTrace(yielded[0], tuple(yielded[1:]), None, None)
+            record[:] = events[first:], trace, len(events)
+            yield out
+
+    monkeypatch.setattr(pipeline, "_start", start_spy)
+    return starts
+
+
 @pytest.mark.parametrize("solver", ["aso", "qcr", "discrete", "random", "none"])
 def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
-    # Per start: the effective channel at the initial phases, after every
-    # phase step and on the true channels at the end; the link state at the
-    # start, after every iteration and for the final rate. Each attempted
-    # extrapolation (ASO or QCR, after a step that moved the phases) adds one
-    # channel and one link state.
-    events, starts = [], []
+    # Per start: the effective channel at the initial phases and after every
+    # phase step; the link state at the start and after every iteration.
+    # Each attempted extrapolation (ASO or QCR, after a step that moved the
+    # phases) adds one channel and one link state. Per call, after the
+    # starts: one channel and one link state on the true channels, at the
+    # kept start's phases, for the final rate.
+    events = []
     real_channel, real_links = model.effective_channel, model.link_matrices
-    real_step, real_once = pipeline._phase_step, pipeline._optimize_once
+    real_step = pipeline._phase_step
 
     def channel_spy(channels, theta):
         events.append(("channel", None if theta is None else np.array(theta), False))
@@ -361,22 +394,22 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
         events.append(("step", np.array(theta), not np.array_equal(out[0], theta)))
         return out
 
-    def once_spy(*args):
-        first = len(events)
-        out = real_once(*args)
-        starts.append((events[first:], out[2]))
-        return out
-
+    cfg, ch, _, _, _ = build_instance(9, **_SMALL)
     monkeypatch.setattr(model, "effective_channel", channel_spy)
     monkeypatch.setattr(model, "link_matrices", links_spy)
     monkeypatch.setattr(pipeline, "_phase_step", step_spy)
-    monkeypatch.setattr(pipeline, "_optimize_once", once_spy)
-    cfg, ch, _, _, _ = build_instance(9, **_SMALL)
+    starts = _spy_starts(monkeypatch, events)
     scheme = SchemeSpec(solver=solver, levels=4 if solver == "discrete" else 0)
-    pipeline.joint_optimize(ch, cfg, scheme, np.random.default_rng(9), n_starts=2)
+    _, theta, _ = pipeline.joint_optimize(ch, cfg, scheme, np.random.default_rng(9), n_starts=2)
 
     assert len(starts) == 2
-    for calls, trace in starts:
+    # The starts' events are contiguous, and only the final rate follows.
+    assert sum(len(calls) for calls, _, _ in starts) == starts[-1][2]
+    tail = events[starts[-1][2]:]
+    assert [kind for kind, _, _ in tail] == ["channel", "links"]
+    final_theta = tail[0][1] if tail[0][1] is not None else np.zeros(0, complex)
+    np.testing.assert_array_equal(final_theta, theta.theta)
+    for calls, trace, _ in starts:
         kinds = [kind for kind, _, _ in calls]
         steps = kinds.count("step")
         row = pipeline.PHASE_STEPS.get(solver)
@@ -389,8 +422,8 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
         extrapolated = [s.extrapolated for s in trace.steps]
         assert len(extrapolated) == trace.iterations
         assert all(t or not kept for kept, t in zip(extrapolated, flags))
-        assert kinds.count("channel") == steps + 2 + sum(tried)
-        assert kinds.count("links") == trace.iterations + 2 + sum(tried)
+        assert kinds.count("channel") == steps + 1 + sum(tried)
+        assert kinds.count("links") == trace.iterations + 1 + sum(tried)
         # Each step starts from the phases the loop kept: those of the last
         # channel, or of the one before it after a rejected extrapolation.
         channels, done = [], 0
@@ -401,6 +434,47 @@ def test_loop_evaluates_channel_and_link_state_once(solver, monkeypatch):
                 rejected = done and tried[done - 1] and not extrapolated[done - 1]
                 np.testing.assert_array_equal(channels[-2 if rejected else -1], theta)
                 done += 1
+
+
+def test_starts_see_only_the_estimate(monkeypatch):
+    # Every effective channel a start forms is on the channel estimate; the
+    # true channels are read once per call, after the starts, at the kept
+    # start's point.
+    calls, estimates, inside, starts = [], [], [False], []
+    real_channel, real_error, real_start = (model.effective_channel, chan.apply_csi_error,
+                                            pipeline._start)
+
+    def channel_spy(channels, theta):
+        calls.append((channels, inside[0]))
+        return real_channel(channels, theta)
+
+    def error_spy(*args):
+        estimates.append(real_error(*args))
+        return estimates[-1]
+
+    def start_spy(*args):
+        starts.append(args[0])
+        start = real_start(*args)
+        while True:
+            inside[0] = True
+            out = next(start)
+            inside[0] = False
+            yield out
+
+    cfg, ch, _, _, _ = build_instance(6, **_SMALL)
+    monkeypatch.setattr(model, "effective_channel", channel_spy)
+    monkeypatch.setattr(chan, "apply_csi_error", error_spy)
+    monkeypatch.setattr(pipeline, "_start", start_spy)
+    scheme = SchemeSpec(solver="aso", csi_error_rho=0.2)
+    w, theta, trace = pipeline.joint_optimize(ch, cfg, scheme, np.random.default_rng(6),
+                                              n_starts=3)
+    assert len(estimates) == 1 and estimates[0] is not ch
+    assert len(starts) == 3 and all(opt is estimates[0] for opt in starts)
+    assert sum(within for _, within in calls) > 3 * trace.iterations
+    assert all(channels is estimates[0] for channels, within in calls if within)
+    outside = [channels for channels, within in calls if not within]
+    assert len(outside) == 1 and outside[0] is ch
+    assert trace.final_sum_rate_true == model.sum_rate(ch, w.w, theta.theta, cfg.sigma2)
 
 
 def test_draw_true_channels_are_stacked_once(monkeypatch):
@@ -444,18 +518,18 @@ def test_phase_subproblems_share_one_workspace_per_start(scheme, n_starts, monke
     # Every phase subproblem of one start is built into the same memory, not
     # into a fresh RN x RN array per outer iteration.
     starts = []
-    real_once, real_build = pipeline._optimize_once, irs_opt.build_cmcqp
+    real_start, real_build = pipeline._start, irs_opt.build_cmcqp
 
-    def once_spy(*args, **kwargs):
+    def start_spy(*args, **kwargs):
         starts.append([])
-        return real_once(*args, **kwargs)
+        return real_start(*args, **kwargs)
 
     def build_spy(*args, **kwargs):
         data = real_build(*args, **kwargs)
         starts[-1].append(data.zcal)
         return data
 
-    monkeypatch.setattr(pipeline, "_optimize_once", once_spy)
+    monkeypatch.setattr(pipeline, "_start", start_spy)
     monkeypatch.setattr(irs_opt, "build_cmcqp", build_spy)
     cfg, ch, _, _, _ = build_instance(4, **_SMALL, max_outer=3, eps3=0.0)
     pipeline.joint_optimize(ch, cfg, scheme, np.random.default_rng(4), n_starts=n_starts)
@@ -528,10 +602,10 @@ def _extrapolation_events(monkeypatch, cfg, ch, seed, n_starts, solver="qcr",
     (events, trace): the phase steps, the solver's calls with their keyword
     arguments, the extrapolation attempts (beta, theta+, theta-, theta_e)
     and every rate the loop read, in order."""
-    events, starts = [], []
+    events = []
     real_step, real_rate = pipeline._phase_step, model.link_rate
     real_extra = extrapolated or pipeline._extrapolated
-    real_once, real_solve = pipeline._optimize_once, getattr(irs_opt, _SOLVE[solver])
+    real_solve = getattr(irs_opt, _SOLVE[solver])
 
     def step_spy(*args):
         events.append(("step",))
@@ -551,20 +625,14 @@ def _extrapolation_events(monkeypatch, cfg, ch, seed, n_starts, solver="qcr",
         events.append(("solve", kwargs))
         return real_solve(theta, data, **kwargs)
 
-    def once_spy(*args):
-        first = len(events)
-        out = real_once(*args)
-        starts.append((events[first:], out[2]))
-        return out
-
     monkeypatch.setattr(pipeline, "_phase_step", step_spy)
     monkeypatch.setattr(pipeline, "_extrapolated", extra_spy)
     monkeypatch.setattr(model, "link_rate", rate_spy)
     monkeypatch.setattr(irs_opt, _SOLVE[solver], solve_spy)
-    monkeypatch.setattr(pipeline, "_optimize_once", once_spy)
+    starts = _spy_starts(monkeypatch, events)
     pipeline.joint_optimize(ch, cfg, SchemeSpec(solver=solver), np.random.default_rng(seed),
                             n_starts=n_starts)
-    return starts
+    return [(calls, trace) for calls, trace, _ in starts]
 
 
 def _check_attempts(calls, trace, alpha):
