@@ -11,11 +11,13 @@ The digest is one JSON file with three sections:
   of master 5, full-scale qcr and aso at ``max_outer`` 6 on master 1, and
   desk aso and qcr at ``n_starts`` 3 on master 5 (2 seeds), each drawn and
   solved by ``pipeline.solve_realization``.
-- ``sweeps``: the ``results.csv`` rows, without ``wall_ms``, of four desk CLI
+- ``sweeps``: the ``results.csv`` rows, without ``wall_ms``, of five desk CLI
   sweeps at master 7: ``n_phase_shifts`` {8, 16} with the seven preset
   schemes (3 seeds), ``iterations`` {1, 2, 5, 12} with aso and discrete-M2
-  (2 seeds), ``ue_center_x`` {50, 125} with aso and none (2 seeds) and
-  ``csi_error_rho`` {0, 0.1} with aso (2 seeds).
+  (2 seeds), ``ue_center_x`` {50, 125} with aso and none (2 seeds),
+  ``csi_error_rho`` {0, 0.1} with aso (2 seeds) and
+  ``reflecting_efficiency`` {0.5, 1} with aso, qcr and random at UE
+  positions fixed by the spec's ``geometry.ue_positions`` (3 seeds).
 - ``draws``: per channel configuration, sha256 of the ``direct``,
   ``irs_ue`` and ``bs_irs`` bytes of the ``realize_channels(cfg, ..., 3,
   seed)`` draws, of the channel generator's next draw after each, and of
@@ -61,12 +63,15 @@ DESK_SCHEMES = [SchemeSpec(solver=s) for s in ("aso", "qcr", "sdr")] + [
 PRESET_SCHEMES = [{"solver": "aso"}, {"solver": "qcr"}, {"solver": "sdr"},
                   {"solver": "discrete", "levels": 2}, {"solver": "discrete", "levels": 4},
                   {"solver": "random"}, {"solver": "none"}]
-# (sweep, values, schemes, seeds)
+# (sweep, values, schemes, seeds, the spec's geometry block or None)
 SWEEPS = [
-    ("n_phase_shifts", [8, 16], PRESET_SCHEMES, 3),
-    ("iterations", [1, 2, 5, 12], [{"solver": "aso"}, {"solver": "discrete", "levels": 2}], 2),
-    ("ue_center_x", [50, 125], [{"solver": "aso"}, {"solver": "none"}], 2),
-    ("csi_error_rho", [0, 0.1], [{"solver": "aso"}], 2),
+    ("n_phase_shifts", [8, 16], PRESET_SCHEMES, 3, None),
+    ("iterations", [1, 2, 5, 12], [{"solver": "aso"}, {"solver": "discrete", "levels": 2}], 2,
+     None),
+    ("ue_center_x", [50, 125], [{"solver": "aso"}, {"solver": "none"}], 2, None),
+    ("csi_error_rho", [0, 0.1], [{"solver": "aso"}], 2, None),
+    ("reflecting_efficiency", [0.5, 1], [{"solver": "aso"}, {"solver": "qcr"}, {"solver": "random"}],
+     3, {"ue_positions": [[95.0, 104.0, 1.5], [108.0, 97.0, 1.5]]}),
 ]
 
 
@@ -105,7 +110,8 @@ def solves(seeds: int) -> dict:
               ("desk n_starts=3", desk_config(), [aso, qcr], 5, 3, min(2, seeds))]
     for name, cfg, schemes, master, n_starts, n_seeds in panels:
         for seed in range(n_seeds):
-            for scheme, trace, _ in pipeline.solve_realization(
+            # A pair, or a triple (with wall_ms) in older trees.
+            for scheme, trace, *_ in pipeline.solve_realization(
                     cfg, chan.default_geometry(cfg), schemes, master, seed, n_starts=n_starts):
                 out[f"{name} {scheme.label} seed {seed}"] = _solve_record(trace)
     return out
@@ -115,9 +121,11 @@ def sweeps(seeds: int) -> dict:
     out = {}
     base = dataclasses.asdict(desk_config())
     with tempfile.TemporaryDirectory() as tmp:
-        for sweep, values, schemes, n_seeds in SWEEPS:
+        for sweep, values, schemes, n_seeds, geometry in SWEEPS:
             doc = {"base": base, "sweep": sweep, "sweep_values": values, "schemes": schemes,
                    "n_seeds": min(n_seeds, seeds), "master_seed": 7}
+            if geometry is not None:
+                doc["geometry"] = geometry
             results = expcli.run_spec(expcli.ExperimentSpec.from_dict(doc), Path(tmp) / sweep)
             with results.open(newline="") as fh:
                 out[sweep] = [",".join(v for k, v in row.items() if k != "wall_ms")

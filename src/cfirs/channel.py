@@ -21,6 +21,7 @@ fill its per-link blocks, and the solver core reads its stacked arrays.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,13 +32,31 @@ from .config import SystemConfig
 
 @dataclass(frozen=True)
 class Geometry:
-    """Node placement in meters. Heights (z coordinates) must be positive."""
+    """Node placement in meters. Heights (z coordinates) must be positive.
+
+    Each realization draws the UEs uniformly in the disc of radius
+    ``ue_radius`` around (``ue_center_x``, 100) (``sample_ue_positions``),
+    unless ``fixed_ue``, where they stay at ``ue_positions``. Construction
+    rejects a non-finite coordinate, ``ue_center_x`` or ``ue_radius`` and a
+    negative ``ue_radius``; ``validate`` checks the shapes and heights.
+    """
 
     bs_positions: np.ndarray     # (L, 3)
     irs_positions: np.ndarray    # (R, 3)
     ue_positions: np.ndarray     # (K, 3)
     ue_center_x: float = 100.0
     ue_radius: float = 10.0
+    fixed_ue: bool = False
+
+    def __post_init__(self):
+        if not math.isfinite(self.ue_center_x):
+            raise ValueError(f"ue_center_x must be finite, got {self.ue_center_x!r}")
+        # NaN fails the comparison, so it fails the check.
+        if not 0.0 <= self.ue_radius < math.inf:
+            raise ValueError(f"ue_radius must be finite and >= 0, got {self.ue_radius!r}")
+        for name in ("bs_positions", "irs_positions", "ue_positions"):
+            if not np.isfinite(np.asarray(getattr(self, name), float)).all():
+                raise ValueError(f"{name} must be finite")
 
     def validate(self, config: SystemConfig) -> None:
         bs = np.asarray(self.bs_positions, float)
@@ -290,7 +309,10 @@ def default_geometry(
 
 
 def sample_ue_positions(geometry: Geometry, rng: np.random.Generator) -> Geometry:
-    """Resample UE positions uniformly in the disc around (ue_center_x, 100)."""
+    """Resample UE positions uniformly in the disc around (ue_center_x, 100);
+    a ``fixed_ue`` geometry is returned as it is, with no draw."""
+    if geometry.fixed_ue:
+        return geometry
     ue = np.asarray(geometry.ue_positions, float).copy()
     k = ue.shape[0]
     radii = geometry.ue_radius * np.sqrt(rng.uniform(0.0, 1.0, k))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 
 def db2lin(x_db: float) -> float:
@@ -38,9 +39,9 @@ class SystemConfig:
     The inner solvers' settings are module constants beside their readers:
     ``tx_opt.EPS1`` = 1e-5 and ``tx_opt.MAX_DUAL`` = 500 (precoder dual),
     ``irs_opt.EPS2`` = 1e-8 (ASO sweeps, relative to the phase objective).
-    ``max_aso`` caps only the discrete sweep's sweeps per outer iteration;
-    ASO's in-loop cap is ``pipeline.ASO_BUDGET``. It stays a field because
-    the benchmark (``perfbench``) prints it for its full-scale workloads.
+    ``max_aso`` = 200, a class constant and not a field, caps only the
+    discrete sweep's sweeps per outer iteration; ASO's in-loop cap is
+    ``pipeline.ASO_BUDGET``.
     """
 
     l: int
@@ -61,7 +62,7 @@ class SystemConfig:
     pathloss_irs: float = 2.2
     eps3: float = 1e-4
     max_outer: int = 50
-    max_aso: int = 200
+    max_aso: ClassVar[int] = 200
 
     def __post_init__(self):
         for f in fields(self):
@@ -91,8 +92,8 @@ class SystemConfig:
             raise ValueError("Rician factors and path-loss exponents must be >= 0")
         if not 0.0 <= self.eps3 < math.inf:
             raise ValueError("eps3 must be >= 0 and finite")
-        if min(self.max_outer, self.max_aso) < 1:
-            raise ValueError("max_outer and max_aso must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
         p = tuple((self.p_max,) if isinstance(self.p_max, (int, float)) else self.p_max)
         if any(type(v) is bool for v in p):
             raise ValueError(f"p_max entries must be numbers, got {self.p_max!r}")

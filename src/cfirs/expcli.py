@@ -65,7 +65,6 @@ def _is_number(x, integral: bool = False) -> bool:
 class ExperimentSpec:
     base: SystemConfig
     geometry: Geometry
-    fixed_ue: bool
     sweep: str
     sweep_values: list
     schemes: list
@@ -113,11 +112,9 @@ class ExperimentSpec:
             raise SpecError("spec.n_seeds: must be an integer >= 1")
         if not _is_number(master_seed, integral=True) or master_seed < 0:
             raise SpecError("spec.master_seed: must be an integer >= 0")
-        geometry, fixed_ue = _parse_geometry(doc.get("geometry"), base)
         spec = cls(
             base=base,
-            geometry=geometry,
-            fixed_ue=fixed_ue,
+            geometry=_parse_geometry(doc.get("geometry"), base),
             sweep=sweep,
             sweep_values=list(values),
             schemes=schemes,
@@ -138,7 +135,7 @@ class ExperimentSpec:
 
 def _parse_geometry(doc, base: SystemConfig):
     if doc is None:
-        return chan.default_geometry(base), False
+        return chan.default_geometry(base)
     if not isinstance(doc, dict):
         raise SpecError("spec.geometry: must be an object")
     try:
@@ -147,14 +144,13 @@ def _parse_geometry(doc, base: SystemConfig):
         geo = chan.default_geometry(base, ue_center_x=center, ue_radius=radius)
         bs = np.asarray(doc.get("bs_positions", geo.bs_positions), float)
         irs = np.asarray(doc.get("irs_positions", geo.irs_positions), float)
-        fixed_ue = "ue_positions" in doc
         ue = np.asarray(doc.get("ue_positions", geo.ue_positions), float)
         geo = Geometry(
             bs_positions=bs, irs_positions=irs, ue_positions=ue,
-            ue_center_x=center, ue_radius=radius,
+            ue_center_x=center, ue_radius=radius, fixed_ue="ue_positions" in doc,
         )
         geo.validate(base)
-        return geo, fixed_ue
+        return geo
     except (TypeError, ValueError) as exc:
         raise SpecError(f"spec.geometry: {exc}") from exc
 
@@ -177,7 +173,7 @@ def _sweep_config(spec: ExperimentSpec, value):
         n_h = base.n_h if base.n_h >= 1 and n % base.n_h == 0 else 1
         return base.with_(n=n, n_h=n_h, n_v=n // n_h), geometry, schemes
     if spec.sweep == "ue_center_x":
-        if spec.fixed_ue:
+        if geometry.fixed_ue:
             raise ValueError("cannot move UEs fixed by geometry.ue_positions")
         return base, dataclasses.replace(geometry, ue_center_x=float(value)), schemes
     if spec.sweep == "irs_pathloss_exponent":
@@ -197,21 +193,20 @@ def _sweep_config(spec: ExperimentSpec, value):
 
 def _run_unit(spec: ExperimentSpec, value, seed_index: int):
     """All schemes on one (sweep value, realization) pair -> list of rows:
-    ``pipeline.result_row`` with the sweep parameter and value in front. An
-    ``iterations`` sweep writes one row per cap, from the trace cut at that
-    cap under the base config's stop rule, with the time up to the cap."""
+    ``pipeline.result_row`` of each trace with the sweep parameter and value
+    in front. An ``iterations`` sweep writes one row per cap, from the trace
+    cut at that cap under the base config's stop rule (``RunTrace.upto``,
+    which also carries the time up to the cap)."""
     config, geometry, schemes = _sweep_config(spec, value)
     rows = []
-    for scheme, trace, wall_ms in pipeline.solve_realization(
-        config, geometry, schemes, spec.master_seed, seed_index, fixed_ue=spec.fixed_ue
-    ):
+    for scheme, trace in pipeline.solve_realization(
+            config, geometry, schemes, spec.master_seed, seed_index):
         if spec.sweep == "iterations":
-            cuts = (trace.upto(cap, spec.base.eps3) for cap in map(int, spec.sweep_values))
-            solves = [(cut.iterations, cut, cut.steps[-1].elapsed * 1e3) for cut in cuts]
+            solves = [(cap, trace.upto(cap, spec.base.eps3)) for cap in map(int, spec.sweep_values)]
         else:
-            solves = [(value, trace, wall_ms)]
+            solves = [(value, trace)]
         rows.extend(dict(sweep_param=spec.sweep, value=v,
-                         **pipeline.result_row(scheme, seed_index, t, ms)) for v, t, ms in solves)
+                         **pipeline.result_row(scheme, seed_index, t)) for v, t in solves)
     return rows
 
 

@@ -33,15 +33,15 @@ and yields one ``Step`` per iteration (its rate, time, stage times, dual and
 phase-step work). ``joint_optimize`` resumes each start until ``max_outer``
 or ``stalled``, the one stop rule, keeps the start with the best rate on the
 estimate and reads the true channels once, for that start's final rate. A
-``RunTrace`` holds the start rate, the steps, the stop flag and that rate;
-``RunTrace.upto`` cuts it after a number of steps into the run that
-``max_outer`` at that number would have made, so the experiment CLI's
-``iterations`` sweep writes each cap's row from one cut.
+``RunTrace`` holds the start rate, the steps, the stop flag, that rate and
+the solve's wall time; ``RunTrace.upto`` cuts it after a number of steps
+into the run that ``max_outer`` at that number would have made, so the
+experiment CLI's ``iterations`` sweep writes each cap's row from one cut.
 
-``solve_realization`` is the one experiment runner (draw, solve, time),
-``result_row`` turns one of its solves into a results row (``ROW_COLUMNS``)
-for both ``monte_carlo`` and the experiment CLI, and ``aggregate`` is the
-one mean / standard-error reduction.
+``solve_realization`` is the one experiment runner (one draw, every scheme
+solved on it), ``result_row`` turns one of its traces into a results row
+(``ROW_COLUMNS``) for both ``monte_carlo`` and the experiment CLI, and
+``aggregate`` is the one mean / standard-error reduction.
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ class SchemeSpec:
         rho = self.csi_error_rho
         if type(rho) is bool or not math.isfinite(rho) or rho < 0:
             raise ValueError(f"csi_error_rho must be finite, >= 0 and not a bool, got {rho!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if not self.label:
             label = self.solver.upper()
             if self.solver == "discrete":
@@ -172,14 +174,17 @@ class Step(NamedTuple):
 @dataclass(frozen=True)
 class RunTrace:
     """One start's run: its start rate (nats, on the channels optimized), one
-    ``Step`` per outer iteration, whether the stop rule ended it, and its
-    final rate in nats on the true channels. ``sum_rate``, ``iterations``,
-    ``dual_iterations`` and ``stage_seconds`` are read off the steps."""
+    ``Step`` per outer iteration, whether the stop rule ended it, its final
+    rate in nats on the true channels, and ``wall_s``, the seconds its solve
+    took (``joint_optimize`` from entry to that rate, every start included).
+    ``sum_rate``, ``iterations``, ``dual_iterations`` and ``stage_seconds``
+    are read off the steps."""
 
     start_rate: float
     steps: tuple
     converged: bool
     final_sum_rate_true: float
+    wall_s: float
 
     @property
     def sum_rate(self) -> list:
@@ -202,8 +207,9 @@ class RunTrace:
 
     def upto(self, cap: int, eps3: float) -> "RunTrace":
         """The trace cut after ``cap`` steps (1 <= cap <= iterations): its
-        ``converged`` is ``stalled`` at the cap under ``eps3`` and its final
-        rate is the rate at the cap. When ``stalled`` under ``eps3`` holds at
+        ``converged`` is ``stalled`` at the cap under ``eps3``, its final
+        rate is the rate at the cap and its ``wall_s`` the cap step's
+        ``elapsed``. When ``stalled`` under ``eps3`` holds at
         no earlier step, the cut is the run that ``max_outer = cap`` and
         ``eps3`` make from the same generator.
 
@@ -216,7 +222,7 @@ class RunTrace:
             raise ValueError(f"cap {cap} is outside 1..{len(self.steps)}")
         rates = self.sum_rate
         return RunTrace(self.start_rate, self.steps[:cap], stalled(rates[cap - 1], rates[cap], eps3),
-                        rates[cap])
+                        rates[cap], self.steps[cap - 1].elapsed)
 
 
 def _init_theta(config: SystemConfig, scheme: SchemeSpec, rng: np.random.Generator):
@@ -260,6 +266,7 @@ def joint_optimize(channels: ChannelSet, config: SystemConfig, scheme: SchemeSpe
     ``n_starts`` > 1 restarts from fresh random phases and keeps the start
     with the best rate on the estimate.
     """
+    entry = time.perf_counter()
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     channels.validate(config)
@@ -281,7 +288,7 @@ def joint_optimize(channels: ChannelSet, config: SystemConfig, scheme: SchemeSpe
             best = (w, theta, start_rate, tuple(steps), converged)
     w, theta, start_rate, steps, converged = best
     final = model.sum_rate(channels, w, theta, config.sigma2)
-    trace = RunTrace(start_rate, steps, converged, final)
+    trace = RunTrace(start_rate, steps, converged, final, time.perf_counter() - entry)
     phases = theta if theta is not None else np.zeros(0, complex)
     return BeamformerSet(w=w, l=config.l), PhaseVector(theta=phases, alpha=config.alpha), trace
 
@@ -366,41 +373,36 @@ def channel_seed_key(master_seed: int, seed_index: int) -> np.random.SeedSequenc
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(0, seed_index))
 
 
-def realize_channels(
-    config: SystemConfig, geometry: Geometry, master_seed: int, seed_index: int, fixed_ue: bool = False
-) -> ChannelSet:
-    """Sample the shared (UE positions, angles, fading) realization; with
-    ``fixed_ue`` the geometry's UE positions are used as given."""
+def realize_channels(config: SystemConfig, geometry: Geometry, master_seed: int,
+                     seed_index: int) -> ChannelSet:
+    """Sample the shared (UE positions, angles, fading) realization; a
+    ``fixed_ue`` geometry keeps its UE positions."""
     rng = np.random.default_rng(channel_seed_key(master_seed, seed_index))
-    geo = geometry if fixed_ue else chan.sample_ue_positions(geometry, rng)
+    geo = chan.sample_ue_positions(geometry, rng)
     angles = chan.sample_angles(config, rng)
     return chan.sample_channels(config, geo, angles, rng)
 
 
-def solve_realization(
-    config: SystemConfig, geometry: Geometry, schemes, master_seed: int, seed_index: int,
-    fixed_ue: bool = False, n_starts: int = 1,
-):
+def solve_realization(config: SystemConfig, geometry: Geometry, schemes, master_seed: int,
+                      seed_index: int, n_starts: int = 1):
     """Run every scheme, each with its own ``scheme_seed_key`` generator, on
-    one shared channel draw; returns [(scheme, RunTrace, wall_ms)] in order."""
-    channels = realize_channels(config, geometry, master_seed, seed_index, fixed_ue)
+    one shared channel draw; returns [(scheme, RunTrace)] in order."""
+    channels = realize_channels(config, geometry, master_seed, seed_index)
     out = []
     for scheme in schemes:
         rng = np.random.default_rng(scheme_seed_key(master_seed, seed_index, scheme.label))
-        start = time.perf_counter()
         # Looked up on this module per call, so a wrapper set as
         # pipeline.joint_optimize (instrumentation, tests) sees every solve.
-        _, _, trace = joint_optimize(channels, config, scheme, rng, n_starts=n_starts)
-        out.append((scheme, trace, (time.perf_counter() - start) * 1e3))
+        out.append((scheme, joint_optimize(channels, config, scheme, rng, n_starts=n_starts)[2]))
     return out
 
 
-def result_row(scheme: SchemeSpec, seed_index: int, trace: RunTrace, wall_ms: float) -> dict:
+def result_row(scheme: SchemeSpec, seed_index: int, trace: RunTrace) -> dict:
     """The ``ROW_COLUMNS`` row of one solve: its rate on the true channels in
-    bits, iteration count, wall time and convergence flag."""
+    bits, iteration count, wall time and convergence flag, all off its trace."""
     return dict(zip(ROW_COLUMNS, (
         scheme.label, seed_index, trace.final_sum_rate_true / np.log(2.0),
-        trace.iterations, wall_ms, trace.converged,
+        trace.iterations, trace.wall_s * 1e3, trace.converged,
     )))
 
 
@@ -414,9 +416,9 @@ def monte_carlo(config: SystemConfig, geometry: Geometry, schemes, n_seeds: int,
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     return [
-        result_row(scheme, seed_index, trace, wall_ms)
+        result_row(scheme, seed_index, trace)
         for seed_index in range(n_seeds)
-        for scheme, trace, wall_ms in solve_realization(
+        for scheme, trace in solve_realization(
             config, geometry, schemes, master_seed, seed_index, n_starts=n_starts
         )
     ]

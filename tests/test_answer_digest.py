@@ -49,9 +49,11 @@ def test_one_seed_panel(tmp_path):
     full = doc["solves"]["full QCR seed 0"]
     assert full["iterations"] == len(full["dual_iterations"]) <= 6
     # One seed per sweep: n_phase_shifts 2 values x 7 schemes, iterations
-    # 4 caps x 2 schemes, ue_center_x 2 x 2, csi_error_rho 2 x 1; no wall_ms.
+    # 4 caps x 2 schemes, ue_center_x 2 x 2, csi_error_rho 2 x 1,
+    # reflecting_efficiency (fixed UEs) 2 x 3; no wall_ms.
     assert {k: len(v) for k, v in doc["sweeps"].items()} == {
-        "n_phase_shifts": 14, "iterations": 8, "ue_center_x": 4, "csi_error_rho": 2}
+        "n_phase_shifts": 14, "iterations": 8, "ue_center_x": 4, "csi_error_rho": 2,
+        "reflecting_efficiency": 6}
     assert doc["sweeps"]["csi_error_rho"][0].split(",")[:4] == ["csi_error_rho", "0", "ASO", "0"]
     assert all(len(row.split(",")) == 7 for rows in doc["sweeps"].values() for row in rows)
     assert sorted(doc["draws"]) == sorted(answer_digest.draw_configs())

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +188,36 @@ def test_geometry_rejects_flat_nodes():
             bs_positions=bad, irs_positions=geo.irs_positions,
             ue_positions=geo.ue_positions,
         ).validate(cfg)
+
+
+@pytest.mark.parametrize("bad", [
+    {"ue_center_x": math.inf}, {"ue_center_x": math.nan}, {"ue_radius": math.inf},
+    {"ue_radius": math.nan}, {"ue_radius": -1.0}, {"bs_positions": math.nan},
+    {"irs_positions": math.inf}, {"ue_positions": -math.inf},
+], ids=["center_inf", "center_nan", "radius_inf", "radius_nan", "radius_negative",
+        "bs_nan", "irs_inf", "ue_minus_inf"])
+def test_geometry_rejects_non_finite_numbers(bad):
+    # A non-finite coordinate, centre or radius, or a negative radius, is
+    # refused when the geometry is built, before any channel is drawn.
+    geo = chan.default_geometry(small_config())
+    name, value = next(iter(bad.items()))
+    if name.endswith("positions"):
+        arr = np.array(getattr(geo, name), float)
+        arr[0, 0] = value
+        value = arr
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(geo, **{name: value})
+
+
+def test_fixed_ue_geometry_is_not_redrawn():
+    cfg = small_config()
+    geo = chan.default_geometry(cfg)
+    fixed = dataclasses.replace(geo, fixed_ue=True)
+    rng = np.random.default_rng(3)
+    assert chan.sample_ue_positions(fixed, rng) is fixed
+    assert rng.uniform() == np.random.default_rng(3).uniform()
+    moved = chan.sample_ue_positions(geo, rng)
+    assert not moved.fixed_ue and not np.array_equal(moved.ue_positions, geo.ue_positions)
 
 
 # ---- bounded estimation error ----

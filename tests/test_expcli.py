@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -104,6 +105,8 @@ BAD_BASES = {
     "max_outer_fractional": {"max_outer": 3.5},
     "alpha_bool": {"alpha": True}, "sigma2_bool": {"sigma2": True},
     "c0_bool": {"c0": True}, "p_max_bool": {"p_max": [True]},
+    # A class constant now, not a field: naming it is an unknown key.
+    "max_aso": {"max_aso": 200},
 }
 
 
@@ -130,6 +133,15 @@ BAD_BASES = {
     {"schemes": [{"solver": "discrete", "levels": 4.0}]},
     {"schemes": [{"solver": "aso", "csi_error_rho": True}]},
     {"geometry": [1, 2]},
+    {"geometry": {"ue_center_x": INF}},
+    {"geometry": {"ue_radius": INF}},
+    {"geometry": {"ue_radius": NAN}},
+    {"geometry": {"ue_radius": -1.0}},
+    {"geometry": {"ue_positions": [[INF, 100.0, 1.5]]}},
+    {"geometry": {"irs_positions": [[INF, 100.0, 6.0]]}},
+    {"geometry": {"bs_positions": [[NAN, 0.0, 3.0]]}},
+    {"sweep": "ue_center_x", "sweep_values": [100.0, NAN]},
+    {"schemes": [{"solver": "aso", "label": 5}]},
     *({"base": dict(MINIMAL_BASE, **bad)} for bad in BAD_BASES.values()),
 ], ids=[
     "iterations_negative", "iterations_zero", "iterations_string", "iterations_csi_error",
@@ -138,7 +150,9 @@ BAD_BASES = {
     "center_of_fixed_ues", "n_seeds_string", "master_seed_string", "master_seed_negative",
     "schemes_empty", "csi_error_rho_nan", "csi_error_rho_inf", "csi_error_rho_sweep_nan",
     "levels_on_aso", "levels_fractional", "levels_float", "csi_error_rho_bool",
-    "geometry_not_object", *BAD_BASES,
+    "geometry_not_object", "ue_center_x_inf", "ue_radius_inf", "ue_radius_nan",
+    "ue_radius_negative", "ue_positions_inf", "irs_positions_inf", "bs_positions_nan",
+    "ue_center_x_sweep_nan", "label_not_string", *BAD_BASES,
 ])
 def test_bad_spec_exits_2_before_any_solve(tmp_path, monkeypatch, over):
     def no_solve(*args, **kwargs):
@@ -157,16 +171,17 @@ def test_fixed_ue_rows_come_from_the_shared_runner(tmp_path):
         geometry={"ue_positions": [[95.0, 4.0, 1.5]]},
     ).read_text())
     spec = expcli.ExperimentSpec.from_dict(doc)
-    assert spec.fixed_ue
+    assert spec.geometry.fixed_ue
     rows = read_rows(expcli.run_spec(spec, tmp_path / "fixed"))
 
     def runner_rates(fixed_ue):
         rates = []
         for value in spec.sweep_values:
             config, geometry, schemes = expcli._sweep_config(spec, value)
+            geometry = dataclasses.replace(geometry, fixed_ue=fixed_ue)
             for seed in range(spec.n_seeds):
-                for scheme, trace, _ in pipeline.solve_realization(
-                    config, geometry, schemes, spec.master_seed, seed, fixed_ue=fixed_ue
+                for scheme, trace in pipeline.solve_realization(
+                    config, geometry, schemes, spec.master_seed, seed
                 ):
                     rates.append((value, scheme.label, seed,
                                   expcli._fmt(trace.final_sum_rate_true / math.log(2.0))))
@@ -403,7 +418,8 @@ def test_iterations_sweep_wall_ms_is_per_cap(tmp_path, monkeypatch):
     )
     rows = read_rows(expcli.run(spec))
     assert len(solves) == 2 and len(rows) == 4 * len(solves)
-    for scheme, trace, wall_ms in solves:
+    for scheme, trace in solves:
+        wall_ms = trace.wall_s * 1e3
         assert trace.iterations == 8 and len(trace.steps) == 8
         by_cap = sorted((int(r["value"]), float(r["wall_ms"]))
                         for r in rows if r["scheme"] == scheme.label)
@@ -420,13 +436,13 @@ def test_iterations_sweep_zero_rate_cap_is_not_converged(tmp_path, monkeypatch):
     # rate never stops the loop.
     rates = [0.0, 0.0, 1.0, 1.0]
 
-    def synthetic(config, geometry, schemes, master_seed, seed_index, fixed_ue=False):
+    def synthetic(config, geometry, schemes, master_seed, seed_index):
         steps = tuple(pipeline.Step(rate, it * 1e-3, (0.0,) * 4, 1, True, 0, False, False,
                                     False)
                       for it, rate in enumerate(rates[1:], start=1))
         trace = pipeline.RunTrace(start_rate=rates[0], steps=steps, converged=False,
-                                  final_sum_rate_true=rates[-1])
-        return [(scheme, trace, 3.0) for scheme in schemes]
+                                  final_sum_rate_true=rates[-1], wall_s=3e-3)
+        return [(scheme, trace) for scheme in schemes]
 
     monkeypatch.setattr(pipeline, "solve_realization", synthetic)
     spec = minimal_spec(tmp_path, sweep="iterations", sweep_values=[1, 2, 3])

@@ -33,7 +33,7 @@ def test_one_tiny_draw(tmp_path, monkeypatch):
     # The record is the solve of the desk_sweep panel at that budget.
     monkeypatch.setattr(pipeline, "ASO_BUDGET", budget)
     cfg = desk_config(n=8, n_h=4, n_v=2)
-    ((_, trace, _),) = pipeline.solve_realization(
+    ((_, trace),) = pipeline.solve_realization(
         cfg, chan.default_geometry(cfg), [SchemeSpec(solver="aso")], 1, 0)
     assert draw["bits"] == trace.final_sum_rate_true / np.log(2.0)
     assert draw["work"] == sum(s.phase_work for s in trace.steps) <= budget * trace.iterations

@@ -8,7 +8,7 @@ import pytest
 from cfirs import channel as chan
 from cfirs import fp_core, irs_opt, model, pipeline, tx_opt
 from cfirs.channel import ChannelSet
-from cfirs.config import desk_config, full_config
+from cfirs.config import SystemConfig, desk_config, full_config
 from cfirs.pipeline import SchemeSpec
 
 from conftest import build_instance, small_config
@@ -305,7 +305,7 @@ def _reference_once(channels, opt, config, scheme, rng):
             break
         rate = new_rate
     final = model.sum_rate(channels, w, theta, config.sigma2)
-    return w, theta, pipeline.RunTrace(start_rate, tuple(steps), converged, final)
+    return w, theta, pipeline.RunTrace(start_rate, tuple(steps), converged, final, 0.0)
 
 
 def _reference_joint(channels, config, scheme, rng, n_starts=1):
@@ -361,7 +361,7 @@ def _spy_starts(monkeypatch, events):
         starts.append(record)
         for out in real_start(*args):
             yielded.append(out[2])
-            trace = pipeline.RunTrace(yielded[0], tuple(yielded[1:]), None, None)
+            trace = pipeline.RunTrace(yielded[0], tuple(yielded[1:]), None, None, None)
             record[:] = events[first:], trace, len(events)
             yield out
 
@@ -563,6 +563,19 @@ def test_cut_is_the_stopped_run(solver, seed):
             trace.upto(cap, cfg.eps3)
 
 
+def test_trace_carries_its_solve_wall_time():
+    # The solve's wall time is on its trace, from joint_optimize's entry to
+    # the true-channel rate, so past its last step; a cut's is its last
+    # step's elapsed, and result_row writes it as wall_ms.
+    cfg = desk_config()
+    ((scheme, trace),) = pipeline.solve_realization(
+        cfg, chan.default_geometry(cfg), [SchemeSpec(solver="aso")], 5, 0)
+    assert trace.wall_s > trace.steps[-1].elapsed > 0
+    assert pipeline.result_row(scheme, 0, trace)["wall_ms"] == trace.wall_s * 1e3
+    for cap in (1, trace.iterations):
+        assert trace.upto(cap, cfg.eps3).wall_s == trace.steps[cap - 1].elapsed
+
+
 def test_refused_phase_step_counts_its_work(monkeypatch):
     # A QCR step that lowers the phase objective is refused: the phases stay
     # at the start's, so the rates are those of the W steps alone (the random
@@ -706,7 +719,8 @@ def test_row_calls_its_solver_once_per_outer_iteration(solver, monkeypatch):
 
     monkeypatch.setattr(irs_opt, _SOLVE[solver], solve_spy)
     over = dict(n=2, n_h=2, n_v=1, max_outer=4) if solver == "sdr" else _SMALL
-    cfg, ch, _, _, _ = build_instance(4, **over, max_aso=pipeline.ASO_BUDGET + 2)
+    monkeypatch.setattr(SystemConfig, "max_aso", pipeline.ASO_BUDGET + 2)
+    cfg, ch, _, _, _ = build_instance(4, **over)
     rng = np.random.default_rng(4)
     scheme = SchemeSpec(solver=solver, levels=4 if solver == "discrete" else 0)
     _, _, trace = pipeline.joint_optimize(ch, cfg, scheme, rng)
@@ -757,7 +771,7 @@ def test_qcr_full_scale_rate_floor(index, plain_bits):
     # benchmark's full_qcr panel), end at or above the rates the loop
     # reached with QCR relaxed to tolerance and no extrapolation.
     cfg = full_config()
-    ((scheme, trace, _),) = pipeline.solve_realization(
+    ((scheme, trace),) = pipeline.solve_realization(
         cfg, chan.default_geometry(cfg), [SchemeSpec(solver="qcr")], 1, index)
     assert trace.final_sum_rate_true / np.log(2.0) >= plain_bits
     assert max(s.phase_work for s in trace.steps) <= pipeline.QCR_BUDGET
